@@ -31,7 +31,7 @@ from .history import (
     parse_history,
     serialize_history,
 )
-from .history import _KIND_ALIASES, _check_kind, _parse_outcome, _parse_ts, _strip
+from .history import _KIND_ALIASES, _check_kind, _is_int, _parse_outcome, _parse_ts, _strip
 from .oracle import BoundExceeded, brute_force_linearizable, saturation_baseline
 from .sets import (
     StreamEvent,
@@ -69,11 +69,17 @@ def _emit_verdict(verdict, verbose: bool) -> int:
     return EXIT_LINEARIZABLE if verdict.linearizable else EXIT_UNLINEARIZABLE
 
 
+def _stream_int(token: str, what: str, lineno: int) -> int:
+    if not _is_int(token):
+        raise ParseError(f"bad {what} {token!r}", lineno)
+    return int(token)
+
+
 def _stream_events(fh: TextIO, adt: str) -> Iterator[StreamEvent]:
     """Incrementally parse event-format records for live set monitoring."""
     open_calls: dict[int, tuple[str, int | None, int]] = {}
     last_ts = -1
-    next_lineno = 1
+    next_lineno = 2  # the caller has read the header, line 1
     for raw in fh:
         lineno = next_lineno
         next_lineno += 1
@@ -84,9 +90,9 @@ def _stream_events(fh: TextIO, adt: str) -> Iterator[StreamEvent]:
         if toks[0] == "call":
             if len(toks) != 5:
                 raise ParseError("expected: call <id> <kind> <value> <ts>", lineno)
-            op_id = int(toks[1])
+            op_id = _stream_int(toks[1], "operation id", lineno)
             kind = _KIND_ALIASES.get(toks[2])
-            value = int(toks[3])
+            value = _stream_int(toks[3], "value", lineno)
             ts = _parse_ts(toks[4], lineno)
             if kind is None:
                 raise ParseError(f"unknown event kind {toks[2]!r}", lineno)
@@ -101,7 +107,7 @@ def _stream_events(fh: TextIO, adt: str) -> Iterator[StreamEvent]:
         elif toks[0] == "ret":
             if len(toks) not in (3, 4):
                 raise ParseError("expected: ret <id> <ts> [<result>]", lineno)
-            op_id = int(toks[1])
+            op_id = _stream_int(toks[1], "operation id", lineno)
             ts = _parse_ts(toks[2], lineno)
             if op_id not in open_calls:
                 raise ParseError(f"return without call for id {op_id}", lineno)
@@ -295,8 +301,15 @@ def main(argv: list[str] | None = None) -> int:
     except HistoryError as exc:
         print(f"limon: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        print(f"limon: input is not UTF-8 (line {line})", file=sys.stderr)
+        return EXIT_MALFORMED
     except OSError as exc:
         print(f"limon: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # exit 1 means unlinearizable, never a crash
+        print(f"limon: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

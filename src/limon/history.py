@@ -195,9 +195,11 @@ def _strip(line: str) -> str:
 
 
 def _is_int(token: str) -> bool:
+    """ASCII integer literal with optional sign; str.isdigit alone also
+    accepts digits such as '²' that int() rejects."""
     if token and (token[0] in "+-"):
-        return token[1:].isdigit()
-    return token.isdigit()
+        token = token[1:]
+    return token.isascii() and token.isdigit()
 
 
 class _Interner:

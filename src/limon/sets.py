@@ -9,12 +9,16 @@ The set checker additionally tracks membership queries and a per-value
 state in {present, absent, unknown}.  Calls bank "active" credits for
 adds and removes; a return that needs the opposite state first linearizes
 one banked credit of the other kind (ensure_state), and failing that, the
-history is unlinearizable.  Pending membership queries are satisfied by
-any state flip that matches their expected answer.
+history is unlinearizable.  A returning add or remove stands in for a
+linearized one of its kind only if it was called before that credit was
+consumed; otherwise it linearizes at its return.  Pending membership
+queries are satisfied by any state flip that matches their expected
+answer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -38,8 +42,24 @@ StreamEvent = tuple[int, bool, Operation]
 
 @dataclass
 class _OpCounters:
+    """Operations of one kind on one value that have been called but have
+    not returned, and the times at which some of them were linearized."""
+
     active: int = 0
-    linearized: int = 0
+    credits: list[int] = field(default_factory=list)  # ascending
+
+    @property
+    def linearized(self) -> int:
+        return len(self.credits)
+
+    def claim(self, call: int) -> bool:
+        """Let an operation called at `call` return as the one linearized at
+        the earliest credit it was active for; False if there is none."""
+        i = bisect_left(self.credits, call)
+        if i == len(self.credits):
+            return False
+        del self.credits[i]
+        return True
 
 
 @dataclass
@@ -103,13 +123,14 @@ def _assign_state(st: SetValueState, q: bool) -> None:
     st.state = q
 
 
-def ensure_state(st: SetValueState, q: bool) -> bool:
+def ensure_state(st: SetValueState, q: bool, ts: int = 0) -> bool:
     """Force the per-value state to q, consuming a banked credit if needed.
 
     Returns False when no active operation can justify the change; the
     caller then declares the history unlinearizable.  From the unknown
     initial state, absence is free (the set starts empty) while presence
-    requires linearizing an active add.
+    requires linearizing an active add.  The credit consumed records ts,
+    the time of the event being processed.
     """
     if st.state is q:
         return True
@@ -117,9 +138,9 @@ def ensure_state(st: SetValueState, q: bool) -> bool:
         _assign_state(st, False)
         return True
     counters = st.adds if q else st.removes
-    counters.linearized += 1
-    if counters.active < counters.linearized:
+    if counters.active <= counters.linearized:
         return False
+    counters.credits.append(ts)
     _assign_state(st, q)
     return True
 
@@ -161,29 +182,25 @@ def set_linearizable_events(events: Iterable[StreamEvent],
                 if ev.outcome is False:
                     raise HistoryError("failing add reached the set checker; "
                                        "normalize_failing_ops first")
-                if st.adds.linearized == 0:
-                    if not ensure_state(st, False):
+                if not st.adds.claim(op.call):
+                    if not ensure_state(st, False, ts):
                         return _fail(ev.value, ts, "ensure-state-failure")
                     _assign_state(st, True)
-                else:
-                    st.adds.linearized -= 1
                 st.adds.active -= 1
             elif ev.kind == REMOVE:
                 if ev.outcome is False:
                     raise HistoryError("failing remove reached the set checker; "
                                        "normalize_failing_ops first")
-                if st.removes.linearized == 0:
-                    if not ensure_state(st, True):
+                if not st.removes.claim(op.call):
+                    if not ensure_state(st, True, ts):
                         return _fail(ev.value, ts, "ensure-state-failure")
                     _assign_state(st, False)
-                else:
-                    st.removes.linearized -= 1
                 st.removes.active -= 1
             else:
                 if op.id in st.pending:
                     if ev.outcome is None:
                         raise HistoryError(f"contains id {op.id} returned no answer")
-                    if not ensure_state(st, ev.outcome):
+                    if not ensure_state(st, ev.outcome, ts):
                         return _fail(ev.value, ts, "ensure-state-failure")
                     st.pending.pop(op.id, None)
                     if counter is not None:

@@ -8,8 +8,12 @@ there); the gaps between them, plus the two ends of the history, form
 D-segments (the stack may be empty there).  The recursion strips extreme
 values while they exist, fails when no extreme value exists and at most
 two D-segments remain, and otherwise splits the history around the first
-internal D-segment and decides both halves independently.  Total work is
-quadratic in the number of operations.
+internal D-segment and decides both halves independently.
+
+Extreme values are peeled with monotone pointers over four sorted orders,
+so peeling costs O(n log n) between splits.  A split sweeps the first
+P-segment and sorts the smaller part afresh; the sweeps keep the worst
+case quadratic, through chains of splits only.
 """
 
 from __future__ import annotations
@@ -97,18 +101,6 @@ def _gaps_d(lo: int, hi: int, p: list[tuple[int, int]],
     return out
 
 
-def _extreme_set(vals: list[AttributedValue], d_first: tuple[int, int],
-                 d_last: tuple[int, int], counter: WorkCounter | None) -> set[int]:
-    out = set()
-    for v in vals:
-        if (v.push_call <= d_first[1] and d_first[0] <= v.push_ret
-                and v.pop_call <= d_last[1] and d_last[0] <= v.pop_ret):
-            out.add(v.value)
-    if counter is not None:
-        counter.add(len(vals))
-    return out
-
-
 def p_segments(vals: Iterable[AttributedValue] | dict[int, AttributedValue]) -> list[Interval]:
     """Compute the P-segments of a set of attributed values.
 
@@ -170,8 +162,10 @@ def extreme_values(vals: Iterable[AttributedValue] | dict[int, AttributedValue],
     """
     if not d_segs:
         raise HistoryError("extreme_values needs at least one D-segment")
-    first, last = d_segs[0].as_pair(), d_segs[-1].as_pair()
-    return _extreme_set(_as_vals(vals), first, last, None)
+    (f0, f1), (l0, l1) = d_segs[0].as_pair(), d_segs[-1].as_pair()
+    return {v.value for v in _as_vals(vals)
+            if v.push_call <= f1 and f0 <= v.push_ret
+            and v.pop_call <= l1 and l0 <= v.pop_ret}
 
 
 def partition(h: History, alpha: Interval) -> tuple[History, History]:
@@ -196,19 +190,16 @@ def _with_original_values(values: Iterable[int], back: dict[int, int]) -> list[i
     return sorted(back.get(v, v) for v in values)
 
 
-def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
-                       observer: Observer | None = None) -> Verdict:
-    """Decide whether a stack history is linearizable.
+def _sort_cost(n: int) -> int:
+    return n * max(1, n.bit_length())
 
-    Preprocessing: value occurrences are differentiated, unmatched pushes
-    completed with trailing concurrent pops, and values whose push and pop
-    overlap dropped.  A value popped without a matching push, or popped
-    strictly before its push, is a semantic violation and yields an
-    unlinearizable verdict directly.
 
-    The optional counter accumulates loop iterations across all recursive
-    steps (the quadratic work bound); the optional observer is called with
-    (values, p_segments, d_segments, extremes) at every recursion step.
+def _prepare(h: History, counter: WorkCounter | None
+             ) -> Verdict | tuple[list[AttributedValue], dict[int, int]]:
+    """Preprocess a stack history for the recursion.
+
+    Returns an early verdict, or the attributed values sorted by
+    push-return together with the map from fresh values to original ones.
     """
     if h.adt != "stack":
         raise HistoryError(f"stack monitor got adt {h.adt!r}")
@@ -231,6 +222,8 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
                                "value": back.get(popped_first[0], popped_first[0])})
 
     vals = sorted(op_to_val(dh).values(), key=lambda v: v.push_ret)
+    if counter is not None:
+        counter.add(_sort_cost(len(vals)))
     pop_empties = [op.interval for op in dh.ops if op.event.kind == POP_EMPTY]
 
     # Pop-empty placement is a one-time check against the top-level
@@ -250,35 +243,152 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
                 counter.add(len(d))
             if not any(iv.left <= b and a <= iv.right for a, b in d):
                 return Verdict(False, {"kind": "pop-empty", "interval": iv.as_pair()})
+    return vals, back
 
-    pending = [vals]
+
+def _observe(observer: Observer, vs: list[AttributedValue], ex: set[int]) -> None:
+    lo = min(v.push_call for v in vs)
+    hi = max(v.pop_ret for v in vs)
+    p = _sweep_p(vs, None)
+    observer(tuple(vs), [Interval(a, b) for a, b in p],
+             [Interval(a, b) for a, b in _gaps_d(lo, hi, p, None)], ex)
+
+
+def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
+                       observer: Observer | None = None) -> Verdict:
+    """Decide whether a stack history is linearizable.
+
+    Preprocessing: value occurrences are differentiated, unmatched pushes
+    completed with trailing concurrent pops, and values whose push and pop
+    overlap dropped.  A value popped without a matching push, or popped
+    strictly before its push, is a semantic violation and yields an
+    unlinearizable verdict directly.
+
+    In a group sorted by push-return, the first D-segment is [min
+    push-call, m1] and the last is [M2, max pop-return], where m1 is the
+    least push-return and M2 the greatest pop-call.  So a value is extreme
+    iff its push-call is at most m1 and its pop-return at least M2.
+    Peeling values only raises m1 and lowers M2, so the sets A = {push-call
+    <= m1} and B = {pop-return >= M2} only grow: pointers over push-call
+    order and pop-return-descending order mark values on entry, and a
+    value is extreme once it holds both marks.  Two more pointers, over
+    push-return order and pop-call-descending order, track m1 and M2.  All
+    four skip values that are no longer in the group.  A round without
+    extremes sweeps the first P-segment only; it fails if that segment
+    covers the group and otherwise splits the group at its right end.  The
+    larger part keeps the group's sorted orders and pointers; the smaller
+    part gets its own orders, sorted afresh.  Both keep the marks.
+
+    The optional counter accumulates every step taken, sorts included (as
+    n log n); the optional observer is called with (values, p_segments,
+    d_segments, extremes) once per round.
+    """
+    prepared = _prepare(h, counter)
+    if isinstance(prepared, Verdict):
+        return prepared
+    vals, back = prepared
+    n = len(vals)
+    pc = [v.push_call for v in vals]
+    pr = [v.push_ret for v in vals]
+    qc = [v.pop_call for v in vals]
+    qr = [v.pop_ret for v in vals]
+    owner = [0] * n  # the group a value belongs to, -1 once peeled
+    in_a = bytearray(n)
+    in_b = bytearray(n)
+    work = 0
+
+    def group(gid: int, members: list[int]) -> tuple:
+        # (id, live count, push-return order and its pointer and end,
+        # pop-call-descending order, push-call order of values not in A,
+        # pop-return-descending order of values not in B, with pointers)
+        nonlocal work
+        work += len(members) + 3 * _sort_cost(len(members))
+        return (gid, len(members), members, 0, len(members),
+                sorted(members, key=qc.__getitem__, reverse=True), 0,
+                sorted([x for x in members if not in_a[x]], key=pc.__getitem__), 0,
+                sorted([x for x in members if not in_b[x]], key=qr.__getitem__,
+                       reverse=True), 0)
+
+    pending = [group(0, list(range(n)))] if n else []
+    groups = 1
+    failed = None
     while pending:
-        vs = pending.pop()
-        if not vs:
-            continue
-        lo = min(v.push_call for v in vs)
-        hi = max(v.pop_ret for v in vs)
-        p = _sweep_p(vs, counter)
-        d = _gaps_d(lo, hi, p, counter)
-        ex = _extreme_set(vs, d[0], d[-1], counter)
-        if observer is not None:
-            observer(tuple(vs), [Interval(a, b) for a, b in p],
-                     [Interval(a, b) for a, b in d], set(ex))
-        if ex:
-            pending.append([v for v in vs if v.value not in ex])
-            if counter is not None:
-                counter.add(len(vs))
-        elif len(d) <= 2:
-            return Verdict(False, {"kind": "no-separation",
-                                   "values": _with_original_values(
-                                       (v.value for v in vs), back)})
-        else:
-            cut = d[1][0]
-            left = [v for v in vs if v.push_ret <= cut]
-            right = [v for v in vs if v.push_ret > cut]
-            if counter is not None:
-                counter.add(len(vs))
-            assert left and right, "internal D-segment must split nontrivially"
+        gid, live, by_pr, i, end, by_qc, j, by_pc, a, by_qr, b = pending.pop()
+        n_pc, n_qr = len(by_pc), len(by_qr)
+        start = i + j + a + b
+        while True:
+            while owner[by_pr[i]] != gid:
+                i += 1
+            while owner[by_qc[j]] != gid:
+                j += 1
+            m1, m2 = pr[by_pr[i]], qc[by_qc[j]]
+            ex = []
+            while a < n_pc:
+                x = by_pc[a]
+                if owner[x] == gid:
+                    if pc[x] > m1:
+                        break
+                    in_a[x] = 1
+                    if in_b[x]:
+                        ex.append(x)
+                a += 1
+            while b < n_qr:
+                x = by_qr[b]
+                if owner[x] == gid:
+                    if qr[x] < m2:
+                        break
+                    in_b[x] = 1
+                    if in_a[x]:
+                        ex.append(x)
+                b += 1
+            work += 1 + len(ex)
+            if observer is not None:
+                _observe(observer, [vals[x] for x in by_pr[i:end] if owner[x] == gid],
+                         {vals[x].value for x in ex})
+            if ex:
+                for x in ex:
+                    owner[x] = -1
+                live -= len(ex)
+                if live:
+                    continue
+                break
+            reach = qc[by_pr[i]]  # right end of the first P-segment so far
+            n_left = 1
+            k = i + 1
+            while k < end:
+                x = by_pr[k]
+                if owner[x] == gid:
+                    if pr[x] > reach:
+                        break
+                    n_left += 1
+                    if qc[x] > reach:
+                        reach = qc[x]
+                k += 1
+            work += k - i
+            if k == end:
+                failed = [vals[x].value for x in by_pr[i:end] if owner[x] == gid]
+                pending.clear()
+                break
+            if n_left <= live - n_left:
+                small = [x for x in by_pr[i:k] if owner[x] == gid]
+                work += k - i
+                left = group(groups, small)
+                right = (gid, live - n_left, by_pr, k, end, by_qc, j, by_pc, a, by_qr, b)
+            else:
+                small = [x for x in by_pr[k:end] if owner[x] == gid]
+                work += end - k
+                left = (gid, n_left, by_pr, i, k, by_qc, j, by_pc, a, by_qr, b)
+                right = group(groups, small)
+            for x in small:
+                owner[x] = groups
+            groups += 1
             pending.append(left)
             pending.append(right)
+            break
+        work += i + j + a + b - start
+    if counter is not None:
+        counter.add(work)
+    if failed is not None:
+        return Verdict(False, {"kind": "no-separation",
+                               "values": _with_original_values(failed, back)})
     return Verdict(True)

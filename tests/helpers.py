@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from limon import Event, History, Interval, Operation
+from limon import Event, History, Interval, Operation, Verdict
 from limon.oracle import sequential_check
 from limon.queues import BLACK, RED, QTreeNode
+from limon.stacks import _prepare, _with_original_values
 
 
 def value_history(adt: str, rows) -> History:
@@ -21,6 +22,25 @@ def value_history(adt: str, rows) -> History:
             ops.append(Operation(op_id, Event("pop", value), qc, qr))
             op_id += 1
     return History(adt, tuple(ops))
+
+
+def nested_stack(n: int) -> History:
+    """Push value v over [2v, 2v+1] for v = 1..n, then pop them in reverse:
+    the recursion peels exactly one extreme value per round."""
+    ops = [Operation(v - 1, Event("push", v), 2 * v, 2 * v + 1) for v in range(1, n + 1)]
+    t = 2 * n + 2
+    for v in range(n, 0, -1):
+        ops.append(Operation(len(ops), Event("pop", v), t, t + 1))
+        t += 2
+    return History("stack", tuple(ops))
+
+
+def fold_values(h: History, pool: int) -> History:
+    """Rename every value v to v % pool, so values repeat (gen_random always
+    draws fresh stack values)."""
+    return History(h.adt, tuple(
+        Operation(op.id, Event(op.event.kind, op.event.value % pool), op.call, op.ret)
+        if op.event.value is not None else op for op in h.ops))
 
 
 # Staggered walkthrough history (values 2..8): four P-segments, no extreme
@@ -111,3 +131,57 @@ def rb_check(root: QTreeNode | None) -> dict:
 def scan_container(entries: list[tuple[Interval, int]], q: Interval) -> set[int]:
     """Linear-scan reference for interval containment queries."""
     return {v for iv, v in entries if iv.contains(q)}
+
+
+def reference_stack_linearizable(h: History, observer=None) -> Verdict:
+    """The stack recursion as first written: every round re-sweeps the whole
+    group for its P- and D-segments and its extreme values (quadratic).
+    Preprocessing is shared with the monitor; only the round loop differs."""
+    prepared = _prepare(h, None)
+    if isinstance(prepared, Verdict):
+        return prepared
+    vals, back = prepared
+    pending = [vals]
+    while pending:
+        vs = pending.pop()
+        if not vs:
+            continue
+        p = []
+        for v in vs:  # sorted by push-return
+            if p and v.push_ret <= p[-1][1]:
+                p[-1] = (p[-1][0], max(p[-1][1], v.pop_call))
+            else:
+                p.append((v.push_ret, v.pop_call))
+        ends = [a for a, _ in p] + [max(v.pop_ret for v in vs)]
+        d = list(zip([min(v.push_call for v in vs)] + [b for _, b in p], ends))
+        (f0, f1), (l0, l1) = d[0], d[-1]
+        ex = {v.value for v in vs if v.push_call <= f1 and f0 <= v.push_ret
+              and v.pop_call <= l1 and l0 <= v.pop_ret}
+        if observer is not None:
+            observer(tuple(vs), [Interval(a, b) for a, b in p],
+                     [Interval(a, b) for a, b in d], set(ex))
+        if ex:
+            pending.append([v for v in vs if v.value not in ex])
+        elif len(d) <= 2:
+            return Verdict(False, {"kind": "no-separation", "values":
+                                   _with_original_values((v.value for v in vs), back)})
+        else:
+            cut = d[1][0]
+            pending.append([v for v in vs if v.push_ret <= cut])
+            pending.append([v for v in vs if v.push_ret > cut])
+    return Verdict(True)
+
+
+class StackTally:
+    """Observer counting rounds, extreme values peeled and splits."""
+
+    def __init__(self) -> None:
+        self.rounds = self.extremes = self.splits = 0
+
+    def __call__(self, vals, p, d, extremes) -> None:
+        self.rounds += 1
+        self.extremes += len(extremes)
+        self.splits += not extremes and len(d) > 2
+
+    def as_tuple(self) -> tuple[int, int, int]:
+        return self.rounds, self.extremes, self.splits

@@ -120,3 +120,49 @@ class TestStream:
         text = "adt multiset\nret 3 2 ok\n"
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["check", "-", "--stream"]) == 2
+
+
+class TestExitCodeContract:
+    """Exit 1 means unlinearizable: malformed input exits 2 and any crash 3."""
+
+    def test_superscript_digit_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "sup.txt"
+        path.write_text("adt stack\npush 1 ² 3\n", encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert "(line 2)" in capsys.readouterr().err
+
+    def test_non_ascii_digits_are_not_integers(self):
+        # '١' (Arabic-Indic one) passes str.isdigit and int(); it is a
+        # token of its own, not the literal 1.
+        h = parse_history("adt stack\npush ١ 0 1\npush 1 2 3\n")
+        assert h.ops[0].event.value != h.ops[1].event.value
+
+    def test_stream_bad_integer_exit_2(self, capsys, monkeypatch):
+        import io
+        for record in ("call x add 1 0", "call 0 add y 0", "call 0 add ² 0",
+                       "call 0 add 1 0\nret ² 1 ok"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(f"adt set\n{record}\n"))
+            assert main(["check", "-", "--stream"]) == 2, record
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "(line " in err, record
+
+    def test_stream_line_numbers_count_the_header(self, capsys, monkeypatch):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO("adt set\ncall x add 1 0\n"))
+        assert main(["check", "-", "--stream"]) == 2
+        assert "(line 2)" in capsys.readouterr().err
+
+    def test_non_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ff.txt"
+        path.write_bytes(b"adt stack\npush 1 0 1\xff\npop 1 2 3\n")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "limon: input is not UTF-8 (line 2)\n"
+
+    def test_unexpected_exception_exit_3(self, tmp_path, capsys, monkeypatch):
+        def crash(h):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("limon.cli.check_history", crash)
+        assert main(["check", write(tmp_path, "h.txt", H1)]) == 3
+        assert capsys.readouterr().err == "limon: internal error: RuntimeError: boom\n"

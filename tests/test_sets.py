@@ -14,6 +14,7 @@ from limon import (
     history_events,
     multiset_linearizable,
     normalize_failing_ops,
+    parse_history,
     set_linearizable,
 )
 from limon.sets import set_linearizable_events
@@ -139,6 +140,23 @@ class TestSetLinearizable:
     def test_oracle_equivalence_sweep(self):
         for seed in range(2500):
             h = gen_random("set", 2 + seed % 7, 21_000 + seed)
+            assert (set_linearizable(h).linearizable
+                    == brute_force_linearizable(h, max_ops=12).linearizable), seed
+
+    def test_add_cannot_claim_a_credit_consumed_before_its_call(self):
+        # remove(2) at 5 linearizes add(2)[0,13] first; add(2)[6,8] was not
+        # yet called then, so it must leave 2 present and the last
+        # contains(2) false is a violation.
+        h = parse_history("adt set\nadd 2 0 13 ok\nremove 0 1 12 fail\n"
+                          "remove 2 2 5 ok\ncontains 1 3 11 false\n"
+                          "contains 2 4 9 false\nadd 2 6 8 ok\n"
+                          "remove 1 7 15 fail\ncontains 2 10 14 false\n")
+        assert not brute_force_linearizable(h).linearizable
+        assert not set_linearizable(h).linearizable
+
+    def test_oracle_equivalence_small_value_pools(self):
+        for seed in range(20_000):
+            h = gen_random("set", 2 + seed % 11, 7_000_000 + seed, values=1 + seed % 3)
             assert (set_linearizable(h).linearizable
                     == brute_force_linearizable(h, max_ops=12).linearizable), seed
 

@@ -1,8 +1,12 @@
+import math
+from collections import Counter
+
 import pytest
 
 from limon import (
     AttributedValue,
     Event,
+    GenConfig,
     History,
     HistoryError,
     Interval,
@@ -15,7 +19,10 @@ from limon import (
     d_segments,
     differentiate,
     extreme_values,
+    gen_linearizable,
     gen_random,
+    gen_small_model_family,
+    mutate,
     op_to_val,
     p_segments,
     parse_history,
@@ -24,7 +31,14 @@ from limon import (
     stack_linearizable,
 )
 
-from helpers import STAGGERED_ROWS, value_history
+from helpers import (
+    STAGGERED_ROWS,
+    StackTally,
+    fold_values,
+    nested_stack,
+    reference_stack_linearizable,
+    value_history,
+)
 
 H1_TEXT = "adt stack\npush 0 0 2\npush 1 1 3\npop 1 4 6\npop 0 5 7\n"
 
@@ -260,13 +274,14 @@ class TestStackLinearizable:
         def observer(vals, p, d, extremes):
             steps.append((vals, p, d, extremes))
 
-        for seed in range(120):
+        reached = 0
+        for h in _recursion_inputs(5000):
             steps.clear()
-            h = gen_random("stack", 2 + seed % 7, 5000 + seed)
-            stack_linearizable(h, observer=observer)
+            verdict = stack_linearizable(h, observer=observer)
+            assert bool(steps) == _reaches_recursion(h, verdict)
+            reached += bool(steps)
             for vals, p, d, extremes in steps:
-                if not vals:
-                    continue
+                assert vals
                 # P-segments sorted, pairwise disjoint; alternation D,P,...,P,D
                 for a, b in zip(p, p[1:]):
                     assert a.right < b.left
@@ -277,20 +292,66 @@ class TestStackLinearizable:
                     assert gap.right == seg.left
                 for seg, gap in zip(p, d[1:]):
                     assert gap.left == seg.right
+        assert reached >= 150
 
     def test_recursion_strictly_decreases(self):
-        sizes = []
+        steps = []
 
         def observer(vals, p, d, extremes):
-            sizes.append((len(vals), len(extremes), len(d)))
+            left = sum(v.push_ret <= d[1].left for v in vals) if len(d) > 2 else 0
+            steps.append((len(vals), len(extremes), len(d), left))
 
-        for seed in range(100):
-            sizes.clear()
-            h = gen_random("stack", 3 + seed % 6, 6000 + seed)
-            stack_linearizable(h, observer=observer)
-            # every step either removes extremes or splits into nonempty halves
-            for n, n_ex, n_d in sizes:
-                assert n_ex > 0 or n_d <= 2 or n >= 2
+        reached = 0
+        for h in _recursion_inputs(6000):
+            steps.clear()
+            verdict = stack_linearizable(h, observer=observer)
+            if not steps:
+                continue
+            reached += 1
+            # Replay the depth-first order of the groups: each step either
+            # peels extremes off its group or splits it into two nonempty
+            # smaller groups (left pushed first); a failing step is the last.
+            pending = [steps[0][0]]
+            for k, (n, n_ex, n_d, left) in enumerate(steps):
+                while pending[-1] == 0:
+                    pending.pop()
+                assert n == pending.pop()
+                if n_ex:
+                    assert n_ex <= n
+                    pending.append(n - n_ex)
+                elif n_d > 2:
+                    assert 0 < left < n
+                    pending += [left, n - left]
+                else:
+                    assert k == len(steps) - 1 and not verdict.linearizable
+            if verdict.linearizable:
+                assert not any(pending)
+        assert reached >= 150
+
+    def test_pinned_tallies(self):
+        for n in (1, 2, 7, 64, 300):
+            tally = StackTally()
+            assert stack_linearizable(nested_stack(n), observer=tally).linearizable
+            assert tally.as_tuple() == (n, n, 0), n
+        for n in (2, 3, 10, 50):
+            tally = StackTally()
+            verdict = stack_linearizable(gen_small_model_family(n), observer=tally)
+            assert verdict.witness == {"kind": "no-separation",
+                                       "values": list(range(1, n + 1))}
+            assert tally.as_tuple() == (1, 0, 0), n
+
+    def test_nested_work_is_quasilinear(self):
+        # Machine-independent: the counted work may grow at most 2.5x per
+        # doubling (exponent <= 1.3); the quadratic loop grows 4x.  Every
+        # step is charged, the sorts as n log n, so the count cannot vanish.
+        work = []
+        for n in (1000, 2000, 4000):
+            counter = WorkCounter()
+            assert stack_linearizable(nested_stack(n), counter=counter).linearizable
+            assert counter.count >= n * math.log2(n), n
+            work.append(counter.count)
+        for small, big in zip(work, work[1:]):
+            assert big <= 2.5 * small, work
 
     def test_work_bound_quadratic(self):
         c = 40
@@ -304,3 +365,53 @@ class TestStackLinearizable:
     def test_adt_guard(self):
         with pytest.raises(HistoryError):
             stack_linearizable(History("queue", ()))
+
+
+def _recursion_inputs(base):
+    for seed in range(120):
+        yield gen_random("stack", 2 + seed % 7, base + seed)
+        yield gen_linearizable(GenConfig(adt="stack", ops=10 + seed % 40,
+                                         threads=2 + seed % 4, seed=base + seed))
+
+
+def _reaches_recursion(h, verdict):
+    """Whether the monitor gets past preprocessing with a value left."""
+    if verdict.witness is not None and verdict.witness["kind"] != "no-separation":
+        return False
+    dh, _ = remove_overlapping_pairs(complete_history(differentiate(h)[0]))
+    return any(op.event.kind == "push" for op in dh.ops)
+
+
+def _outcome(check, h):
+    tally = StackTally()
+    return check(h, observer=tally), tally.as_tuple()
+
+
+class TestReferenceDifferential:
+    """The monitor against the quadratic round loop it replaced: same
+    verdict, same witness, same rounds, extremes peeled and splits."""
+
+    def test_against_quadratic_reference(self):
+        histories = []
+        for seed in range(600):
+            raw = gen_random("stack", 2 + seed % 14, 8000 + seed)
+            lin = gen_linearizable(GenConfig(adt="stack", ops=6 + seed % 120,
+                                             threads=1 + seed % 6, seed=8000 + seed,
+                                             stretch=1.0 + seed % 3))
+            histories += [raw, fold_values(raw, 2 + seed % 3), lin, mutate(lin, seed),
+                          fold_values(lin, 3 + seed % 6)]
+        histories += [nested_stack(n) for n in range(1, 41)]
+        histories += [gen_small_model_family(n) for n in range(2, 42)]
+        kinds = Counter()
+        splits = 0
+        for k, h in enumerate(histories):
+            got = _outcome(stack_linearizable, h)
+            assert got == _outcome(reference_stack_linearizable, h), k
+            verdict, tally = got
+            kinds[verdict.witness and verdict.witness["kind"]] += 1
+            splits += tally[2]
+        assert len(histories) >= 3000
+        # The corpus reaches both verdicts of the recursion, the pop-empty
+        # check, and many splits.
+        assert kinds[None] >= 1000 and kinds["no-separation"] >= 300, kinds
+        assert kinds["pop-empty"] >= 20 and splits >= 1000, (kinds, splits)
