@@ -1,10 +1,11 @@
 """limon: linearizability monitoring for stacks, queues, sets and multisets.
 
 Decides whether a recorded concurrent history is linearizable with respect
-to its abstract data type, in O(n^2) for stacks, O(n log n) for queues and
-O(n) for sets and multisets, plus the supporting machinery: file formats,
-preprocessing, an exact brute-force oracle, corpus generators and an
-execution recorder.
+to its abstract data type, in O(n^2) for stacks, O(n log n) for queues
+(a containment query over I-segments sorted by left end, with a running
+maximum of right ends) and O(n) for sets and multisets, plus the
+supporting machinery: file formats, preprocessing, an exact brute-force
+oracle, corpus generators and an execution recorder.
 """
 
 from __future__ import annotations
@@ -40,15 +41,7 @@ from .stacks import (
     partition,
     stack_linearizable,
 )
-from .queues import (
-    CriticalPair,
-    QTreeNode,
-    build_qtree,
-    complete_qtree,
-    find_critical_pair_naive,
-    qtree_contains,
-    queue_linearizable,
-)
+from .queues import ContainmentIndex, queue_linearizable
 from .sets import (
     SetValueState,
     ensure_state,

@@ -10,6 +10,7 @@ monitors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 ADTS = ("stack", "queue", "set", "multiset")
@@ -506,21 +507,25 @@ def validate(h: History, assume_differentiated: bool = False) -> list[Violation]
             out.append(Violation("illegal-event", f"{ev.kind} fail"))
 
     if h.adt in ("stack", "queue"):
-        pushes: dict[int, int] = {}
-        pops: dict[int, int] = {}
-        for op in h.ops:
-            if op.event.kind == PUSH:
-                pushes[op.event.value] = pushes.get(op.event.value, 0) + 1
-            elif op.event.kind == POP:
-                pops[op.event.value] = pops.get(op.event.value, 0) + 1
-        for value, n_pops in sorted(pops.items()):
-            if n_pops > pushes.get(value, 0):
-                out.append(Violation("unmatched-pop", value))
+        out.extend(Violation("unmatched-pop", value) for value in unmatched_pops(h))
         if assume_differentiated:
-            for value, n in sorted(pushes.items()):
-                if n > 1 or pops.get(value, 0) > 1:
+            seen = Counter((op.event.kind, op.event.value) for op in h.ops
+                           if op.event.kind in (PUSH, POP))
+            for value in sorted({v for (_, v), n in seen.items() if n > 1}):
+                if (PUSH, value) in seen:
                     out.append(Violation("duplicate-value", value))
     return out
+
+
+def unmatched_pops(h: History) -> list[int]:
+    """The values popped more often than pushed, sorted."""
+    balance: dict[int, int] = {}
+    for op in h.ops:
+        if op.event.kind == PUSH:
+            balance[op.event.value] = balance.get(op.event.value, 0) + 1
+        elif op.event.kind == POP:
+            balance[op.event.value] = balance.get(op.event.value, 0) - 1
+    return sorted(v for v, n in balance.items() if n < 0)
 
 
 # ---------------------------------------------------------------------------

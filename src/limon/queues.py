@@ -4,21 +4,19 @@ A completed, differentiated queue history is unlinearizable exactly when
 some value's T-segment [enq-call, deq-return] is contained in another
 value's I-segment [enq-return, deq-call]: the inner value is then fully
 sandwiched inside the outer one, violating FIFO order.  Such a pair is a
-critical pair.  To find one in O(n log n), the I-segments go into a
-red-black tree keyed by left endpoint and augmented with the highest
-right endpoint of each subtree (the high key), which answers "is this
-interval contained in any stored interval" along a single root-to-leaf
-branch.
+critical pair.  The paper finds one with a red-black tree augmented with
+high keys; here the same containment query is answered in O(n log n) by
+the I-segments sorted by left end with a running maximum of their right
+ends: some I-segment contains [c, r] iff the farthest right end among
+those starting at or before c reaches r.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 
 from .history import (
-    POP,
     POP_EMPTY,
-    PUSH,
     History,
     HistoryError,
     Interval,
@@ -26,130 +24,41 @@ from .history import (
     WorkCounter,
     complete_history,
     differentiate,
+    unmatched_pops,
 )
-from .stacks import op_to_val
-
-RED = "red"
-BLACK = "black"
+from .stacks import _sort_cost, op_to_val
 
 
-class QTreeNode:
-    __slots__ = ("lkey", "rkey", "hkey", "color", "left", "right", "value")
+class ContainmentIndex:
+    """Intervals sorted by left end, each position holding the farthest
+    right end reached so far and the value whose interval reaches it."""
 
-    def __init__(self, lkey: int, rkey: int, value: int, color: str):
-        self.lkey = lkey
-        self.rkey = rkey
-        self.hkey: int | None = None  # set by complete_qtree
-        self.color = color
-        self.left: QTreeNode | None = None
-        self.right: QTreeNode | None = None
-        self.value = value
+    __slots__ = ("lefts", "reach", "owner")
 
+    def __init__(self, entries: list[tuple[Interval, int]],
+                 counter: WorkCounter | None = None):
+        items = sorted(entries, key=lambda e: e[0].left)
+        if counter is not None:
+            counter.add(_sort_cost(len(items)))
+        self.lefts = [iv.left for iv, _ in items]
+        self.reach: list[int] = []
+        self.owner: list[int] = []
+        best = who = None
+        for iv, value in items:
+            if best is None or iv.right > best:
+                best, who = iv.right, value
+            self.reach.append(best)
+            self.owner.append(who)
 
-@dataclass(frozen=True, slots=True)
-class CriticalPair:
-    """Two values a (inner) and v (outer) with T(a) contained in I(v)."""
-
-    inner: int
-    outer: int
-
-
-def build_qtree(entries: list[tuple[Interval, int]],
-                counter: WorkCounter | None = None) -> QTreeNode | None:
-    """Build a partial Q-Tree (high keys unset) over I-segments.
-
-    The entries are sorted by left endpoint (distinct by the global
-    timestamp uniqueness) and assembled into a balanced red-black tree:
-    median-rooted, with the deepest level colored red.  Height is at most
-    floor(log2 n) + 1.
-    """
-    if not entries:
+    def container(self, q: Interval, counter: WorkCounter | None = None) -> int | None:
+        """Return the value of the farthest-reaching interval containing q,
+        or None when no interval contains it."""
+        if counter is not None:
+            counter.add(len(self.lefts).bit_length())
+        i = bisect_right(self.lefts, q.left)
+        if i and self.reach[i - 1] >= q.right:
+            return self.owner[i - 1]
         return None
-    items = sorted(entries, key=lambda e: e[0].left)
-    for i in range(1, len(items)):
-        if items[i][0].left == items[i - 1][0].left:
-            raise HistoryError(f"duplicate left key {items[i][0].left}")
-    red_depth = len(items).bit_length() - 1  # floor(log2 n); 0 for a single node
-
-    def build(lo: int, hi: int, depth: int) -> QTreeNode | None:
-        if lo >= hi:
-            return None
-        mid = (lo + hi) // 2
-        iv, value = items[mid]
-        color = RED if depth == red_depth and depth > 0 else BLACK
-        node = QTreeNode(iv.left, iv.right, value, color)
-        node.left = build(lo, mid, depth + 1)
-        node.right = build(mid + 1, hi, depth + 1)
-        if counter is not None:
-            counter.add(1)
-        return node
-
-    return build(0, len(items), 0)
-
-
-def complete_qtree(root: QTreeNode | None,
-                   counter: WorkCounter | None = None) -> QTreeNode | None:
-    """Fill in high keys bottom-up: hkey = max(rkey, children's high keys)."""
-
-    def fill(node: QTreeNode | None) -> None:
-        if node is None:
-            return
-        fill(node.left)
-        fill(node.right)
-        hkey = node.rkey
-        if node.left is not None and node.left.hkey > hkey:
-            hkey = node.left.hkey
-        if node.right is not None and node.right.hkey > hkey:
-            hkey = node.right.hkey
-        node.hkey = hkey
-        if counter is not None:
-            counter.add(1)
-
-    fill(root)
-    return root
-
-
-def qtree_contains(root: QTreeNode | None, q: Interval,
-                   counter: WorkCounter | None = None) -> int | None:
-    """Return some stored value whose interval contains q, else None.
-
-    Descends one branch per step: report the current node on containment;
-    enter the left subtree when its high key proves a container is in
-    there (every left-subtree key is below q.left already); otherwise move
-    right while the current key is still at or below q.left, and left once
-    it exceeds it.
-    """
-    i, j = q.left, q.right
-    node = root
-    while node is not None:
-        if counter is not None:
-            counter.add(1)
-        if node.lkey <= i:
-            if j <= node.rkey:
-                return node.value
-            if node.left is not None and j <= node.left.hkey:
-                node = node.left
-            else:
-                node = node.right
-        else:
-            node = node.left
-    return None
-
-
-def find_critical_pair_naive(vals) -> CriticalPair | None:
-    """Quadratic reference scan over all ordered pairs testing T(a) in I(v)."""
-    if isinstance(vals, dict):
-        vals = vals.values()
-    vs = sorted(vals, key=lambda v: v.value)
-    for a in vs:
-        t = a.t_segment
-        for v in vs:
-            if v.value == a.value:
-                continue
-            iseg = v.i_segment
-            if iseg is not None and iseg.contains(t):
-                return CriticalPair(inner=a.value, outer=v.value)
-    return None
 
 
 def queue_linearizable(h: History, *, counter: WorkCounter | None = None) -> Verdict:
@@ -160,41 +69,34 @@ def queue_linearizable(h: History, *, counter: WorkCounter | None = None) -> Ver
     semantic-violation verdicts for dequeues without a matching enqueue.
     Values whose enqueue and dequeue overlap contribute no I-segment (they
     are never containers) but are still probed for containment of their
-    T-segment.
+    T-segment.  A value never contains itself: its I-segment starts at its
+    enqueue's return, after the enqueue's call where its T-segment starts.
+    That, and the verdict, assume distinct timestamps, as `validate` checks.
     """
     if h.adt != "queue":
         raise HistoryError(f"queue monitor got adt {h.adt!r}")
     if any(op.event.kind == POP_EMPTY for op in h.ops):
         raise HistoryError("dequeue-on-empty events are not defined for queues")
-
-    pushes: dict[int, int] = {}
-    pops: dict[int, int] = {}
-    for op in h.ops:
-        if op.event.kind == PUSH:
-            pushes[op.event.value] = pushes.get(op.event.value, 0) + 1
-        elif op.event.kind == POP:
-            pops[op.event.value] = pops.get(op.event.value, 0) + 1
-    for v, n in sorted(pops.items()):
-        if n > pushes.get(v, 0):
-            return Verdict(False, {"kind": "unmatched-pop", "value": v})
+    unmatched = unmatched_pops(h)
+    if unmatched:
+        return Verdict(False, {"kind": "unmatched-pop", "value": unmatched[0]})
 
     dh, back = differentiate(h)
     dh = complete_history(dh)
     vals = op_to_val(dh)
-    for v in sorted(vals):
-        if vals[v].pop_ret < vals[v].push_call:
-            return Verdict(False, {"kind": "pop-before-push", "value": back.get(v, v)})
+    popped_first = [v for v, av in vals.items() if av.pop_ret < av.push_call]
+    if popped_first:
+        v = min(popped_first)
+        return Verdict(False, {"kind": "pop-before-push", "value": back.get(v, v)})
 
-    entries = []
-    for v in vals.values():
-        iseg = v.i_segment
-        if iseg is not None:
-            entries.append((iseg, v.value))
-    root = complete_qtree(build_qtree(entries, counter), counter)
-
-    for v in sorted(vals.values(), key=lambda av: av.push_call):
-        outer = qtree_contains(root, v.t_segment, counter)
-        if outer is not None and outer != v.value:
+    index = ContainmentIndex([(iseg, v.value) for v in vals.values()
+                              if (iseg := v.i_segment) is not None], counter)
+    probes = sorted(vals.values(), key=lambda av: av.push_call)
+    if counter is not None:
+        counter.add(_sort_cost(len(probes)))
+    for v in probes:
+        outer = index.container(v.t_segment, counter)
+        if outer is not None:
             return Verdict(False, {
                 "kind": "critical-pair",
                 "inner": back.get(v.value, v.value),

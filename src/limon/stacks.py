@@ -33,6 +33,7 @@ from .history import (
     complete_history,
     differentiate,
     remove_overlapping_pairs,
+    unmatched_pops,
 )
 
 Observer = Callable[[tuple, list, list, set], None]
@@ -203,16 +204,9 @@ def _prepare(h: History, counter: WorkCounter | None
     """
     if h.adt != "stack":
         raise HistoryError(f"stack monitor got adt {h.adt!r}")
-    pushes: dict[int, int] = {}
-    pops: dict[int, int] = {}
-    for op in h.ops:
-        if op.event.kind == PUSH:
-            pushes[op.event.value] = pushes.get(op.event.value, 0) + 1
-        elif op.event.kind == POP:
-            pops[op.event.value] = pops.get(op.event.value, 0) + 1
-    for v, n in sorted(pops.items()):
-        if n > pushes.get(v, 0):
-            return Verdict(False, {"kind": "unmatched-pop", "value": v})
+    unmatched = unmatched_pops(h)
+    if unmatched:
+        return Verdict(False, {"kind": "unmatched-pop", "value": unmatched[0]})
 
     dh, back = differentiate(h)
     dh = complete_history(dh)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import permutations
 
 from limon import Event, History, Interval, Operation, Verdict
 from limon.oracle import sequential_check
-from limon.queues import BLACK, RED, QTreeNode
 from limon.stacks import _prepare, _with_original_values
 
 
@@ -96,36 +96,28 @@ def naive_linearizable(h: History) -> bool:
     return False
 
 
-def rb_check(root: QTreeNode | None) -> dict:
-    """Recompute the red-black and augmentation invariants from scratch."""
-    report = {"bst": True, "red_red": True, "black_uniform": True,
-              "hkey": True, "height": 0, "size": 0}
+@dataclass(frozen=True, slots=True)
+class CriticalPair:
+    """Two values a (inner) and v (outer) with T(a) contained in I(v)."""
 
-    def walk(node, lo, hi):
-        if node is None:
-            return 1, 0, None  # black height, height, hkey
-        report["size"] += 1
-        if not (lo < node.lkey < hi):
-            report["bst"] = False
-        if node.color == RED:
-            for child in (node.left, node.right):
-                if child is not None and child.color == RED:
-                    report["red_red"] = False
-        lb, lh, lhk = walk(node.left, lo, node.lkey)
-        rb, rh, rhk = walk(node.right, node.lkey, hi)
-        if lb != rb:
-            report["black_uniform"] = False
-        expect = max(node.rkey, lhk if lhk is not None else node.rkey,
-                     rhk if rhk is not None else node.rkey)
-        if node.hkey != expect:
-            report["hkey"] = False
-        return lb + (1 if node.color == BLACK else 0), max(lh, rh) + 1, expect
+    inner: int
+    outer: int
 
-    _, height, _ = walk(root, float("-inf"), float("inf"))
-    report["height"] = height
-    if root is not None and root.color != BLACK:
-        report["red_red"] = False
-    return report
+
+def find_critical_pair_naive(vals) -> CriticalPair | None:
+    """Quadratic reference scan over all ordered pairs testing T(a) in I(v)."""
+    if isinstance(vals, dict):
+        vals = vals.values()
+    vs = sorted(vals, key=lambda v: v.value)
+    for a in vs:
+        t = a.t_segment
+        for v in vs:
+            if v.value == a.value:
+                continue
+            iseg = v.i_segment
+            if iseg is not None and iseg.contains(t):
+                return CriticalPair(inner=a.value, outer=v.value)
+    return None
 
 
 def scan_container(entries: list[tuple[Interval, int]], q: Interval) -> set[int]:

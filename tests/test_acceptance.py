@@ -10,13 +10,12 @@ import time
 
 from limon import (
     AttributedValue,
+    ContainmentIndex,
     GenConfig,
     Interval,
     brute_force_linearizable,
-    build_qtree,
     check_history,
     complete_history,
-    complete_qtree,
     d_segments,
     extreme_values,
     gen_random,
@@ -25,7 +24,6 @@ from limon import (
     p_segments,
     partition,
     project,
-    qtree_contains,
     queue_linearizable,
     record_execution,
     set_linearizable,
@@ -37,7 +35,6 @@ from helpers import (
     STAGGERED_ROWS,
     QUEUE_BAD_ROWS,
     QUEUE_OK_ROWS,
-    rb_check,
     scan_container,
     value_history,
 )
@@ -88,13 +85,12 @@ def test_criterion_2_queue_walkthroughs():
     h_ok = value_history("queue", QUEUE_OK_ROWS)
     h_bad = value_history("queue", QUEUE_BAD_ROWS)
 
-    def tree(h):
-        entries = [(a.i_segment, a.value) for a in op_to_val(h).values()
-                   if a.i_segment is not None]
-        return complete_qtree(build_qtree(entries))
+    def index(h):
+        return ContainmentIndex([(a.i_segment, a.value) for a in op_to_val(h).values()
+                                 if a.i_segment is not None])
 
-    probe_ok = qtree_contains(tree(h_ok), Interval(4, 16)) is None
-    probe_bad = qtree_contains(tree(h_bad), Interval(14, 22)) == 3
+    probe_ok = index(h_ok).container(Interval(4, 16)) is None
+    probe_bad = index(h_bad).container(Interval(14, 22)) == 3
     v_ok = queue_linearizable(h_ok)
     v_bad = queue_linearizable(h_bad)
     pair = (not v_bad.linearizable and v_bad.witness["kind"] == "critical-pair"
@@ -189,24 +185,19 @@ def test_criterion_7_qtree_properties():
             n = 1 + rng.randrange(60)
         pool = rng.sample(range(40 * n + 80), 2 * n)
         entries = [(Interval(*sorted(pool[2 * i: 2 * i + 2])), i) for i in range(n)]
-        root = complete_qtree(build_qtree(entries))
-        rep = rb_check(root)
-        assert rep["size"] == n and rep["bst"] and rep["red_red"], k
-        assert rep["black_uniform"] and rep["hkey"], k
-        assert rep["height"] <= 2 * math.log2(n + 1), k
+        index = ContainmentIndex(entries)
         span = 40 * n + 80
         probes = [Interval(*sorted((rng.randrange(span), rng.randrange(span))))
                   for _ in range(3)]
         iv, _ = entries[rng.randrange(n)]
         probes.append(Interval(min(iv.left + 1, iv.right), iv.right))  # forced hit
         for q in probes:
-            got = qtree_contains(root, q)
+            got = index.container(q)
             expect = scan_container(entries, q)
             assert (got in expect) if expect else (got is None), (k, q)
             checked_probes += 1
-    report(7, True, f"{total_sets} interval sets (up to 10k intervals): search == "
-                    f"linear scan on {checked_probes} probes; red-black height and "
-                    f"high-key invariants held on every build")
+    report(7, True, f"{total_sets} interval sets (up to 10k intervals): containment "
+                    f"query == linear scan on {checked_probes} probes")
 
 
 def test_criterion_8_recorder_smoke():

@@ -1,6 +1,10 @@
 import json
+import random
+import re
 
-from limon import parse_history
+import pytest
+
+from limon import ADTS, gen_random, parse_history, serialize_history
 from limon.cli import main
 
 H1 = "adt stack\npush 0 0 2\npush 1 1 3\npop 1 4 6\npop 0 5 7\n"
@@ -166,3 +170,55 @@ class TestExitCodeContract:
         monkeypatch.setattr("limon.cli.check_history", crash)
         assert main(["check", write(tmp_path, "h.txt", H1)]) == 3
         assert capsys.readouterr().err == "limon: internal error: RuntimeError: boom\n"
+
+
+def mutate_bytes(rng: random.Random, data: bytes) -> bytes:
+    """Drop a line, swap two tokens or flip a bit of one byte, once or twice."""
+    for _ in range(rng.randint(1, 2)):
+        op = rng.randrange(3)
+        if op == 0:
+            lines = data.split(b"\n")
+            del lines[rng.randrange(len(lines))]
+            data = b"\n".join(lines)
+        elif op == 1:
+            parts = re.split(rb"(\s+)", data)  # tokens at even indices
+            words = [i for i in range(0, len(parts), 2) if parts[i]]
+            if len(words) > 1:
+                i, j = rng.sample(words, 2)
+                parts[i], parts[j] = parts[j], parts[i]
+            data = b"".join(parts)
+        elif data:
+            i = rng.randrange(len(data))
+            data = data[:i] + bytes([data[i] ^ (1 << rng.randrange(8))]) + data[i + 1:]
+    return data
+
+
+class TestFuzz:
+    """Mutated generated histories exit 0, 1 or 2, never with a crash."""
+
+    @pytest.mark.parametrize("adt", ADTS)
+    def test_mutated_histories_keep_the_exit_contract(self, adt, tmp_path, capsys):
+        rng = random.Random(2026 + ADTS.index(adt))
+        path = tmp_path / "fuzz.txt"
+        codes = {0: 0, 1: 0, 2: 0}
+        for fmt in ("ops", "events"):
+            for k in range(120):
+                text = serialize_history(gen_random(adt, 2 + k % 12, k), fmt=fmt)
+                data = mutate_bytes(rng, text.encode())
+                path.write_bytes(data)
+                code = main(["check", str(path)])
+                err = capsys.readouterr().err
+                assert code in codes, (fmt, k, data, err)
+                assert "internal error" not in err, (fmt, k, data, err)
+                codes[code] += 1
+        assert all(codes.values()), codes
+
+    def test_duplicate_timestamp_exit_2(self, tmp_path, capsys):
+        # Swapping the value and call tokens of 'enq 1 2 3' calls it at
+        # time 1, as 'enq 2 1 6' is.
+        text = serialize_history(gen_random("queue", 4, 3))
+        assert text.splitlines()[2:4] == ["enq 2 1 6", "enq 1 2 3"]
+        path = tmp_path / "dup.txt"
+        path.write_text(text.replace("enq 1 2 3", "enq 2 1 3"))
+        assert main(["check", str(path)]) == 2
+        assert "duplicate-timestamp" in capsys.readouterr().err

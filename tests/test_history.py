@@ -14,10 +14,13 @@ from limon import (
     matched,
     parse_history,
     project,
+    queue_linearizable,
     remove_overlapping_pairs,
     serialize_history,
+    stack_linearizable,
     validate,
 )
+from limon.history import unmatched_pops
 
 H1_TEXT = "adt stack\npush 0 0 2\npush 1 1 3\npop 1 4 6\npop 0 5 7\n"
 
@@ -117,6 +120,16 @@ class TestValidate:
     def test_unmatched_pop(self):
         h = History("stack", (Operation(0, Event("pop", 9), 0, 1),))
         assert any(v.code == "unmatched-pop" and v.detail == 9 for v in validate(h))
+
+    def test_unmatched_pops_shared_by_validate_and_monitors(self):
+        # 1 is pushed once and popped twice, 3 never pushed, 2 balanced.
+        rows = [("pop", 3), ("push", 1), ("push", 2), ("pop", 1), ("pop", 2), ("pop", 1)]
+        for adt, monitor in (("stack", stack_linearizable), ("queue", queue_linearizable)):
+            h = History(adt, tuple(Operation(i, Event(kind, v), 2 * i, 2 * i + 1)
+                                   for i, (kind, v) in enumerate(rows)))
+            assert unmatched_pops(h) == [1, 3]
+            assert [v.detail for v in validate(h) if v.code == "unmatched-pop"] == [1, 3]
+            assert monitor(h).witness == {"kind": "unmatched-pop", "value": 1}
 
     def test_duplicate_value_only_when_differentiated_assumed(self):
         h = History("stack", (Operation(0, Event("push", 1), 0, 1),

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from limon import (
-    CriticalPair,
+    ContainmentIndex,
     Event,
     History,
     HistoryError,
@@ -12,17 +12,22 @@ from limon import (
     Operation,
     WorkCounter,
     brute_force_linearizable,
-    build_qtree,
-    complete_qtree,
-    find_critical_pair_naive,
+    complete_history,
+    differentiate,
     gen_random,
     op_to_val,
     parse_history,
-    qtree_contains,
     queue_linearizable,
 )
 
-from helpers import QUEUE_BAD_ROWS, QUEUE_OK_ROWS, rb_check, scan_container, value_history
+from helpers import (
+    QUEUE_BAD_ROWS,
+    QUEUE_OK_ROWS,
+    CriticalPair,
+    find_critical_pair_naive,
+    scan_container,
+    value_history,
+)
 
 
 def queue_ok():
@@ -33,93 +38,54 @@ def queue_bad():
     return value_history("queue", QUEUE_BAD_ROWS)
 
 
-def tree_for(h):
-    entries = [(a.i_segment, a.value) for a in op_to_val(h).values()
-               if a.i_segment is not None]
-    return complete_qtree(build_qtree(entries)), entries
+def index_for(h):
+    return ContainmentIndex([(a.i_segment, a.value) for a in op_to_val(h).values()
+                             if a.i_segment is not None])
 
 
-class TestBuild:
-    def test_empty(self):
-        assert build_qtree([]) is None
-
-    def test_sample_tree_holds_value_2_interval(self):
-        root, _ = tree_for(queue_ok())
-        node = root
-        found = None
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            if n is None:
-                continue
-            if n.value == 2:
-                found = n
-            stack.extend((n.left, n.right))
-        assert found is not None and (found.lkey, found.rkey) == (8, 13)
-
-    def test_height_bound_random(self):
-        rng = random.Random(1)
-        for _ in range(50):
-            n = rng.randrange(1, 2000)
-            base = rng.randrange(10**6)
-            entries = []
-            used = rng.sample(range(base, base + 10 * n), 2 * n)
-            for k in range(n):
-                a, b = sorted(used[2 * k: 2 * k + 2])
-                entries.append((Interval(a, b), k))
-            root = complete_qtree(build_qtree(entries))
-            rep = rb_check(root)
-            assert rep["size"] == n
-            assert rep["height"] <= 2 * math.log2(n + 1)
-            assert rep["bst"] and rep["red_red"] and rep["black_uniform"] and rep["hkey"]
-
-
-class TestComplete:
-    def test_single_node(self):
-        root = complete_qtree(build_qtree([(Interval(8, 13), 2)]))
-        assert root.hkey == 13
-
-    def test_sample_tree_high_key(self):
-        # Value 2's subtree spans values 1..3; the highest timestamp there is 25.
-        root, _ = tree_for(queue_ok())
-        assert (root.left.value, root.left.hkey) == (2, 25)
-
-    def test_hkey_invariant(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            n = rng.randrange(1, 300)
-            pool = rng.sample(range(10 * n), 2 * n)
-            entries = [(Interval(*sorted(pool[2 * k: 2 * k + 2])), k) for k in range(n)]
-            assert rb_check(complete_qtree(build_qtree(entries)))["hkey"]
+def random_entries(rng, n, lo, hi):
+    pool = rng.sample(range(lo, hi), 2 * n)
+    return [(Interval(*sorted(pool[2 * k: 2 * k + 2])), k) for k in range(n)]
 
 
 class TestSearch:
     def test_sample_non_containment(self):
-        root, _ = tree_for(queue_ok())
-        assert qtree_contains(root, Interval(4, 16)) is None
+        assert index_for(queue_ok()).container(Interval(4, 16)) is None
 
     def test_sample_containment(self):
-        root, _ = tree_for(queue_bad())
-        assert qtree_contains(root, Interval(14, 22)) == 3
+        assert index_for(queue_bad()).container(Interval(14, 22)) == 3
 
     def test_empty_tree(self):
-        assert qtree_contains(None, Interval(0, 1)) is None
+        assert ContainmentIndex([]).container(Interval(0, 1)) is None
 
     def test_matches_linear_scan(self):
         rng = random.Random(23)
-        for round_ in range(400):
+        sets = []
+        for _ in range(400):
             n = 1 + rng.randrange(40)
-            pool = rng.sample(range(20 * n + 40), 2 * n)
-            entries = [(Interval(*sorted(pool[2 * k: 2 * k + 2])), k) for k in range(n)]
-            root = complete_qtree(build_qtree(entries))
-            for _ in range(6):
-                a, b = sorted((rng.randrange(20 * n + 40), rng.randrange(20 * n + 40)))
-                got = qtree_contains(root, Interval(a, b))
-                expect = scan_container(entries, Interval(a, b))
+            sets.append((0, 20 * n + 40, random_entries(rng, n, 0, 20 * n + 40), 6))
+        big = random.Random(1)  # larger sets, up to 2000 intervals
+        for _ in range(50):
+            n = big.randrange(1, 2000)
+            base = big.randrange(10**6)
+            sets.append((base, base + 10 * n,
+                         random_entries(big, n, base, base + 10 * n), 40))
+        for k, (lo, hi, entries, n_probes) in enumerate(sets):
+            index = ContainmentIndex(entries)
+            right = {v: iv.right for iv, v in entries}
+            probes = [Interval(*sorted((rng.randrange(lo, hi), rng.randrange(lo, hi))))
+                      for _ in range(n_probes)]
+            iv, _ = entries[rng.randrange(len(entries))]
+            probes.append(Interval(min(iv.left + 1, iv.right), iv.right))  # forced hit
+            for q in probes:
+                got = index.container(q)
+                expect = scan_container(entries, q)
                 if got is None:
-                    assert not expect, round_
+                    assert not expect, (k, q)
                 else:
-                    assert got in expect, round_
+                    # The reported container is the one reaching farthest right.
+                    assert got in expect, (k, q)
+                    assert right[got] == max(right[v] for v in expect), (k, q)
 
 
 class TestQueueLinearizable:
@@ -175,6 +141,22 @@ class TestQueueLinearizable:
             verdict = queue_linearizable(h)
             if verdict.witness and verdict.witness["kind"] == "critical-pair":
                 assert verdict.witness["inner"] != verdict.witness["outer"]
+
+    def test_critical_pair_witness_is_a_containment(self):
+        pairs = 0
+        for seed in range(3000):
+            h = gen_random("queue", 2 + seed % 12, 15_000 + seed)
+            witness = queue_linearizable(h).witness
+            if not witness or witness["kind"] != "critical-pair":
+                continue
+            dh, back = differentiate(h)
+            vals = op_to_val(complete_history(dh))
+            fresh = {orig: v for v, orig in back.items()}  # gen_random values are unique
+            inner, outer = vals[fresh[witness["inner"]]], vals[fresh[witness["outer"]]]
+            assert outer.i_segment is not None, seed
+            assert outer.i_segment.contains(inner.t_segment), seed
+            pairs += 1
+        assert pairs >= 300, pairs
 
     def test_work_bound_n_log_n(self):
         for seed in range(60):
