@@ -1,9 +1,10 @@
 """limon: linearizability monitoring for stacks, queues, sets and multisets.
 
 Decides whether a recorded concurrent history is linearizable with respect
-to its abstract data type, in O(n^2) for stacks, O(n log n) for queues
-(a containment query over I-segments sorted by left end, with a running
-maximum of right ends) and O(n) for sets and multisets, plus the
+to its abstract data type, in O(n log n) for stacks between splits
+(O(n^2) in the worst case, through chains of splits only), O(n log n)
+for queues (a containment query over I-segments sorted by left end, with
+a running maximum of right ends) and O(n) for sets and multisets, plus the
 supporting machinery: file formats, preprocessing, an exact brute-force
 oracle, corpus generators and an execution recorder.
 """
@@ -25,7 +26,6 @@ from .history import (
     WorkCounter,
     complete_history,
     differentiate,
-    matched,
     parse_history,
     project,
     remove_overlapping_pairs,
@@ -33,7 +33,6 @@ from .history import (
     validate,
 )
 from .stacks import (
-    check_pop_empty,
     d_segments,
     extreme_values,
     op_to_val,

@@ -4,8 +4,8 @@ A history is a finite set of timed operations recorded from a concurrent
 execution.  Every timestamp in a history is globally unique, so the
 real-time precedence order between operations is unambiguous.  The
 transforms in this module (completion, overlap removal, differentiation,
-projection) are the preprocessing steps shared by the stack and queue
-monitors.
+projection) define the preprocessing of the stack and queue monitors,
+which `value_table` performs in one pass; the transforms are its reference.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def parse_history(text: str | bytes, fmt: str = "auto",
 
 
 def _reject_structural(h: History) -> None:
-    bad = [v for v in validate(h) if v.structural]
+    bad = _structural_violations(h)
     if bad:
         raise ParseError(f"invalid history: {bad[0].code} ({bad[0].detail})")
 
@@ -487,6 +487,19 @@ def validate(h: History, assume_differentiated: bool = False) -> list[Violation]
     reported when assume_differentiated is set, since differentiation
     resolves it.
     """
+    out = _structural_violations(h)
+    if h.adt in ("stack", "queue"):
+        out.extend(Violation("unmatched-pop", value) for value in unmatched_pops(h))
+        if assume_differentiated:
+            seen = Counter((op.event.kind, op.event.value) for op in h.ops
+                           if op.event.kind in (PUSH, POP))
+            for value in sorted({v for (_, v), n in seen.items() if n > 1}):
+                if (PUSH, value) in seen:
+                    out.append(Violation("duplicate-value", value))
+    return out
+
+
+def _structural_violations(h: History) -> list[Violation]:
     out: list[Violation] = []
     seen_ts: dict[int, int] = {}
     seen_ids: set[int] = set()
@@ -505,15 +518,6 @@ def validate(h: History, assume_differentiated: bool = False) -> list[Violation]
             out.append(Violation("illegal-event", ev.kind))
         elif h.adt == "multiset" and ev.outcome is False:
             out.append(Violation("illegal-event", f"{ev.kind} fail"))
-
-    if h.adt in ("stack", "queue"):
-        out.extend(Violation("unmatched-pop", value) for value in unmatched_pops(h))
-        if assume_differentiated:
-            seen = Counter((op.event.kind, op.event.value) for op in h.ops
-                           if op.event.kind in (PUSH, POP))
-            for value in sorted({v for (_, v), n in seen.items() if n > 1}):
-                if (PUSH, value) in seen:
-                    out.append(Violation("duplicate-value", value))
     return out
 
 
@@ -570,17 +574,6 @@ def complete_history(h: History) -> History:
     return History(h.adt, tuple(new_ops))
 
 
-def matched(h: History) -> bool:
-    """True when every pushed value has exactly as many pops as pushes."""
-    counts: dict[int, int] = {}
-    for op in h.ops:
-        if op.event.kind == PUSH:
-            counts[op.event.value] = counts.get(op.event.value, 0) + 1
-        elif op.event.kind == POP:
-            counts[op.event.value] = counts.get(op.event.value, 0) - 1
-    return all(n == 0 for n in counts.values())
-
-
 def remove_overlapping_pairs(h: History) -> tuple[History, tuple[int, ...]]:
     """Drop values whose push and pop intervals intersect.
 
@@ -613,6 +606,9 @@ def remove_overlapping_pairs(h: History) -> tuple[History, tuple[int, ...]]:
     return h, tuple(sorted(popped_first))
 
 
+_FRESH_BASE = 10
+
+
 def differentiate(h: History) -> tuple[History, dict[int, int]]:
     """Rewrite reused values to fresh ones, pairing pushes and pops by rank.
 
@@ -623,10 +619,9 @@ def differentiate(h: History) -> tuple[History, dict[int, int]]:
     """
     if h.adt not in ("stack", "queue"):
         raise HistoryError("differentiation applies to stack and queue histories")
-    base = 10
     fresh_to_orig: dict[int, int] = {}
     push_fresh: dict[int, list[int]] = {}  # value -> fresh ids, push-call order
-    next_fresh = base
+    next_fresh = _FRESH_BASE
     assigned: dict[int, int] = {}  # op id -> fresh value
     for op in h.ops:  # already sorted by call timestamp
         if op.event.kind == PUSH:
@@ -652,6 +647,85 @@ def differentiate(h: History) -> tuple[History, dict[int, int]]:
         else:
             new_ops.append(op)
     return History(h.adt, tuple(new_ops)), fresh_to_orig
+
+
+@dataclass(frozen=True, slots=True)
+class ValueTable:
+    """Per-value columns of a stack or queue history, one row per push.
+
+    Row x is the x-th push in call order, which differentiate names
+    _FRESH_BASE + x, with its rank-paired pop or the pop complete_history
+    appends for it; `value` holds the original values.  `pop_empties`
+    lists the (call, return) pairs of pop-empty operations in call order.
+    """
+
+    value: list[int]
+    push_call: list[int]
+    push_ret: list[int]
+    pop_call: list[int]
+    pop_ret: list[int]
+    pop_empties: list[tuple[int, int]]
+
+
+def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | Verdict:
+    """Preprocess a stack or queue history in one pass over its operations.
+
+    Gives the rows of op_to_val(complete_history(differentiate(h)[0])), or
+    the verdict for the least value popped more often than pushed, else
+    for the first row popped before it was pushed.  Raises HistoryError
+    unless every call precedes its return and all timestamps are distinct,
+    which the monitors' verdicts assume.  Charges one unit per operation.
+    """
+    if h.adt not in ("stack", "queue"):
+        raise HistoryError("value tables are defined for stack and queue histories")
+    value, push_call, push_ret, pop_empties = [], [], [], []
+    rows: dict[int, list[int]] = {}  # value -> its rows
+    pops: list[Operation] = []
+    for op in h.ops:
+        if op.call >= op.ret:
+            raise HistoryError(f"operation {op.id}: call {op.call} not before return {op.ret}")
+        kind = op.event.kind
+        if kind == PUSH:
+            rows.setdefault(op.event.value, []).append(len(value))
+            value.append(op.event.value)
+            push_call.append(op.call)
+            push_ret.append(op.ret)
+        elif kind == POP:
+            pops.append(op)
+        elif kind == POP_EMPTY and h.adt == "stack":
+            pop_empties.append((op.call, op.ret))
+        else:
+            raise HistoryError(f"event kind {kind!r} illegal for adt {h.adt!r}")
+    if counter is not None:
+        counter.add(len(h.ops))
+
+    n = len(value)
+    pop_call, pop_ret = [None] * n, [None] * n
+    rank: dict[int, int] = {}
+    unmatched = set()
+    for op in pops:
+        v = op.event.value
+        j = rank.get(v, 0)
+        rank[v] = j + 1
+        mine = rows.get(v, ())
+        if j < len(mine):
+            pop_call[mine[j]], pop_ret[mine[j]] = op.call, op.ret
+        else:
+            unmatched.add(v)
+    if unmatched:
+        return Verdict(False, {"kind": "unmatched-pop", "value": min(unmatched)})
+    missing = [x for x in range(n) if pop_call[x] is None]
+    m, k = _max_timestamp(h), len(missing)
+    for i, x in enumerate(missing, start=1):
+        pop_call[x], pop_ret[x] = m + i, m + k + i
+
+    stamps = set().union(push_call, push_ret, pop_call, pop_ret, *pop_empties)
+    if len(stamps) != 4 * n + 2 * len(pop_empties):
+        raise HistoryError("timestamps are not distinct")
+    for x in range(n):
+        if pop_ret[x] < push_call[x]:
+            return Verdict(False, {"kind": "pop-before-push", "value": value[x]})
+    return ValueTable(value, push_call, push_ret, pop_call, pop_ret, pop_empties)
 
 
 def project(h: History, values: set) -> History:

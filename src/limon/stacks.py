@@ -1,14 +1,15 @@
 """Stack linearizability monitor.
 
-The decision procedure works on the value-centric view of a completed,
-differentiated history: each value's I-segment [push-return, pop-call] is
-a window where the value is certainly inside the stack.  Maximal unions
-of overlapping I-segments form P-segments (the stack cannot be empty
-there); the gaps between them, plus the two ends of the history, form
-D-segments (the stack may be empty there).  The recursion strips extreme
-values while they exist, fails when no extreme value exists and at most
-two D-segments remain, and otherwise splits the history around the first
-internal D-segment and decides both halves independently.
+The decision procedure reads the columns of the history's value table,
+one row per rank-paired, completed value: each value's I-segment
+[push-return, pop-call] is a window where the value is certainly inside
+the stack.  Maximal unions of overlapping I-segments form P-segments (the
+stack cannot be empty there); the gaps between them, plus the two ends of
+the history, form D-segments (the stack may be empty there).  The
+recursion strips extreme values while they exist, fails when no extreme
+value exists and at most two D-segments remain, and otherwise splits the
+history around the first internal D-segment and decides both halves
+independently.
 
 Extreme values are peeled with monotone pointers over four sorted orders,
 so peeling costs O(n log n) between splits.  A split sweeps the first
@@ -18,9 +19,11 @@ case quadratic, through chains of splits only.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Iterable
 
 from .history import (
+    _FRESH_BASE,
     POP,
     POP_EMPTY,
     PUSH,
@@ -28,12 +31,10 @@ from .history import (
     History,
     HistoryError,
     Interval,
+    ValueTable,
     Verdict,
     WorkCounter,
-    complete_history,
-    differentiate,
-    remove_overlapping_pairs,
-    unmatched_pops,
+    value_table,
 )
 
 Observer = Callable[[tuple, list, list, set], None]
@@ -71,21 +72,21 @@ def _as_vals(vals: Iterable[AttributedValue] | dict[int, AttributedValue]) -> li
     return list(vals)
 
 
-def _sweep_p(vals: list[AttributedValue], counter: WorkCounter | None) -> list[tuple[int, int]]:
-    """Merge I-segments into P-segments; vals must be sorted by push-return."""
-    first = vals[0]
-    left, right = first.push_ret, first.pop_call
+def _sweep_p(rows: list[int], push_ret: list[int], pop_call: list[int],
+             counter: WorkCounter | None) -> list[tuple[int, int]]:
+    """Merge the I-segments of the rows, sorted by push-return, into P-segments."""
+    left, right = push_ret[rows[0]], pop_call[rows[0]]
     out: list[tuple[int, int]] = []
-    for v in vals[1:]:
-        if v.push_ret <= right:
-            if v.pop_call > right:
-                right = v.pop_call
+    for x in islice(rows, 1, None):
+        if push_ret[x] <= right:
+            if pop_call[x] > right:
+                right = pop_call[x]
         else:
             out.append((left, right))
-            left, right = v.push_ret, v.pop_call
+            left, right = push_ret[x], pop_call[x]
     out.append((left, right))
     if counter is not None:
-        counter.add(len(vals))
+        counter.add(len(rows))
     return out
 
 
@@ -112,7 +113,8 @@ def p_segments(vals: Iterable[AttributedValue] | dict[int, AttributedValue]) -> 
     vs = sorted(_as_vals(vals), key=lambda v: v.push_ret)
     if not vs:
         raise HistoryError("p_segments needs at least one value")
-    return [Interval(a, b) for a, b in _sweep_p(vs, None)]
+    p = _sweep_p(range(len(vs)), [v.push_ret for v in vs], [v.pop_call for v in vs], None)
+    return [Interval(a, b) for a, b in p]
 
 
 def _history_span(h: History) -> tuple[int, int]:
@@ -133,24 +135,6 @@ def d_segments(h: History, p_segs: list[Interval]) -> list[Interval]:
     lo, hi = _history_span(h)
     p = [seg.as_pair() for seg in sorted(p_segs, key=lambda s: s.left)]
     return [Interval(a, b) for a, b in _gaps_d(lo, hi, p, None)]
-
-
-def check_pop_empty(h: History, d_segs: list[Interval]) -> History | Verdict:
-    """Remove pop-empty operations that can linearize inside a D-segment.
-
-    A pop-empty is placeable iff its interval intersects some D-segment;
-    an unplaceable one makes the whole history unlinearizable, returned as
-    a Verdict carrying the failing interval.
-    """
-    kept = []
-    for op in h.ops:
-        if op.event.kind != POP_EMPTY:
-            kept.append(op)
-            continue
-        iv = op.interval
-        if not any(iv.intersects(d) for d in d_segs):
-            return Verdict(False, {"kind": "pop-empty", "interval": iv.as_pair()})
-    return History(h.adt, tuple(kept))
 
 
 def extreme_values(vals: Iterable[AttributedValue] | dict[int, AttributedValue],
@@ -187,65 +171,53 @@ def partition(h: History, alpha: Interval) -> tuple[History, History]:
     return History(h.adt, left_ops), History(h.adt, right_ops)
 
 
-def _with_original_values(values: Iterable[int], back: dict[int, int]) -> list[int]:
-    return sorted(back.get(v, v) for v in values)
-
-
 def _sort_cost(n: int) -> int:
     return n * max(1, n.bit_length())
 
 
 def _prepare(h: History, counter: WorkCounter | None
-             ) -> Verdict | tuple[list[AttributedValue], dict[int, int]]:
+             ) -> Verdict | tuple[ValueTable, list[int]]:
     """Preprocess a stack history for the recursion.
 
-    Returns an early verdict, or the attributed values sorted by
-    push-return together with the map from fresh values to original ones.
+    Returns an early verdict, or the value table together with the rows
+    whose push and pop do not intersect, sorted by push-return.  A value
+    whose push and pop intersect linearizes adjacently anywhere in the
+    overlap, so it never constrains the rest of the history.
     """
     if h.adt != "stack":
         raise HistoryError(f"stack monitor got adt {h.adt!r}")
-    unmatched = unmatched_pops(h)
-    if unmatched:
-        return Verdict(False, {"kind": "unmatched-pop", "value": unmatched[0]})
-
-    dh, back = differentiate(h)
-    dh = complete_history(dh)
-    dh, popped_first = remove_overlapping_pairs(dh)
-    if popped_first:
-        return Verdict(False, {"kind": "pop-before-push",
-                               "value": back.get(popped_first[0], popped_first[0])})
-
-    vals = sorted(op_to_val(dh).values(), key=lambda v: v.push_ret)
+    t = value_table(h, counter)
+    if isinstance(t, Verdict):
+        return t
+    pr, qc = t.push_ret, t.pop_call
+    rows = sorted([x for x in range(len(pr)) if pr[x] < qc[x]], key=pr.__getitem__)
     if counter is not None:
-        counter.add(_sort_cost(len(vals)))
-    pop_empties = [op.interval for op in dh.ops if op.event.kind == POP_EMPTY]
+        counter.add(_sort_cost(len(rows)))
 
     # Pop-empty placement is a one-time check against the top-level
     # D-segments, spanning the entire history (pop-empty intervals may
     # stick out past the first push or the last pop).
-    if pop_empties:
-        if vals:
-            spans = [v.push_call for v in vals] + [iv.left for iv in pop_empties]
-            ends = [v.pop_ret for v in vals] + [iv.right for iv in pop_empties]
-            p = _sweep_p(vals, counter)
-            d = _gaps_d(min(spans), max(ends), p, counter)
-        else:
-            d = [(min(iv.left for iv in pop_empties),
-                  max(iv.right for iv in pop_empties))]
-        for iv in pop_empties:
+    if t.pop_empties:
+        lo = min([t.push_call[x] for x in rows] + [a for a, _ in t.pop_empties])
+        hi = max([t.pop_ret[x] for x in rows] + [b for _, b in t.pop_empties])
+        d = _gaps_d(lo, hi, _sweep_p(rows, pr, qc, counter) if rows else [], counter)
+        for left, right in t.pop_empties:
             if counter is not None:
                 counter.add(len(d))
-            if not any(iv.left <= b and a <= iv.right for a, b in d):
-                return Verdict(False, {"kind": "pop-empty", "interval": iv.as_pair()})
-    return vals, back
+            if not any(left <= b and a <= right for a, b in d):
+                return Verdict(False, {"kind": "pop-empty", "interval": (left, right)})
+    return t, rows
 
 
-def _observe(observer: Observer, vs: list[AttributedValue], ex: set[int]) -> None:
+def _observe(observer: Observer, t: ValueTable, members: list[int], ex: list[int]) -> None:
+    vs = tuple(AttributedValue(_FRESH_BASE + x, t.push_call[x], t.push_ret[x],
+                               t.pop_call[x], t.pop_ret[x]) for x in members)
     lo = min(v.push_call for v in vs)
     hi = max(v.pop_ret for v in vs)
-    p = _sweep_p(vs, None)
-    observer(tuple(vs), [Interval(a, b) for a, b in p],
-             [Interval(a, b) for a, b in _gaps_d(lo, hi, p, None)], ex)
+    p = _sweep_p(members, t.push_ret, t.pop_call, None)
+    observer(vs, [Interval(a, b) for a, b in p],
+             [Interval(a, b) for a, b in _gaps_d(lo, hi, p, None)],
+             {_FRESH_BASE + x for x in ex})
 
 
 def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
@@ -280,13 +252,10 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
     prepared = _prepare(h, counter)
     if isinstance(prepared, Verdict):
         return prepared
-    vals, back = prepared
-    n = len(vals)
-    pc = [v.push_call for v in vals]
-    pr = [v.push_ret for v in vals]
-    qc = [v.pop_call for v in vals]
-    qr = [v.pop_ret for v in vals]
-    owner = [0] * n  # the group a value belongs to, -1 once peeled
+    t, rows = prepared
+    pc, pr, qc, qr = t.push_call, t.push_ret, t.pop_call, t.pop_ret
+    n = len(pr)
+    owner = [0] * n  # the group a row belongs to, -1 once peeled
     in_a = bytearray(n)
     in_b = bytearray(n)
     work = 0
@@ -303,7 +272,7 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
                 sorted([x for x in members if not in_b[x]], key=qr.__getitem__,
                        reverse=True), 0)
 
-    pending = [group(0, list(range(n)))] if n else []
+    pending = [group(0, rows)] if rows else []
     groups = 1
     failed = None
     while pending:
@@ -337,8 +306,7 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
                 b += 1
             work += 1 + len(ex)
             if observer is not None:
-                _observe(observer, [vals[x] for x in by_pr[i:end] if owner[x] == gid],
-                         {vals[x].value for x in ex})
+                _observe(observer, t, [x for x in by_pr[i:end] if owner[x] == gid], ex)
             if ex:
                 for x in ex:
                     owner[x] = -1
@@ -360,7 +328,7 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
                 k += 1
             work += k - i
             if k == end:
-                failed = [vals[x].value for x in by_pr[i:end] if owner[x] == gid]
+                failed = [t.value[x] for x in by_pr[i:end] if owner[x] == gid]
                 pending.clear()
                 break
             if n_left <= live - n_left:
@@ -383,6 +351,5 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
     if counter is not None:
         counter.add(work)
     if failed is not None:
-        return Verdict(False, {"kind": "no-separation",
-                               "values": _with_original_values(failed, back)})
+        return Verdict(False, {"kind": "no-separation", "values": sorted(failed)})
     return Verdict(True)

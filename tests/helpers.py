@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from limon import Event, History, Interval, Operation, Verdict
+from limon import AttributedValue, Event, History, Interval, Operation, Verdict
+from limon.history import _FRESH_BASE, POP, POP_EMPTY, PUSH
 from limon.oracle import sequential_check
-from limon.stacks import _prepare, _with_original_values
+from limon.stacks import _prepare
 
 
 def value_history(adt: str, rows) -> History:
@@ -120,6 +121,35 @@ def find_critical_pair_naive(vals) -> CriticalPair | None:
     return None
 
 
+def matched(h: History) -> bool:
+    """True when every pushed value has exactly as many pops as pushes."""
+    counts: dict[int, int] = {}
+    for op in h.ops:
+        if op.event.kind == PUSH:
+            counts[op.event.value] = counts.get(op.event.value, 0) + 1
+        elif op.event.kind == POP:
+            counts[op.event.value] = counts.get(op.event.value, 0) - 1
+    return all(n == 0 for n in counts.values())
+
+
+def check_pop_empty(h: History, d_segs: list[Interval]) -> History | Verdict:
+    """Remove pop-empty operations that can linearize inside a D-segment.
+
+    A pop-empty is placeable iff its interval intersects some D-segment;
+    an unplaceable one makes the whole history unlinearizable, returned as
+    a Verdict carrying the failing interval.
+    """
+    kept = []
+    for op in h.ops:
+        if op.event.kind != POP_EMPTY:
+            kept.append(op)
+            continue
+        iv = op.interval
+        if not any(iv.intersects(d) for d in d_segs):
+            return Verdict(False, {"kind": "pop-empty", "interval": iv.as_pair()})
+    return History(h.adt, tuple(kept))
+
+
 def scan_container(entries: list[tuple[Interval, int]], q: Interval) -> set[int]:
     """Linear-scan reference for interval containment queries."""
     return {v for iv, v in entries if iv.contains(q)}
@@ -132,7 +162,9 @@ def reference_stack_linearizable(h: History, observer=None) -> Verdict:
     prepared = _prepare(h, None)
     if isinstance(prepared, Verdict):
         return prepared
-    vals, back = prepared
+    t, rows = prepared
+    vals = [AttributedValue(_FRESH_BASE + x, t.push_call[x], t.push_ret[x],
+                            t.pop_call[x], t.pop_ret[x]) for x in rows]
     pending = [vals]
     while pending:
         vs = pending.pop()
@@ -156,7 +188,7 @@ def reference_stack_linearizable(h: History, observer=None) -> Verdict:
             pending.append([v for v in vs if v.value not in ex])
         elif len(d) <= 2:
             return Verdict(False, {"kind": "no-separation", "values":
-                                   _with_original_values((v.value for v in vs), back)})
+                                   sorted(t.value[v.value - _FRESH_BASE] for v in vs)})
         else:
             cut = d[1][0]
             pending.append([v for v in vs if v.push_ret <= cut])

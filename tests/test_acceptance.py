@@ -86,11 +86,11 @@ def test_criterion_2_queue_walkthroughs():
     h_bad = value_history("queue", QUEUE_BAD_ROWS)
 
     def index(h):
-        return ContainmentIndex([(a.i_segment, a.value) for a in op_to_val(h).values()
-                                 if a.i_segment is not None])
+        return ContainmentIndex([(a.push_ret, a.pop_call, a.value)
+                                 for a in op_to_val(h).values() if a.i_segment is not None])
 
-    probe_ok = index(h_ok).container(Interval(4, 16)) is None
-    probe_bad = index(h_bad).container(Interval(14, 22)) == 3
+    probe_ok = index(h_ok).container(4, 16) is None
+    probe_bad = index(h_bad).container(14, 22) == 3
     v_ok = queue_linearizable(h_ok)
     v_bad = queue_linearizable(h_bad)
     pair = (not v_bad.linearizable and v_bad.witness["kind"] == "critical-pair"
@@ -185,14 +185,14 @@ def test_criterion_7_qtree_properties():
             n = 1 + rng.randrange(60)
         pool = rng.sample(range(40 * n + 80), 2 * n)
         entries = [(Interval(*sorted(pool[2 * i: 2 * i + 2])), i) for i in range(n)]
-        index = ContainmentIndex(entries)
+        index = ContainmentIndex([(iv.left, iv.right, v) for iv, v in entries])
         span = 40 * n + 80
         probes = [Interval(*sorted((rng.randrange(span), rng.randrange(span))))
                   for _ in range(3)]
         iv, _ = entries[rng.randrange(n)]
         probes.append(Interval(min(iv.left + 1, iv.right), iv.right))  # forced hit
         for q in probes:
-            got = index.container(q)
+            got = index.container(q.left, q.right)
             expect = scan_container(entries, q)
             assert (got in expect) if expect else (got is None), (k, q)
             checked_probes += 1

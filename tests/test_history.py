@@ -1,17 +1,24 @@
+from collections import Counter
+
 import pytest
 
 from limon import (
     EMPTY,
     Event,
+    GenConfig,
     History,
     Operation,
     ParseError,
     HistoryError,
+    Verdict,
+    WorkCounter,
     brute_force_linearizable,
+    check_history,
     complete_history,
     differentiate,
+    gen_linearizable,
     gen_random,
-    matched,
+    op_to_val,
     parse_history,
     project,
     queue_linearizable,
@@ -20,7 +27,9 @@ from limon import (
     stack_linearizable,
     validate,
 )
-from limon.history import unmatched_pops
+from limon.history import unmatched_pops, value_table
+
+from helpers import fold_values, matched
 
 H1_TEXT = "adt stack\npush 0 0 2\npush 1 1 3\npop 1 4 6\npop 0 5 7\n"
 
@@ -217,6 +226,84 @@ class TestDifferentiate:
                 continue
             assert not any(v.code == "duplicate-value"
                            for v in validate(dh, assume_differentiated=True))
+
+
+def _reference_table(h):
+    """What value_table must give, from the step functions: an early
+    verdict, or the rows as {fresh value: (original value, push call,
+    push return, pop call, pop return)} with the stack's rows after
+    remove_overlapping_pairs, and the pop-empty intervals."""
+    unmatched = unmatched_pops(h)
+    if unmatched:
+        return Verdict(False, {"kind": "unmatched-pop", "value": unmatched[0]})
+    dh, back = differentiate(h)
+    dh = complete_history(dh)
+    kept, popped_first = remove_overlapping_pairs(dh)
+    if popped_first:
+        return Verdict(False, {"kind": "pop-before-push", "value": back[popped_first[0]]})
+    rows = {v: (back[v], a.push_call, a.push_ret, a.pop_call, a.pop_ret)
+            for v, a in op_to_val(kept if h.adt == "stack" else dh).items()}
+    return rows, [(op.call, op.ret) for op in h.ops if op.event.kind == "popempty"]
+
+
+def _table_rows(h, t):
+    rows = {10 + x: (t.value[x], t.push_call[x], t.push_ret[x], t.pop_call[x], t.pop_ret[x])
+            for x in range(len(t.value))}
+    if h.adt == "stack":  # the stack monitor drops rows whose push and pop intersect
+        rows = {v: row for v, row in rows.items() if row[2] < row[3]}
+    return rows, t.pop_empties
+
+
+class TestValueTable:
+    """value_table against the step functions it replaces in the monitors."""
+
+    def test_against_step_functions(self):
+        histories = []
+        for seed in range(1000):
+            for adt in ("stack", "queue"):
+                raw = gen_random(adt, 2 + seed % 40, 90_000 + seed)
+                lin = gen_linearizable(GenConfig(adt=adt, ops=4 + seed % 60,
+                                                 threads=1 + seed % 5, seed=90_000 + seed))
+                histories += [raw, fold_values(raw, 2 + seed % 3), lin]
+        kinds = Counter()
+        completed = pop_empties = 0
+        for k, h in enumerate(histories):
+            t = value_table(h)
+            expect = _reference_table(h)
+            if isinstance(expect, Verdict):
+                assert t == expect, k
+                kinds[expect.witness["kind"]] += 1
+                continue
+            assert _table_rows(h, t) == expect, k
+            kinds["rows"] += 1
+            completed += len(complete_history(h)) - len(h)
+            pop_empties += len(t.pop_empties)
+        assert len(histories) >= 5000
+        assert min(kinds["unmatched-pop"], kinds["pop-before-push"]) >= 200, kinds
+        assert kinds["rows"] >= 2000 and completed >= 2000 and pop_empties >= 500, (
+            kinds, completed, pop_empties)
+
+    def test_charges_one_unit_per_operation(self):
+        counter = WorkCounter()
+        value_table(h1(), counter)
+        assert counter.count == len(h1())
+
+    @pytest.mark.parametrize("adt, rows", [
+        # enq 2 calls when enq 1 returns: timestamp 2 is shared.
+        ("queue", [("push", 1, 0, 2), ("push", 2, 2, 3), ("pop", 2, 4, 5), ("pop", 1, 10, 11)]),
+        ("queue", [("push", 1, 5, 5), ("pop", 1, 9, 9)]),
+        ("stack", [("push", 1, 0, 1), ("push", 2, 3, 3), ("pop", 2, 4, 6), ("pop", 1, 7, 8)]),
+        ("stack", [("push", 1, 2, 0), ("pop", 1, 3, 4)]),
+    ])
+    def test_monitors_refuse_shared_timestamps_and_calls_not_before_returns(self, adt, rows):
+        # At the parent the two queue histories got a confident critical-pair
+        # verdict, while the oracle calls both linearizable.
+        h = History(adt, tuple(Operation(i, Event(kind, v), call, ret)
+                               for i, (kind, v, call, ret) in enumerate(rows)))
+        with pytest.raises(HistoryError):
+            value_table(h)
+        with pytest.raises(HistoryError):
+            check_history(h)
 
 
 class TestProject:

@@ -39,8 +39,12 @@ def queue_bad():
 
 
 def index_for(h):
-    return ContainmentIndex([(a.i_segment, a.value) for a in op_to_val(h).values()
+    return ContainmentIndex([(a.push_ret, a.pop_call, a.value) for a in op_to_val(h).values()
                              if a.i_segment is not None])
+
+
+def index_of(entries):
+    return ContainmentIndex([(iv.left, iv.right, v) for iv, v in entries])
 
 
 def random_entries(rng, n, lo, hi):
@@ -50,13 +54,13 @@ def random_entries(rng, n, lo, hi):
 
 class TestSearch:
     def test_sample_non_containment(self):
-        assert index_for(queue_ok()).container(Interval(4, 16)) is None
+        assert index_for(queue_ok()).container(4, 16) is None
 
     def test_sample_containment(self):
-        assert index_for(queue_bad()).container(Interval(14, 22)) == 3
+        assert index_for(queue_bad()).container(14, 22) == 3
 
     def test_empty_tree(self):
-        assert ContainmentIndex([]).container(Interval(0, 1)) is None
+        assert ContainmentIndex([]).container(0, 1) is None
 
     def test_matches_linear_scan(self):
         rng = random.Random(23)
@@ -71,14 +75,14 @@ class TestSearch:
             sets.append((base, base + 10 * n,
                          random_entries(big, n, base, base + 10 * n), 40))
         for k, (lo, hi, entries, n_probes) in enumerate(sets):
-            index = ContainmentIndex(entries)
+            index = index_of(entries)
             right = {v: iv.right for iv, v in entries}
             probes = [Interval(*sorted((rng.randrange(lo, hi), rng.randrange(lo, hi))))
                       for _ in range(n_probes)]
             iv, _ = entries[rng.randrange(len(entries))]
             probes.append(Interval(min(iv.left + 1, iv.right), iv.right))  # forced hit
             for q in probes:
-                got = index.container(q)
+                got = index.container(q.left, q.right)
                 expect = scan_container(entries, q)
                 if got is None:
                     assert not expect, (k, q)

@@ -14,7 +14,6 @@ from limon import (
     Verdict,
     WorkCounter,
     brute_force_linearizable,
-    check_pop_empty,
     complete_history,
     d_segments,
     differentiate,
@@ -34,6 +33,7 @@ from limon import (
 from helpers import (
     STAGGERED_ROWS,
     StackTally,
+    check_pop_empty,
     fold_values,
     nested_stack,
     reference_stack_linearizable,
