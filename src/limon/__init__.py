@@ -26,6 +26,7 @@ from .history import (
     WorkCounter,
     complete_history,
     differentiate,
+    parse_event_stream,
     parse_history,
     project,
     remove_overlapping_pairs,

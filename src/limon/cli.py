@@ -7,10 +7,10 @@ Exit codes: 0 linearizable, 1 unlinearizable, 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
-from typing import Iterator, TextIO
 
 from . import check_history
 from .generators import (
@@ -22,22 +22,15 @@ from .generators import (
 )
 from .history import (
     ADTS,
-    Event,
-    History,
     HistoryError,
-    Operation,
     ParseError,
     WorkCounter,
+    parse_event_stream,
     parse_history,
     serialize_history,
 )
-from .history import _KIND_ALIASES, _check_kind, _is_int, _parse_outcome, _parse_ts, _strip
 from .oracle import BoundExceeded, brute_force_linearizable, saturation_baseline
-from .sets import (
-    StreamEvent,
-    multiset_linearizable_events,
-    set_linearizable_events,
-)
+from .sets import multiset_linearizable_events, set_linearizable_events
 
 EXIT_LINEARIZABLE = 0
 EXIT_UNLINEARIZABLE = 1
@@ -69,86 +62,25 @@ def _emit_verdict(verdict, verbose: bool) -> int:
     return EXIT_LINEARIZABLE if verdict.linearizable else EXIT_UNLINEARIZABLE
 
 
-def _stream_int(token: str, what: str, lineno: int) -> int:
-    if not _is_int(token):
-        raise ParseError(f"bad {what} {token!r}", lineno)
-    return int(token)
-
-
-def _stream_events(fh: TextIO, adt: str) -> Iterator[StreamEvent]:
-    """Incrementally parse event-format records for live set monitoring."""
-    open_calls: dict[int, tuple[str, int | None, int]] = {}
-    last_ts = -1
-    next_lineno = 2  # the caller has read the header, line 1
-    for raw in fh:
-        lineno = next_lineno
-        next_lineno += 1
-        line = _strip(raw)
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "call":
-            if len(toks) != 5:
-                raise ParseError("expected: call <id> <kind> <value> <ts>", lineno)
-            op_id = _stream_int(toks[1], "operation id", lineno)
-            kind = _KIND_ALIASES.get(toks[2])
-            value = _stream_int(toks[3], "value", lineno)
-            ts = _parse_ts(toks[4], lineno)
-            if kind is None:
-                raise ParseError(f"unknown event kind {toks[2]!r}", lineno)
-            _check_kind(adt, kind, None, lineno)
-            if ts <= last_ts:
-                raise ParseError(f"stream timestamps must increase ({ts})", lineno)
-            last_ts = ts
-            if op_id in open_calls:
-                raise ParseError(f"duplicate call for id {op_id}", lineno)
-            open_calls[op_id] = (kind, value, ts)
-            yield (ts, True, Operation(op_id, Event(kind, value), ts, ts + 1))
-        elif toks[0] == "ret":
-            if len(toks) not in (3, 4):
-                raise ParseError("expected: ret <id> <ts> [<result>]", lineno)
-            op_id = _stream_int(toks[1], "operation id", lineno)
-            ts = _parse_ts(toks[2], lineno)
-            if op_id not in open_calls:
-                raise ParseError(f"return without call for id {op_id}", lineno)
-            kind, value, call_ts = open_calls.pop(op_id)
-            outcome = None
-            if len(toks) == 4:
-                outcome = _parse_outcome(kind, toks[3], lineno)
-            if kind in ("add", "remove"):
-                if outcome is None:
-                    raise ParseError(f"{kind} return needs ok/fail", lineno)
-                if outcome is False:
-                    raise ParseError(
-                        "failing operations need offline checking (normalization)",
-                        lineno)
-            elif kind == "contains" and outcome is None:
-                raise ParseError("contains return needs true/false", lineno)
-            if ts <= last_ts:
-                raise ParseError(f"stream timestamps must increase ({ts})", lineno)
-            last_ts = ts
-            yield (ts, False, Operation(op_id, Event(kind, value, outcome), call_ts, ts))
-        else:
-            raise ParseError(f"expected call/ret record, got {toks[0]!r}", lineno)
-    if open_calls:
-        raise ParseError(f"stream ended with {len(open_calls)} unreturned calls")
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     if args.stream:
-        header = sys.stdin.readline()
-        parts = _strip(header).split()
-        if len(parts) != 2 or parts[0] != "adt":
-            raise ParseError(f"bad stream header {header!r}")
-        adt = args.adt or parts[1]
+        adt, events = parse_event_stream(sys.stdin, args.adt)
         if adt not in ("set", "multiset"):
             raise ParseError("streaming mode monitors set/multiset event streams")
         runner = set_linearizable_events if adt == "set" else multiset_linearizable_events
-        verdict = runner(_stream_events(sys.stdin, adt))
-        return _emit_verdict(verdict, args.verbose)
+        return _emit_verdict(runner(events), args.verbose)
     text = _read_input(args.file)
-    h = parse_history(text, fmt=args.format, adt_override=args.adt)
-    return _emit_verdict(check_history(h), args.verbose)
+    # Parsing and checking build no reference cycles, so the cyclic
+    # collector would only rescan the records they keep alive.  A stream
+    # keeps it, since a live stream may run without bound.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        verdict = check_history(parse_history(text, fmt=args.format, adt_override=args.adt))
+    finally:
+        if enabled:
+            gc.enable()
+    return _emit_verdict(verdict, args.verbose)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -38,11 +38,13 @@ class GenConfig:
     bug: bool = False
 
 
-def _rank_ops(raw: list[tuple[float, float, Event]], adt: str) -> History:
+def _rank_ops(raw: list[tuple[object, object, Event]], adt: str) -> History:
     """Turn raw (call, ret, event) rows into a history with dense unique
     integer timestamps, preserving endpoint order (calls win raw ties).
-    Operation ids are assigned in call order, the canonical numbering."""
-    endpoints: list[tuple[float, int, int]] = []
+    Stamps may be any mutually comparable values, such as floats or the
+    recorder's (ns, seq) pairs.  Operation ids are assigned in call order,
+    the canonical numbering."""
+    endpoints: list[tuple[object, int, int]] = []
     for idx, (c, r, _) in enumerate(raw):
         endpoints.append((c, 0, idx))
         endpoints.append((r, 1, idx))
@@ -313,17 +315,4 @@ def record_execution(impl: str, cfg: GenConfig) -> History:
     for w in workers:
         w.join()
 
-    records = [rec for bucket in buckets for rec in bucket]
-    endpoints: list[tuple[tuple[int, int], int, int]] = []
-    for idx, (c, r, _) in enumerate(records):
-        endpoints.append((c, 0, idx))
-        endpoints.append((r, 1, idx))
-    endpoints.sort()
-    calls: dict[int, int] = {}
-    rets: dict[int, int] = {}
-    for rank, (_, is_ret, idx) in enumerate(endpoints):
-        (rets if is_ret else calls)[idx] = rank
-    by_call = sorted(range(len(records)), key=lambda idx: calls[idx])
-    ops = tuple(Operation(op_id, records[idx][2], calls[idx], rets[idx])
-                for op_id, idx in enumerate(by_call))
-    return History(adt, ops)
+    return _rank_ops([rec for bucket in buckets for rec in bucket], adt)

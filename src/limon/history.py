@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple
 
 ADTS = ("stack", "queue", "set", "multiset")
 
@@ -80,8 +82,7 @@ class Interval:
         return (self.left, self.right)
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """An untimed operation payload.
 
     kind:    push | pop | popempty | add | remove | contains
@@ -94,8 +95,7 @@ class Event:
     outcome: bool | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Operation:
+class Operation(NamedTuple):
     id: int
     event: Event
     call: int
@@ -116,7 +116,7 @@ class History:
     def __post_init__(self) -> None:
         if self.adt not in ADTS:
             raise HistoryError(f"unknown adt {self.adt!r}")
-        object.__setattr__(self, "ops", tuple(sorted(self.ops, key=lambda o: o.call)))
+        object.__setattr__(self, "ops", tuple(sorted(self.ops, key=attrgetter("call"))))
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -187,6 +187,16 @@ class WorkCounter:
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
+#
+# The record loops test a token with `tok.isdigit() and tok.isascii()` and
+# call int() on it; only a token that fails goes to a helper.  isascii must
+# stay: '²' passes isdigit but int() rejects it, and int('٥') is 5.
+
+_OUTCOMES = {(CONTAINS, "true"): True, (CONTAINS, "false"): False,
+             (ADD, "ok"): True, (ADD, "fail"): False,
+             (REMOVE, "ok"): True, (REMOVE, "fail"): False}
+_RESULT_WORDS = frozenset(("ok", "fail", "true", "false", "empty"))
+
 
 def _strip(line: str) -> str:
     hash_at = line.find("#")
@@ -203,41 +213,39 @@ def _is_int(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-class _Interner:
-    """Maps arbitrary value tokens to integers; integer literals keep their value."""
+def _value(token: str, symbols: dict[str, int]) -> int | str:
+    """A value token that is not plain ASCII digits: a signed literal, or a
+    symbolic token, which keeps its first-seen index in symbols."""
+    if _is_int(token):
+        return int(token)
+    symbols.setdefault(token, len(symbols))
+    return token
 
-    def __init__(self) -> None:
-        self.token_index: dict[str, int] = {}
-        self.max_literal = -1
 
-    def see(self, token: str) -> None:
-        if _is_int(token):
-            self.max_literal = max(self.max_literal, int(token))
-        else:
-            self.token_index.setdefault(token, len(self.token_index))
+def _number_symbols(ops: list[Operation], symbols: dict[str, int],
+                    values: list) -> list[Operation]:
+    """Give symbolic values max literal + 1 + their first-seen index."""
+    base = max([-1] + [v for v in values if type(v) is int]) + 1
+    return [op._replace(event=op.event._replace(value=base + symbols[op.event.value]))
+            if type(op.event.value) is str else op for op in ops]
 
-    def resolve(self, token: str) -> int:
-        if _is_int(token):
-            return int(token)
-        return self.max_literal + 1 + self.token_index[token]
+
+def _parse_int(token: str, what: str, lineno: int) -> int:
+    if not _is_int(token):
+        raise ParseError(f"bad {what} {token!r}", lineno)
+    return int(token)
 
 
 def _parse_ts(token: str, lineno: int) -> int:
-    if not _is_int(token):
-        raise ParseError(f"bad timestamp {token!r}", lineno)
-    ts = int(token)
+    ts = _parse_int(token, "timestamp", lineno)
     if ts < 0:
         raise ParseError(f"negative timestamp {token!r}", lineno)
     return ts
 
 
-def _parse_outcome(kind: str, token: str, lineno: int) -> bool:
+def _bad_outcome(kind: str, token: str, lineno: int) -> None:
     if kind == CONTAINS:
-        if token in ("true", "false"):
-            return token == "true"
         raise ParseError(f"contains answer must be true/false, got {token!r}", lineno)
-    if token in ("ok", "fail"):
-        return token == "ok"
     raise ParseError(f"{kind} outcome must be ok/fail, got {token!r}", lineno)
 
 
@@ -246,6 +254,23 @@ def _check_kind(adt: str, kind: str, outcome: bool | None, lineno: int | None) -
         raise ParseError(f"event kind {kind!r} illegal for adt {adt!r}", lineno)
     if adt == "multiset" and outcome is False:
         raise ParseError("failing operations are not defined for multisets", lineno)
+
+
+def _read_header(lines: Iterable[str], adt_override: str | None) -> tuple[str, int]:
+    """The effective adt, and the line number of the header: the first line
+    that is neither blank nor a comment."""
+    for no, raw in enumerate(lines, 1):
+        header = _strip(raw)
+        if header:
+            break
+    else:
+        raise ParseError("empty input: missing adt header")
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "adt" or parts[1] not in ADTS:
+        raise ParseError(f"bad header {header!r}; expected 'adt <stack|queue|set|multiset>'", no)
+    if adt_override is not None and adt_override not in ADTS:
+        raise ParseError(f"unknown adt override {adt_override!r}")
+    return adt_override or parts[1], no
 
 
 def parse_history(text: str | bytes, fmt: str = "auto",
@@ -259,158 +284,219 @@ def parse_history(text: str | bytes, fmt: str = "auto",
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = [(i + 1, _strip(raw)) for i, raw in enumerate(text.splitlines())]
-    lines = [(no, ln) for no, ln in lines if ln]
-    if not lines:
-        raise ParseError("empty input: missing adt header")
-    no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "adt" or parts[1] not in ADTS:
-        raise ParseError(f"bad header {header!r}; expected 'adt <stack|queue|set|multiset>'", no)
-    if adt_override is not None and adt_override not in ADTS:
-        raise ParseError(f"unknown adt override {adt_override!r}")
-    adt = adt_override or parts[1]
-    records = lines[1:]
-
+    lines = text.splitlines()
+    adt, no = _read_header(lines, adt_override)
+    records = lines[no:]
     if fmt == "auto":
-        fmt = "ops"
-        if records and records[0][1].split()[0] in ("call", "ret"):
-            fmt = "events"
+        first = next((toks[0] for toks in map(str.split, map(_strip, records)) if toks), None)
+        fmt = "events" if first in ("call", "ret") else "ops"
     if fmt == "ops":
-        ops = _parse_ops_format(adt, records)
+        ops = _parse_ops_format(adt, records, no + 1)
     elif fmt == "events":
-        ops = _parse_events_format(adt, records)
+        ops = _parse_events_format(adt, records, no + 1)
     else:
         raise ParseError(f"unknown format {fmt!r}")
 
+    # The record parsers reject everything else _structural_violations names.
     h = History(adt, tuple(ops))
-    _reject_structural(h)
+    stamps = {op.call for op in h.ops}
+    stamps.update([op.ret for op in h.ops])
+    if len(stamps) != 2 * len(h.ops):
+        bad = _structural_violations(h)[0]
+        raise ParseError(f"invalid history: {bad.code} ({bad.detail})")
     return h
 
 
-def _reject_structural(h: History) -> None:
-    bad = _structural_violations(h)
-    if bad:
-        raise ParseError(f"invalid history: {bad[0].code} ({bad[0].detail})")
-
-
-def _parse_ops_format(adt: str, records: list[tuple[int, str]]) -> list[Operation]:
-    interner = _Interner()
-    rows: list[tuple[int, str, str | None, int, int, bool | None]] = []
-    for no, line in records:
+def _parse_ops_format(adt: str, lines: list[str], first: int) -> list[Operation]:
+    legal = _KINDS_BY_ADT[adt]
+    symbols: dict[str, int] = {}
+    ops: list[Operation] = []
+    for no, line in enumerate(lines, first):
+        if "#" in line:
+            line = line[:line.find("#")]
         toks = line.split()
+        if not toks:
+            continue
         kind = _KIND_ALIASES.get(toks[0])
         if kind is None:
             raise ParseError(f"unknown operation {toks[0]!r}", no)
+        n = len(toks)
+        value = outcome = None
         if kind == POP_EMPTY:
-            if len(toks) != 3:
+            if n != 3:
                 raise ParseError("expected: popempty <call> <ret>", no)
-            value_tok: str | None = None
-            call, ret = _parse_ts(toks[1], no), _parse_ts(toks[2], no)
-            outcome = None
-        elif kind in (PUSH, POP):
-            if len(toks) != 4:
-                raise ParseError(f"expected: {toks[0]} <value> <call> <ret>", no)
-            value_tok = toks[1]
-            call, ret = _parse_ts(toks[2], no), _parse_ts(toks[3], no)
-            outcome = None
+            call, ret = toks[1], toks[2]
         else:
-            if len(toks) != 5:
+            if kind == PUSH or kind == POP:
+                if n != 4:
+                    raise ParseError(f"expected: {toks[0]} <value> <call> <ret>", no)
+            elif n != 5:
                 raise ParseError(f"expected: {toks[0]} <value> <call> <ret> <result>", no)
-            value_tok = toks[1]
-            call, ret = _parse_ts(toks[2], no), _parse_ts(toks[3], no)
-            outcome = _parse_outcome(kind, toks[4], no)
-        _check_kind(adt, kind, outcome, no)
+            value, call, ret = toks[1], toks[2], toks[3]
+            value = int(value) if value.isdigit() and value.isascii() else _value(value, symbols)
+        call = int(call) if call.isdigit() and call.isascii() else _parse_ts(call, no)
+        ret = int(ret) if ret.isdigit() and ret.isascii() else _parse_ts(ret, no)
+        if n == 5:
+            outcome = _OUTCOMES.get((kind, toks[4]))
+            if outcome is None:
+                _bad_outcome(kind, toks[4], no)
+        if kind not in legal or outcome is False:
+            _check_kind(adt, kind, outcome, no)
         if call >= ret:
             raise ParseError(f"call {call} not before return {ret}", no)
-        if value_tok is not None:
-            interner.see(value_tok)
-        rows.append((no, kind, value_tok, call, ret, outcome))
-
-    ops = []
-    for op_id, (_, kind, value_tok, call, ret, outcome) in enumerate(rows):
-        value = interner.resolve(value_tok) if value_tok is not None else None
-        ops.append(Operation(op_id, Event(kind, value, outcome), call, ret))
+        ops.append(Operation(len(ops), Event(kind, value, outcome), call, ret))
+    if symbols:
+        ops = _number_symbols(ops, symbols, [op.event.value for op in ops])
     return ops
 
 
-def _parse_events_format(adt: str, records: list[tuple[int, str]]) -> list[Operation]:
-    interner = _Interner()
-    calls: dict[int, tuple[int, str, str | None, int]] = {}
-    rets: dict[int, tuple[int, int, str | None]] = {}
-    for no, line in records:
+def _event_records(lines: Iterable[str], first: int,
+                   symbols: dict[str, int]) -> Iterator[tuple]:
+    """Check event-format records one at a time, for the file and the
+    stream parser alike.
+
+    Yields (line, id, kind, value, timestamp, result).  A call has result
+    None; a return has kind None, and its result token, unless it is a
+    result word, read as a value: a pop's value may come with its return.
+    """
+    for no, line in enumerate(lines, first):
+        if "#" in line:
+            line = line[:line.find("#")]
         toks = line.split()
-        if toks[0] == "call":
-            # call <id> <kind> [<value>] <ts>
-            if len(toks) not in (4, 5):
+        if not toks:
+            continue
+        n = len(toks)
+        is_call = toks[0] == "call"
+        if is_call:
+            if n not in (4, 5):
                 raise ParseError("expected: call <id> <kind> [<value>] <ts>", no)
-            op_id = int(toks[1]) if _is_int(toks[1]) else None
-            if op_id is None:
-                raise ParseError(f"bad operation id {toks[1]!r}", no)
+        elif toks[0] != "ret":
+            raise ParseError(f"expected call/ret record, got {toks[0]!r}", no)
+        elif n not in (3, 4):
+            raise ParseError("expected: ret <id> <ts> [<result>]", no)
+        op_id = toks[1]
+        op_id = int(op_id) if op_id.isdigit() and op_id.isascii() else _parse_int(
+            op_id, "operation id", no)
+        if is_call:
             kind = _KIND_ALIASES.get(toks[2])
             if kind is None:
                 raise ParseError(f"unknown event kind {toks[2]!r}", no)
-            value_tok = toks[3] if len(toks) == 5 else None
-            ts = _parse_ts(toks[-1], no)
-            if op_id in calls:
-                raise ParseError(f"duplicate call for id {op_id}", no)
-            if value_tok is not None:
-                interner.see(value_tok)
-            calls[op_id] = (no, kind, value_tok, ts)
-        elif toks[0] == "ret":
-            # ret <id> <ts> [<result>]
-            if len(toks) not in (3, 4):
-                raise ParseError("expected: ret <id> <ts> [<result>]", no)
-            if not _is_int(toks[1]):
-                raise ParseError(f"bad operation id {toks[1]!r}", no)
-            op_id = int(toks[1])
-            ts = _parse_ts(toks[2], no)
-            result = toks[3] if len(toks) == 4 else None
-            if op_id in rets:
-                raise ParseError(f"duplicate return for id {op_id}", no)
-            if result is not None and result not in ("ok", "fail", "true", "false", "empty"):
-                interner.see(result)
-            rets[op_id] = (no, ts, result)
+            value = None
+            if n == 5:
+                value = toks[3]
+                value = int(value) if value.isdigit() and value.isascii() else _value(value, symbols)
+            elif kind != POP and kind != POP_EMPTY:
+                raise ParseError(f"{kind} call needs a value", no)
+            ts = toks[-1]
+            ts = int(ts) if ts.isdigit() and ts.isascii() else _parse_ts(ts, no)
+            yield no, op_id, kind, value, ts, None
         else:
-            raise ParseError(f"expected call/ret record, got {toks[0]!r}", no)
+            ts = toks[2]
+            ts = int(ts) if ts.isdigit() and ts.isascii() else _parse_ts(ts, no)
+            result = value = None
+            if n == 4:
+                result = toks[3]
+                if result not in _RESULT_WORDS:
+                    value = int(result) if result.isdigit() and result.isascii() else _value(
+                        result, symbols)
+            yield no, op_id, None, value, ts, result
 
-    unmatched = set(calls) ^ set(rets)
+
+def _event_op(adt: str, call: tuple, ret: tuple) -> Operation:
+    """The operation of a call record and its return record."""
+    no, op_id, kind, value, call_ts, _ = call
+    rno, _, _, ret_value, ret_ts, result = ret
+    outcome = None
+    if kind == POP:
+        if result == "empty":
+            kind, value = POP_EMPTY, None
+        elif value is None:
+            value = ret_value
+            if value is None:
+                raise ParseError(f"pop id {op_id} carries no value (call or ret)", rno)
+    elif kind == POP_EMPTY:
+        value = None
+    elif kind != PUSH:
+        if result is None:
+            raise ParseError(f"{kind} return needs a result", rno)
+        outcome = _OUTCOMES.get((kind, result))
+        if outcome is None:
+            _bad_outcome(kind, result, rno)
+    if kind not in _KINDS_BY_ADT[adt] or outcome is False:
+        _check_kind(adt, kind, outcome, no)
+    if call_ts >= ret_ts:
+        raise ParseError(f"call {call_ts} not before return {ret_ts} (id {op_id})", rno)
+    return Operation(op_id, Event(kind, value, outcome), call_ts, ret_ts)
+
+
+def _parse_events_format(adt: str, lines: list[str], first: int) -> list[Operation]:
+    symbols: dict[str, int] = {}
+    calls: dict[int, tuple] = {}
+    rets: dict[int, tuple] = {}
+    for rec in _event_records(lines, first, symbols):
+        side = calls if rec[2] is not None else rets
+        if rec[1] in side:
+            which = "call" if side is calls else "return"
+            raise ParseError(f"duplicate {which} for id {rec[1]}", rec[0])
+        side[rec[1]] = rec
+
+    unmatched = calls.keys() ^ rets.keys()
     if unmatched:
-        which = sorted(unmatched)[0]
+        which = min(unmatched)
         side = "return" if which in calls else "call"
         raise ParseError(f"operation id {which} has no matching {side}")
 
-    ops = []
-    for op_id in calls:
-        no, kind, value_tok, call_ts = calls[op_id]
-        rno, ret_ts, result = rets[op_id]
-        outcome: bool | None = None
-        value: int | None = None
-        if kind in (ADD, REMOVE, CONTAINS):
-            if value_tok is None:
-                raise ParseError(f"{kind} call needs a value", no)
-            if result is None:
-                raise ParseError(f"{kind} return needs a result", rno)
-            outcome = _parse_outcome(kind, result, rno)
-            value = interner.resolve(value_tok)
-        elif kind == PUSH:
-            if value_tok is None:
-                raise ParseError("push call needs a value", no)
-            value = interner.resolve(value_tok)
-        elif kind == POP:
-            if result == "empty":
-                kind = POP_EMPTY
-            elif value_tok is not None:
-                value = interner.resolve(value_tok)
-            elif result is not None:
-                value = interner.resolve(result)
-            else:
-                raise ParseError(f"pop id {op_id} carries no value (call or ret)", rno)
-        _check_kind(adt, kind, outcome, no)
-        if call_ts >= ret_ts:
-            raise ParseError(f"call {call_ts} not before return {ret_ts} (id {op_id})", rno)
-        ops.append(Operation(op_id, Event(kind, value, outcome), call_ts, ret_ts))
+    ops = [_event_op(adt, call, rets[op_id]) for op_id, call in calls.items()]
+    if symbols:
+        values = [rec[3] for recs in (calls, rets) for rec in recs.values()]
+        ops = _number_symbols(ops, symbols, values)
     return ops
+
+
+def parse_event_stream(lines: Iterable[str], adt_override: str | None = None
+                       ) -> tuple[str, Iterator[tuple[int, bool, Operation]]]:
+    """Read the header of an event-format stream; give its adt and its events.
+
+    The events are parsed lazily, one (timestamp, is_call, operation) per
+    record, with the file parser's record checks, in a stream whose
+    timestamps must increase.  A call gives its operation with the
+    placeholder return timestamp + 1 and no outcome; its return gives the
+    whole operation.  Failing adds and removes are refused: they need the
+    offline normalization.  Symbolic value tokens stay strings, because a
+    stream cannot know its largest integer literal ahead of time.
+    """
+    lines = iter(lines)
+    adt, no = _read_header(lines, adt_override)
+    return adt, _stream_events(adt, lines, no + 1)
+
+
+def _stream_events(adt: str, lines: Iterator[str],
+                   first: int) -> Iterator[tuple[int, bool, Operation]]:
+    open_calls: dict[int, tuple] = {}
+    last_ts = -1
+    for rec in _event_records(lines, first, {}):
+        no, op_id, kind, value, ts, _ = rec
+        if ts <= last_ts:
+            raise ParseError(f"stream timestamps must increase ({ts})", no)
+        last_ts = ts
+        if kind is not None:
+            if kind not in _KINDS_BY_ADT[adt]:
+                _check_kind(adt, kind, None, no)
+            if op_id in open_calls:
+                raise ParseError(f"duplicate call for id {op_id}", no)
+            open_calls[op_id] = rec
+            yield ts, True, Operation(op_id, Event(kind, value), ts, ts + 1)
+        else:
+            call = open_calls.pop(op_id, None)
+            if call is None:
+                raise ParseError(f"return without call for id {op_id}", no)
+            op = _event_op(adt, call, rec)
+            if op.event.kind != CONTAINS and op.event.outcome is False:
+                raise ParseError("failing operations need offline checking (normalization)", no)
+            yield ts, False, op
+    if open_calls:
+        first_open = next(iter(open_calls.values()))[0]
+        raise ParseError(f"stream ended with {len(open_calls)} unreturned calls", first_open)
 
 
 # ---------------------------------------------------------------------------
@@ -680,20 +766,19 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
         raise HistoryError("value tables are defined for stack and queue histories")
     value, push_call, push_ret, pop_empties = [], [], [], []
     rows: dict[int, list[int]] = {}  # value -> its rows
-    pops: list[Operation] = []
-    for op in h.ops:
-        if op.call >= op.ret:
-            raise HistoryError(f"operation {op.id}: call {op.call} not before return {op.ret}")
-        kind = op.event.kind
+    pops: list[tuple[int, int, int]] = []  # (value, call, return)
+    for op_id, (kind, v, _), call, ret in h.ops:
+        if call >= ret:
+            raise HistoryError(f"operation {op_id}: call {call} not before return {ret}")
         if kind == PUSH:
-            rows.setdefault(op.event.value, []).append(len(value))
-            value.append(op.event.value)
-            push_call.append(op.call)
-            push_ret.append(op.ret)
+            rows.setdefault(v, []).append(len(value))
+            value.append(v)
+            push_call.append(call)
+            push_ret.append(ret)
         elif kind == POP:
-            pops.append(op)
+            pops.append((v, call, ret))
         elif kind == POP_EMPTY and h.adt == "stack":
-            pop_empties.append((op.call, op.ret))
+            pop_empties.append((call, ret))
         else:
             raise HistoryError(f"event kind {kind!r} illegal for adt {h.adt!r}")
     if counter is not None:
@@ -703,13 +788,12 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
     pop_call, pop_ret = [None] * n, [None] * n
     rank: dict[int, int] = {}
     unmatched = set()
-    for op in pops:
-        v = op.event.value
+    for v, call, ret in pops:
         j = rank.get(v, 0)
         rank[v] = j + 1
         mine = rows.get(v, ())
         if j < len(mine):
-            pop_call[mine[j]], pop_ret[mine[j]] = op.call, op.ret
+            pop_call[mine[j]], pop_ret[mine[j]] = call, ret
         else:
             unmatched.add(v)
     if unmatched:

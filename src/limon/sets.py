@@ -92,11 +92,11 @@ def normalize_failing_ops(h: History) -> History:
         raise HistoryError("failing-operation normalization applies to sets")
     ops = []
     for op in h.ops:
-        ev = op.event
-        if ev.kind == ADD and ev.outcome is False:
-            ops.append(Operation(op.id, Event(CONTAINS, ev.value, True), op.call, op.ret))
-        elif ev.kind == REMOVE and ev.outcome is False:
-            ops.append(Operation(op.id, Event(CONTAINS, ev.value, False), op.call, op.ret))
+        kind, value, outcome = op.event
+        if kind == ADD and outcome is False:
+            ops.append(Operation(op.id, Event(CONTAINS, value, True), op.call, op.ret))
+        elif kind == REMOVE and outcome is False:
+            ops.append(Operation(op.id, Event(CONTAINS, value, False), op.call, op.ret))
         else:
             ops.append(op)
     return History(h.adt, tuple(ops))
@@ -156,57 +156,57 @@ def set_linearizable_events(events: Iterable[StreamEvent],
     """Run the online set checker over an ordered event stream."""
     states: dict[int, SetValueState] = {}
     for ts, is_call, op in events:
-        ev = op.event
-        if ev.kind not in (ADD, REMOVE, CONTAINS):
-            raise HistoryError(f"event kind {ev.kind!r} illegal for sets")
+        kind, value, outcome = op.event
+        if kind not in (ADD, REMOVE, CONTAINS):
+            raise HistoryError(f"event kind {kind!r} illegal for sets")
         if counter is not None:
             counter.add(1)
-        st = states.get(ev.value)
+        st = states.get(value)
         if st is None:
-            st = states[ev.value] = SetValueState()
+            st = states[value] = SetValueState()
         if is_call:
-            if ev.kind == ADD:
+            if kind == ADD:
                 st.adds.active += 1
-            elif ev.kind == REMOVE:
+            elif kind == REMOVE:
                 st.removes.active += 1
             else:
                 # Queries whose answer already matches the state linearize
                 # at the call; with the answer unknown (live stream) the
                 # query is parked and resolved at its return.
-                if ev.outcome is None or ev.outcome is not st.state:
-                    st.pending[op.id] = ev.outcome
+                if outcome is None or outcome is not st.state:
+                    st.pending[op.id] = outcome
                     if counter is not None:
                         counter.add(1)
         else:
-            if ev.kind == ADD:
-                if ev.outcome is False:
+            if kind == ADD:
+                if outcome is False:
                     raise HistoryError("failing add reached the set checker; "
                                        "normalize_failing_ops first")
                 if not st.adds.claim(op.call):
                     if not ensure_state(st, False, ts):
-                        return _fail(ev.value, ts, "ensure-state-failure")
+                        return _fail(value, ts, "ensure-state-failure")
                     _assign_state(st, True)
                 st.adds.active -= 1
-            elif ev.kind == REMOVE:
-                if ev.outcome is False:
+            elif kind == REMOVE:
+                if outcome is False:
                     raise HistoryError("failing remove reached the set checker; "
                                        "normalize_failing_ops first")
                 if not st.removes.claim(op.call):
                     if not ensure_state(st, True, ts):
-                        return _fail(ev.value, ts, "ensure-state-failure")
+                        return _fail(value, ts, "ensure-state-failure")
                     _assign_state(st, False)
                 st.removes.active -= 1
             else:
                 if op.id in st.pending:
-                    if ev.outcome is None:
+                    if outcome is None:
                         raise HistoryError(f"contains id {op.id} returned no answer")
-                    if not ensure_state(st, ev.outcome, ts):
-                        return _fail(ev.value, ts, "ensure-state-failure")
+                    if not ensure_state(st, outcome, ts):
+                        return _fail(value, ts, "ensure-state-failure")
                     st.pending.pop(op.id, None)
                     if counter is not None:
                         counter.add(1)
         if observer is not None:
-            observer(ts, ev.value, st)
+            observer(ts, value, st)
     return Verdict(True)
 
 
@@ -215,22 +215,22 @@ def multiset_linearizable_events(events: Iterable[StreamEvent],
     """Run the online multiset checker over an ordered event stream."""
     counts: dict[int, list[int]] = {}
     for ts, is_call, op in events:
-        ev = op.event
-        if ev.kind not in (ADD, REMOVE):
-            raise HistoryError(f"event kind {ev.kind!r} illegal for multisets")
-        if ev.outcome is False:
+        kind, value, outcome = op.event
+        if kind not in (ADD, REMOVE):
+            raise HistoryError(f"event kind {kind!r} illegal for multisets")
+        if outcome is False:
             raise HistoryError("failing operations are not defined for multisets")
         if counter is not None:
             counter.add(1)
-        c = counts.get(ev.value)
+        c = counts.get(value)
         if c is None:
-            c = counts[ev.value] = [0, 0]
-        if ev.kind == ADD and is_call:
+            c = counts[value] = [0, 0]
+        if kind == ADD and is_call:
             c[0] += 1
-        elif ev.kind == REMOVE and not is_call:
+        elif kind == REMOVE and not is_call:
             c[1] += 1
             if c[1] > c[0]:
-                return Verdict(False, {"kind": "set-violation", "value": ev.value,
+                return Verdict(False, {"kind": "set-violation", "value": value,
                                        "timestamp": ts, "reason": "count-violation"})
     return Verdict(True)
 

@@ -1,11 +1,24 @@
+import gc
+import io
 import json
 import random
 import re
 
 import pytest
 
-from limon import ADTS, gen_random, parse_history, serialize_history
+from limon import (
+    ADTS,
+    GenConfig,
+    check_history,
+    gen_linearizable,
+    gen_random,
+    gen_small_model_family,
+    parse_history,
+    serialize_history,
+)
 from limon.cli import main
+
+from helpers import nested_stack
 
 H1 = "adt stack\npush 0 0 2\npush 1 1 3\npop 1 4 6\npop 0 5 7\n"
 
@@ -124,6 +137,66 @@ class TestStream:
         text = "adt multiset\nret 3 2 ok\n"
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["check", "-", "--stream"]) == 2
+
+    def test_stream_accepts_symbolic_values_as_files_do(self, tmp_path, monkeypatch):
+        text = ("adt set\n"
+                "call 0 add x 1\nret 0 2 ok\n"
+                "call 1 contains x 3\nret 1 4 true\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["check", "-", "--stream"]) == 0
+        assert main(["check", write(tmp_path, "x.txt", text)]) == 0
+
+    def test_stream_symbol_is_not_a_literal(self, capsys, monkeypatch):
+        # x is never added, so no literal may stand for it.
+        text = ("adt set\n"
+                "call 0 add 6 1\nret 0 2 ok\n"
+                "call 1 contains x 3\nret 1 4 true\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["check", "-", "--stream", "--verbose"]) == 1
+        assert json.loads(capsys.readouterr().out)["witness"]["value"] == "x"
+
+    def test_stream_unreturned_call_names_its_line(self, capsys, monkeypatch):
+        text = "adt set\ncall 0 add 1 1\ncall 1 add 2 2\nret 0 3 ok\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["check", "-", "--stream"]) == 2
+        assert capsys.readouterr().err == "limon: stream ended with 1 unreturned calls (line 3)\n"
+
+
+class TestCyclicCollector:
+    """A file check runs with the cyclic collector off and restores its state."""
+
+    @pytest.mark.parametrize("text, code", [
+        (H1, 0),
+        ("adt stack\npush 1 0 1\npush 2 2 3\npop 1 4 5\npop 2 6 7\n", 1),
+        ("adt stack\npush 1 0 5\npush 2 5 7\n", 2),
+    ])
+    def test_state_is_restored(self, tmp_path, text, code):
+        path = write(tmp_path, "h.txt", text)
+        assert gc.isenabled()
+        assert main(["check", path]) == code
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            assert main(["check", path]) == code
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_parse_and_check_leave_no_cyclic_garbage(self):
+        texts = [serialize_history(gen_linearizable(GenConfig(
+            adt=adt, ops=2000, values=250, threads=4, seed=5, stretch=2.0)), fmt)
+            for adt in ADTS for fmt in ("ops", "events")]
+        texts += [serialize_history(nested_stack(500)),
+                  serialize_history(gen_small_model_family(200))]
+        gc.collect()
+        gc.disable()
+        try:
+            verdicts = [check_history(parse_history(text)).linearizable for text in texts]
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert verdicts == [True] * (len(texts) - 1) + [False]
+        assert garbage == 0
 
 
 class TestExitCodeContract:

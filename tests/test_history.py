@@ -353,3 +353,83 @@ class TestRoundTrip:
         h = parse_history("adt queue\nenq 1 0 1\ndeq 1 2 3\n")
         text = serialize_history(h)
         assert "enq 1 0 1" in text and "deq 1 2 3" in text
+
+    @pytest.mark.parametrize("fmt", ["ops", "events"])
+    @pytest.mark.parametrize("adt", ["stack", "queue", "set", "multiset"])
+    def test_round_trip_differential(self, adt, fmt):
+        # 2 formats x 4 adts x 2 generators x 130 seeds = 2,080 histories.
+        for seed in range(130):
+            cfg = GenConfig(adt=adt, ops=2 + seed % 30, values=1 + seed % 9,
+                            threads=1 + seed % 4, seed=90_000 + seed,
+                            stretch=1.0 + seed % 3)
+            for h in (gen_random(adt, 1 + seed % 20, 80_000 + seed, values=1 + seed % 5),
+                      gen_linearizable(cfg)):
+                back = parse_history(serialize_history(h, fmt), fmt)
+                assert back == h, (adt, fmt, seed)
+                assert all(type(op.event.value) in (int, type(None)) for op in back.ops)
+
+
+def parse_error(text: str, fmt: str = "auto") -> ParseError:
+    with pytest.raises(ParseError) as info:
+        parse_history(text, fmt)
+    return info.value
+
+
+class TestParseEdgeCases:
+    # '²' passes str.isdigit but int() rejects it; int('٥') is 5.
+    @pytest.mark.parametrize("digit", ["²", "٥"])
+    @pytest.mark.parametrize("template, line", [
+        ("adt stack\npush 1 {} 3\n", 2),
+        ("adt set\ncall 0 add 1 {}\nret 0 9 ok\n", 2),
+        ("adt set\ncall 0 add 1 0\nret 0 {} ok\n", 3),
+    ])
+    def test_non_ascii_digit_timestamps_name_their_line(self, digit, template, line):
+        err = parse_error(template.format(digit))
+        assert str(err) == f"bad timestamp {digit!r} (line {line})"
+
+    def test_underscore_timestamp_rejected(self):
+        # int('1_0') is 10.
+        assert "bad timestamp '1_0'" in str(parse_error("adt stack\npush 1 1_0 20\n"))
+
+    def test_timestamp_signs(self):
+        assert parse_history("adt stack\npush 1 +5 7\n").ops[0].call == 5
+        err = parse_error("adt stack\npush 1 -5 7\n")
+        assert str(err) == "negative timestamp '-5' (line 2)"
+
+    @pytest.mark.parametrize("fmt", ["ops", "events"])
+    def test_signed_values(self, fmt):
+        h = parse_history(serialize_history(History("stack", (
+            Operation(0, Event("push", -3), 0, 1), Operation(1, Event("pop", -3), 2, 3))), fmt))
+        assert [op.event.value for op in h.ops] == [-3, -3]
+        h = parse_history("adt stack\npush +4 0 1\npop 4 2 3\n")
+        assert [op.event.value for op in h.ops] == [4, 4]
+
+    def test_symbols_follow_the_largest_literal_in_first_seen_order(self):
+        h = parse_history("adt stack\npush b 0 1\npush 7 2 3\npush a 4 5\n"
+                          "pop b 6 7\npush -2 8 9\n")
+        assert [op.event.value for op in h.ops] == [8, 7, 9, 8, -2]
+        # Event format: a pop's value on its return counts where it is seen.
+        h = parse_history("adt stack\ncall 0 push x 0\nret 0 1\ncall 1 pop 2\n"
+                          "ret 1 3 y\ncall 2 push 5 4\nret 2 5\ncall 3 push y 6\nret 3 7\n")
+        assert [op.event.value for op in h.ops] == [6, 7, 5, 7]
+        # Only negative literals: symbols start at 0.
+        h = parse_history("adt queue\nenq -5 0 1\nenq z 2 3\n")
+        assert [op.event.value for op in h.ops] == [-5, 0]
+
+    def test_comments_crlf_and_blank_lines(self):
+        text = "# top\r\nadt stack\r\n\r\npush 1 0 2 # mid-line\r\n   \r\npop 1 3 4\r\n"
+        h = parse_history(text)
+        assert [(op.event.kind, op.event.value, op.call, op.ret) for op in h.ops] == [
+            ("push", 1, 0, 2), ("pop", 1, 3, 4)]
+        assert parse_error(text + "\r\n# c\r\npop 1 x 9\r\n").line == 9
+
+    @pytest.mark.parametrize("text", [
+        "adt stack\npush 1 0 2\npush 2 2 4\n",
+        "adt stack\ncall 0 push 1 0\nret 0 2\ncall 1 push 2 2\nret 1 4\n",
+    ])
+    def test_duplicate_timestamp_message(self, text):
+        assert str(parse_error(text)) == "invalid history: duplicate-timestamp (2)"
+
+    def test_pop_returning_a_result_word_carries_no_value(self):
+        err = parse_error("adt stack\ncall 0 pop 0\nret 0 1 ok\n")
+        assert str(err) == "pop id 0 carries no value (call or ret) (line 3)"
