@@ -7,14 +7,18 @@ for queues (a containment query over I-segments sorted by left end, with
 a running maximum of right ends) and O(n) for sets and multisets, plus the
 supporting machinery: file formats, preprocessing, an exact brute-force
 oracle, corpus generators and an execution recorder.
-"""
 
-from __future__ import annotations
+Importing the package loads the file formats and the four monitors, all
+that `limon check` runs.  The oracle, the generators and the recorder
+(modules `oracle`, `generators`, `impls`) load on first use of one of their
+names, as in `limon.gen_random` or `from limon import sequential_check`.
+"""
 
 from .history import (
     ADTS,
     EMPTY,
     AttributedValue,
+    BoundExceeded,
     Event,
     History,
     HistoryError,
@@ -52,21 +56,33 @@ from .sets import (
     set_linearizable,
     set_linearizable_events,
 )
-from .oracle import (
-    BoundExceeded,
-    brute_force_linearizable,
-    saturation_baseline,
-    sequential_check,
-)
-from .generators import (
-    GenConfig,
-    gen_linearizable,
-    gen_linearizable_with_witness,
-    gen_random,
-    gen_small_model_family,
-    mutate,
-    record_execution,
-)
+
+# Names resolved on first use, by the module that defines them.
+_LAZY_MODULES = {
+    "oracle": ("brute_force_linearizable", "saturation_baseline", "sequential_check"),
+    "generators": ("GenConfig", "gen_linearizable", "gen_linearizable_with_witness",
+                   "gen_random", "gen_small_model_family", "mutate", "record_execution"),
+    "impls": (),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in (module, *names)}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 _MONITORS = {
     "stack": stack_linearizable,
@@ -79,3 +95,6 @@ _MONITORS = {
 def check_history(h: History, *, counter: WorkCounter | None = None) -> Verdict:
     """Run the monitor matching the history's data type."""
     return _MONITORS[h.adt](h, counter=counter)
+
+
+__all__ = sorted([name for name in globals() if not name.startswith("_")] + list(_LAZY))

@@ -8,28 +8,22 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
+import io
 import sys
 import time
 
 from . import check_history
-from .generators import (
-    GenConfig,
-    gen_linearizable,
-    gen_random,
-    gen_small_model_family,
-    record_execution,
-)
 from .history import (
     ADTS,
+    BoundExceeded,
     HistoryError,
     ParseError,
     WorkCounter,
+    not_utf8,
     parse_event_stream,
     parse_history,
     serialize_history,
 )
-from .oracle import BoundExceeded, brute_force_linearizable, saturation_baseline
 from .sets import multiset_linearizable_events, set_linearizable_events
 
 EXIT_LINEARIZABLE = 0
@@ -38,10 +32,15 @@ EXIT_MALFORMED = 2
 EXIT_INTERNAL = 3
 
 
-def _read_input(path: str) -> str:
+def _open_input(path: str):
+    """The file at path, or standard input for -, decoded as strict UTF-8."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+    return open(path, encoding="utf-8")
+
+
+def _read_input(path: str) -> str:
+    with _open_input(path) as fh:
         return fh.read()
 
 
@@ -55,6 +54,7 @@ def _write_output(path: str | None, text: str) -> None:
 
 def _emit_verdict(verdict, verbose: bool) -> int:
     if verbose:
+        import json
         witness = verdict.witness
         print(json.dumps({"linearizable": verdict.linearizable, "witness": witness}))
     else:
@@ -64,11 +64,12 @@ def _emit_verdict(verdict, verbose: bool) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.stream:
-        adt, events = parse_event_stream(sys.stdin, args.adt)
-        if adt not in ("set", "multiset"):
-            raise ParseError("streaming mode monitors set/multiset event streams")
-        runner = set_linearizable_events if adt == "set" else multiset_linearizable_events
-        return _emit_verdict(runner(events), args.verbose)
+        with _open_input(args.file) as fh:
+            adt, events = parse_event_stream(fh, args.adt)
+            if adt not in ("set", "multiset"):
+                raise ParseError("streaming mode monitors set/multiset event streams")
+            runner = set_linearizable_events if adt == "set" else multiset_linearizable_events
+            return _emit_verdict(runner(events), args.verbose)
     text = _read_input(args.file)
     # Parsing and checking build no reference cycles, so the cyclic
     # collector would only rescan the records they keep alive.  A stream
@@ -84,6 +85,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import brute_force_linearizable, saturation_baseline
     text = _read_input(args.file)
     h = parse_history(text, fmt=args.format, adt_override=args.adt)
     if args.saturation:
@@ -96,6 +98,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import GenConfig, gen_linearizable, gen_random, gen_small_model_family
     if args.kind == "small-model":
         h = gen_small_model_family(args.n)
     elif args.kind == "random":
@@ -109,6 +112,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
+    from .generators import GenConfig, record_execution
     impl = "buggy-stack" if args.bug else args.impl
     cfg = GenConfig(ops=args.ops, threads=args.threads, seed=args.seed, bug=args.bug)
     h = record_execution(impl, cfg)
@@ -122,6 +126,7 @@ def run_bench(adt: str, sizes: list[int], seed: int, threads: int) -> list[dict]
     Slowdowns are normalized against the smallest instance, mirroring the
     per-thread-count normalization used in scalability plots.
     """
+    from .generators import GenConfig, gen_linearizable
     rows = []
     base_wall = None
     for n in sizes:
@@ -153,6 +158,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_LINEARIZABLE
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than least."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="limon",
@@ -166,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--verbose", action="store_true",
                          help="print the verdict and witness as one JSON object")
     p_check.add_argument("--stream", action="store_true",
-                         help="read set/multiset events from stdin incrementally")
+                         help="read set/multiset events incrementally")
     p_check.set_defaults(func=cmd_check)
 
     p_oracle = sub.add_parser("oracle", help="exact brute-force ground truth (small inputs)")
@@ -184,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--adt", default="stack", choices=ADTS)
     p_gen.add_argument("--kind", default="linearizable",
                        choices=("linearizable", "random", "small-model"))
-    p_gen.add_argument("--ops", type=int, default=100)
-    p_gen.add_argument("--values", type=int, default=8)
-    p_gen.add_argument("--threads", type=int, default=4)
+    p_gen.add_argument("--ops", type=_at_least(0), default=100)
+    p_gen.add_argument("--values", type=_at_least(1), default=8)
+    p_gen.add_argument("--threads", type=_at_least(1), default=4)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--stretch", type=float, default=1.0)
     p_gen.add_argument("--n", type=int, default=5, help="family size for --kind small-model")
@@ -198,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--impl", default="treiber-stack",
                        choices=("coarse-stack", "treiber-stack", "buggy-stack",
                                 "coarse-queue", "ms-queue"))
-    p_rec.add_argument("--threads", type=int, default=8)
-    p_rec.add_argument("--ops", type=int, default=1000)
+    p_rec.add_argument("--threads", type=_at_least(1), default=8)
+    p_rec.add_argument("--ops", type=_at_least(0), default=1000)
     p_rec.add_argument("--seed", type=int, default=0)
     p_rec.add_argument("--bug", action="store_true",
                        help="shorthand for the buggy time-window stack")
@@ -209,11 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="work-count and wall-time ladder as CSV")
     p_bench.add_argument("--adt", default="stack", choices=ADTS)
-    p_bench.add_argument("--min-n", type=int, default=100)
+    p_bench.add_argument("--min-n", type=_at_least(0), default=100)
     p_bench.add_argument("--max-n", type=int, default=5000)
-    p_bench.add_argument("--step", type=int, default=100)
+    p_bench.add_argument("--step", type=_at_least(1), default=100)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--threads", type=int, default=8,
+    p_bench.add_argument("--threads", type=_at_least(1), default=8,
                          help="generator overlap width, recorded in the CSV")
     p_bench.add_argument("--out", default="-")
     p_bench.set_defaults(func=cmd_bench)
@@ -224,9 +240,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"limon: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
     except BoundExceeded as exc:
         print(f"limon: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -234,8 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"limon: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except UnicodeDecodeError as exc:
-        line = exc.object[:exc.start].count(b"\n") + 1
-        print(f"limon: input is not UTF-8 (line {line})", file=sys.stderr)
+        print(f"limon: {not_utf8(exc, 0)}", file=sys.stderr)
         return EXIT_MALFORMED
     except OSError as exc:
         print(f"limon: {exc}", file=sys.stderr)

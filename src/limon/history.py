@@ -10,10 +10,9 @@ which `value_table` performs in one pass; the transforms are its reference.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
 
 ADTS = ("stack", "queue", "set", "multiset")
 
@@ -60,16 +59,51 @@ class ParseError(HistoryError):
         super().__init__(f"{message}{where}")
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class BoundExceeded(HistoryError):
+    """Input too large for the exponential oracle."""
+
+
+class _Record:
+    """Fields are the __slots__; equality and repr go by them, as for a dataclass."""
+
+    __slots__ = ()
+
+    def _field_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A _Record whose fields are set once, by __init__."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Interval(namedtuple("Interval", "left right")):
     """Closed interval [left, right]; zero-length intervals are legal."""
 
-    left: int
-    right: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.left > self.right:
-            raise HistoryError(f"interval [{self.left},{self.right}] has left > right")
+    def __new__(cls, left: int, right: int):
+        if left > right:
+            raise HistoryError(f"interval [{left},{right}] has left > right")
+        return tuple.__new__(cls, (left, right))
 
     def intersects(self, other: Interval) -> bool:
         # Closed endpoints: [a,b] meets [c,d] iff a <= d and c <= b.
@@ -82,41 +116,33 @@ class Interval:
         return (self.left, self.right)
 
 
-class Event(NamedTuple):
-    """An untimed operation payload.
+Event = namedtuple("Event", "kind value outcome", defaults=(None, None))
+Event.__doc__ = """An untimed operation payload.
 
     kind:    push | pop | popempty | add | remove | contains
     value:   the affected value (None for popempty)
     outcome: add/remove success (True=ok), or the contains answer
     """
 
-    kind: str
-    value: int | None = None
-    outcome: bool | None = None
 
-
-class Operation(NamedTuple):
-    id: int
-    event: Event
-    call: int
-    ret: int
+class Operation(namedtuple("Operation", "id event call ret")):
+    __slots__ = ()
 
     @property
     def interval(self) -> Interval:
         return Interval(self.call, self.ret)
 
 
-@dataclass(frozen=True)
-class History:
+class History(_FrozenRecord):
     """An ADT-tagged set of operations, kept sorted by call timestamp."""
 
-    adt: str
-    ops: tuple[Operation, ...]
+    __slots__ = ("adt", "ops")
 
-    def __post_init__(self) -> None:
-        if self.adt not in ADTS:
-            raise HistoryError(f"unknown adt {self.adt!r}")
-        object.__setattr__(self, "ops", tuple(sorted(self.ops, key=attrgetter("call"))))
+    def __init__(self, adt: str, ops: Iterable[Operation]) -> None:
+        if adt not in ADTS:
+            raise HistoryError(f"unknown adt {adt!r}")
+        object.__setattr__(self, "adt", adt)
+        object.__setattr__(self, "ops", tuple(sorted(ops, key=attrgetter("call"))))
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -125,15 +151,11 @@ class History:
         return iter(self.ops)
 
 
-@dataclass(frozen=True, slots=True)
-class AttributedValue:
+class AttributedValue(namedtuple("AttributedValue",
+                                 "value push_call push_ret pop_call pop_ret")):
     """A value together with the four timestamps of its push and pop."""
 
-    value: int
-    push_call: int
-    push_ret: int
-    pop_call: int
-    pop_ret: int
+    __slots__ = ()
 
     @property
     def i_segment(self) -> Interval | None:
@@ -151,21 +173,21 @@ class AttributedValue:
         return Interval(self.push_call, self.pop_ret)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_FrozenRecord):
     """Monitor answer; witness is a JSON-ready diagnostic when unlinearizable."""
 
-    linearizable: bool
-    witness: dict | None = None
+    __slots__ = ("linearizable", "witness")
+
+    def __init__(self, linearizable: bool, witness: dict | None = None) -> None:
+        object.__setattr__(self, "linearizable", linearizable)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.linearizable
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    code: str
-    detail: object = None
+class Violation(namedtuple("Violation", "code detail", defaults=(None,))):
+    __slots__ = ()
 
     @property
     def structural(self) -> bool:
@@ -256,15 +278,25 @@ def _check_kind(adt: str, kind: str, outcome: bool | None, lineno: int | None) -
         raise ParseError("failing operations are not defined for multisets", lineno)
 
 
+def not_utf8(exc: UnicodeDecodeError, lines_read: int) -> ParseError:
+    """The error for a non-UTF-8 byte met after lines_read lines of a stream,
+    which decodes a chunk at a time: the chunk's lines before the byte count."""
+    return ParseError("input is not UTF-8", lines_read + 1 + exc.object[:exc.start].count(b"\n"))
+
+
 def _read_header(lines: Iterable[str], adt_override: str | None) -> tuple[str, int]:
     """The effective adt, and the line number of the header: the first line
     that is neither blank nor a comment."""
-    for no, raw in enumerate(lines, 1):
-        header = _strip(raw)
-        if header:
-            break
-    else:
-        raise ParseError("empty input: missing adt header")
+    no = 0
+    try:
+        for no, raw in enumerate(lines, 1):
+            header = _strip(raw)
+            if header:
+                break
+        else:
+            raise ParseError("empty input: missing adt header")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(exc, no) from None
     parts = header.split()
     if len(parts) != 2 or parts[0] != "adt" or parts[1] not in ADTS:
         raise ParseError(f"bad header {header!r}; expected 'adt <stack|queue|set|multiset>'", no)
@@ -359,47 +391,51 @@ def _event_records(lines: Iterable[str], first: int,
     None; a return has kind None, and its result token, unless it is a
     result word, read as a value: a pop's value may come with its return.
     """
-    for no, line in enumerate(lines, first):
-        if "#" in line:
-            line = line[:line.find("#")]
-        toks = line.split()
-        if not toks:
-            continue
-        n = len(toks)
-        is_call = toks[0] == "call"
-        if is_call:
-            if n not in (4, 5):
-                raise ParseError("expected: call <id> <kind> [<value>] <ts>", no)
-        elif toks[0] != "ret":
-            raise ParseError(f"expected call/ret record, got {toks[0]!r}", no)
-        elif n not in (3, 4):
-            raise ParseError("expected: ret <id> <ts> [<result>]", no)
-        op_id = toks[1]
-        op_id = int(op_id) if op_id.isdigit() and op_id.isascii() else _parse_int(
-            op_id, "operation id", no)
-        if is_call:
-            kind = _KIND_ALIASES.get(toks[2])
-            if kind is None:
-                raise ParseError(f"unknown event kind {toks[2]!r}", no)
-            value = None
-            if n == 5:
-                value = toks[3]
-                value = int(value) if value.isdigit() and value.isascii() else _value(value, symbols)
-            elif kind != POP and kind != POP_EMPTY:
-                raise ParseError(f"{kind} call needs a value", no)
-            ts = toks[-1]
-            ts = int(ts) if ts.isdigit() and ts.isascii() else _parse_ts(ts, no)
-            yield no, op_id, kind, value, ts, None
-        else:
-            ts = toks[2]
-            ts = int(ts) if ts.isdigit() and ts.isascii() else _parse_ts(ts, no)
-            result = value = None
-            if n == 4:
-                result = toks[3]
-                if result not in _RESULT_WORDS:
-                    value = int(result) if result.isdigit() and result.isascii() else _value(
-                        result, symbols)
-            yield no, op_id, None, value, ts, result
+    no = first - 1
+    try:
+        for no, line in enumerate(lines, first):
+            if "#" in line:
+                line = line[:line.find("#")]
+            toks = line.split()
+            if not toks:
+                continue
+            n = len(toks)
+            is_call = toks[0] == "call"
+            if is_call:
+                if n not in (4, 5):
+                    raise ParseError("expected: call <id> <kind> [<value>] <ts>", no)
+            elif toks[0] != "ret":
+                raise ParseError(f"expected call/ret record, got {toks[0]!r}", no)
+            elif n not in (3, 4):
+                raise ParseError("expected: ret <id> <ts> [<result>]", no)
+            op_id = toks[1]
+            op_id = int(op_id) if op_id.isdigit() and op_id.isascii() else _parse_int(
+                op_id, "operation id", no)
+            if is_call:
+                kind = _KIND_ALIASES.get(toks[2])
+                if kind is None:
+                    raise ParseError(f"unknown event kind {toks[2]!r}", no)
+                value = None
+                if n == 5:
+                    value = toks[3]
+                    value = int(value) if value.isdigit() and value.isascii() else _value(value, symbols)
+                elif kind != POP and kind != POP_EMPTY:
+                    raise ParseError(f"{kind} call needs a value", no)
+                ts = toks[-1]
+                ts = int(ts) if ts.isdigit() and ts.isascii() else _parse_ts(ts, no)
+                yield no, op_id, kind, value, ts, None
+            else:
+                ts = toks[2]
+                ts = int(ts) if ts.isdigit() and ts.isascii() else _parse_ts(ts, no)
+                result = value = None
+                if n == 4:
+                    result = toks[3]
+                    if result not in _RESULT_WORDS:
+                        value = int(result) if result.isdigit() and result.isascii() else _value(
+                            result, symbols)
+                yield no, op_id, None, value, ts, result
+    except UnicodeDecodeError as exc:
+        raise not_utf8(exc, no) from None
 
 
 def _event_op(adt: str, call: tuple, ret: tuple) -> Operation:
@@ -735,22 +771,14 @@ def differentiate(h: History) -> tuple[History, dict[int, int]]:
     return History(h.adt, tuple(new_ops)), fresh_to_orig
 
 
-@dataclass(frozen=True, slots=True)
-class ValueTable:
-    """Per-value columns of a stack or queue history, one row per push.
+ValueTable = namedtuple("ValueTable", "value push_call push_ret pop_call pop_ret pop_empties")
+ValueTable.__doc__ = """Per-value columns of a stack or queue history, one row per push.
 
     Row x is the x-th push in call order, which differentiate names
     _FRESH_BASE + x, with its rank-paired pop or the pop complete_history
     appends for it; `value` holds the original values.  `pop_empties`
     lists the (call, return) pairs of pop-empty operations in call order.
     """
-
-    value: list[int]
-    push_call: list[int]
-    push_ret: list[int]
-    pop_call: list[int]
-    pop_ret: list[int]
-    pop_empties: list[tuple[int, int]]
 
 
 def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | Verdict:

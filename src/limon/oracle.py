@@ -12,7 +12,7 @@ and never used as an oracle.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from collections.abc import Sequence
 
 from .history import (
     ADD,
@@ -21,6 +21,7 @@ from .history import (
     POP_EMPTY,
     PUSH,
     REMOVE,
+    BoundExceeded,  # defined with the other errors, so the CLI need not load this module
     Event,
     History,
     HistoryError,
@@ -28,10 +29,6 @@ from .history import (
     complete_history,
     differentiate,
 )
-
-
-class BoundExceeded(HistoryError):
-    """Input too large for the exponential oracle."""
 
 
 _ILLEGAL = object()

@@ -19,8 +19,7 @@ answer.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
 from .history import (
     ADD,
@@ -32,6 +31,7 @@ from .history import (
     Operation,
     Verdict,
     WorkCounter,
+    _Record,
 )
 
 # A stream element: (timestamp, is_call, operation).  At call time the
@@ -40,13 +40,15 @@ from .history import (
 StreamEvent = tuple[int, bool, Operation]
 
 
-@dataclass
-class _OpCounters:
+class _OpCounters(_Record):
     """Operations of one kind on one value that have been called but have
     not returned, and the times at which some of them were linearized."""
 
-    active: int = 0
-    credits: list[int] = field(default_factory=list)  # ascending
+    __slots__ = ("active", "credits")
+
+    def __init__(self) -> None:
+        self.active = 0
+        self.credits: list[int] = []  # ascending
 
     @property
     def linearized(self) -> int:
@@ -62,14 +64,16 @@ class _OpCounters:
         return True
 
 
-@dataclass
-class SetValueState:
+class SetValueState(_Record):
     """Per-value checker state: add/remove credits, pending queries, state."""
 
-    adds: _OpCounters = field(default_factory=_OpCounters)
-    removes: _OpCounters = field(default_factory=_OpCounters)
-    pending: dict[int, bool | None] = field(default_factory=dict)
-    state: bool | None = None  # None is the unknown initial state
+    __slots__ = ("adds", "removes", "pending", "state")
+
+    def __init__(self) -> None:
+        self.adds = _OpCounters()
+        self.removes = _OpCounters()
+        self.pending: dict[int, bool | None] = {}
+        self.state: bool | None = None  # None is the unknown initial state
 
 
 def history_events(h: History) -> list[StreamEvent]:

@@ -19,8 +19,8 @@ case quadratic, through chains of splits only.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from itertools import islice
-from typing import Callable, Iterable
 
 from .history import (
     _FRESH_BASE,

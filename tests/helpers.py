@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import permutations
+from pathlib import Path
 
 from limon import AttributedValue, Event, History, Interval, Operation, Verdict
 from limon.history import _FRESH_BASE, POP, POP_EMPTY, PUSH
 from limon.oracle import sequential_check
 from limon.stacks import _prepare
+
+
+def limon_env(**overrides: str) -> dict:
+    """The environment for a child interpreter that imports limon from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def value_history(adt: str, rows) -> History:

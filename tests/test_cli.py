@@ -3,6 +3,8 @@ import io
 import json
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -18,9 +20,18 @@ from limon import (
 )
 from limon.cli import main
 
-from helpers import nested_stack
+from helpers import limon_env, nested_stack
 
 H1 = "adt stack\npush 0 0 2\npush 1 1 3\npop 1 4 6\npop 0 5 7\n"
+
+
+def feed_stdin(monkeypatch, data):
+    """Give the CLI a standard input holding data (bytes, or text as UTF-8),
+    decoded as the C locale decodes the interpreter's own stdin."""
+    if isinstance(data, str):
+        data = data.encode()
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
 
 
 def write(tmp_path, name, text):
@@ -111,38 +122,34 @@ class TestBench:
 
 class TestStream:
     def test_set_stream(self, capsys, monkeypatch):
-        import io
         text = ("adt set\n"
                 "call 0 add 5 1\nret 0 2 ok\n"
                 "call 1 contains 5 3\nret 1 4 true\n")
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, text)
         assert main(["check", "-", "--stream"]) == 0
 
     def test_multiset_stream_violation(self, capsys, monkeypatch):
-        import io
         text = "adt multiset\ncall 0 remove 5 1\nret 0 2 ok\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, text)
         assert main(["check", "-", "--stream", "--verbose"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["witness"]["reason"] == "count-violation"
 
     def test_stream_rejects_failing_ops(self, monkeypatch):
-        import io
         text = "adt set\ncall 0 add 5 1\nret 0 2 fail\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, text)
         assert main(["check", "-", "--stream"]) == 2
 
     def test_stream_return_without_call(self, monkeypatch):
-        import io
         text = "adt multiset\nret 3 2 ok\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, text)
         assert main(["check", "-", "--stream"]) == 2
 
     def test_stream_accepts_symbolic_values_as_files_do(self, tmp_path, monkeypatch):
         text = ("adt set\n"
                 "call 0 add x 1\nret 0 2 ok\n"
                 "call 1 contains x 3\nret 1 4 true\n")
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, text)
         assert main(["check", "-", "--stream"]) == 0
         assert main(["check", write(tmp_path, "x.txt", text)]) == 0
 
@@ -151,15 +158,29 @@ class TestStream:
         text = ("adt set\n"
                 "call 0 add 6 1\nret 0 2 ok\n"
                 "call 1 contains x 3\nret 1 4 true\n")
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, text)
         assert main(["check", "-", "--stream", "--verbose"]) == 1
         assert json.loads(capsys.readouterr().out)["witness"]["value"] == "x"
 
     def test_stream_unreturned_call_names_its_line(self, capsys, monkeypatch):
         text = "adt set\ncall 0 add 1 1\ncall 1 add 2 2\nret 0 3 ok\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, text)
         assert main(["check", "-", "--stream"]) == 2
         assert capsys.readouterr().err == "limon: stream ended with 1 unreturned calls (line 3)\n"
+
+    def test_stream_reads_its_file_not_stdin(self, tmp_path, capsys, monkeypatch):
+        # The file's own verdict: 5 is never added, so contains(5) cannot be true.
+        path = write(tmp_path, "s.txt", "adt set\ncall 0 contains 5 1\nret 0 2 true\n")
+        feed_stdin(monkeypatch, "adt set\ncall 0 add 5 1\nret 0 2 ok\n")
+        assert main(["check", path, "--stream"]) == 1
+        assert capsys.readouterr().out == "unlinearizable\n"
+
+    def test_stream_missing_file_is_an_error(self, tmp_path, capsys, monkeypatch):
+        feed_stdin(monkeypatch, "adt set\ncall 0 add 5 1\nret 0 2 ok\n")
+        missing = str(tmp_path / "missing.txt")
+        assert main(["check", missing, "--stream"]) == main(["check", missing]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("missing.txt") == 2
 
 
 class TestCyclicCollector:
@@ -215,17 +236,15 @@ class TestExitCodeContract:
         assert h.ops[0].event.value != h.ops[1].event.value
 
     def test_stream_bad_integer_exit_2(self, capsys, monkeypatch):
-        import io
         for record in ("call x add 1 0", "call 0 add y 0", "call 0 add ² 0",
                        "call 0 add 1 0\nret ² 1 ok"):
-            monkeypatch.setattr("sys.stdin", io.StringIO(f"adt set\n{record}\n"))
+            feed_stdin(monkeypatch, f"adt set\n{record}\n")
             assert main(["check", "-", "--stream"]) == 2, record
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "(line " in err, record
 
     def test_stream_line_numbers_count_the_header(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr("sys.stdin", io.StringIO("adt set\ncall x add 1 0\n"))
+        feed_stdin(monkeypatch, "adt set\ncall x add 1 0\n")
         assert main(["check", "-", "--stream"]) == 2
         assert "(line 2)" in capsys.readouterr().err
 
@@ -236,6 +255,23 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert err == "limon: input is not UTF-8 (line 2)\n"
 
+    @pytest.mark.parametrize("stream", [[], ["--stream"]])
+    def test_stdin_non_utf8_exit_2(self, stream):
+        proc = subprocess.run([sys.executable, "-m", "limon.cli", "check", "-", *stream],
+                              input=b"adt set\ncall 0 add \xff 1\nret 0 2 ok\n",
+                              env=limon_env(LC_ALL="C"), capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stderr == b"limon: input is not UTF-8 (line 2)\n"
+
+    def test_stream_non_utf8_line_past_the_first_chunk(self, capsys, monkeypatch):
+        records = [f"call {i} add {i} {2 * i + 1}\nret {i} {2 * i + 2} ok\n"
+                   for i in range(5000)]
+        data = b"adt set\n" + "".join(records).encode() + b"call 5000 add \xff 10001\n"
+        assert data.count(b"\n") == 10002
+        feed_stdin(monkeypatch, data)
+        assert main(["check", "-", "--stream"]) == 2
+        assert capsys.readouterr().err == "limon: input is not UTF-8 (line 10002)\n"
+
     def test_unexpected_exception_exit_3(self, tmp_path, capsys, monkeypatch):
         def crash(h):
             raise RuntimeError("boom")
@@ -243,6 +279,42 @@ class TestExitCodeContract:
         monkeypatch.setattr("limon.cli.check_history", crash)
         assert main(["check", write(tmp_path, "h.txt", H1)]) == 3
         assert capsys.readouterr().err == "limon: internal error: RuntimeError: boom\n"
+
+    def test_check_looks_up_its_layers_when_it_runs(self, tmp_path, capsys, monkeypatch):
+        import limon.cli
+        calls = []
+
+        def wrap(name):
+            fn = getattr(limon.cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(limon.cli, name, wrapper)
+
+        wrap("parse_history")
+        wrap("check_history")
+        assert main(["check", write(tmp_path, "h.txt", H1)]) == 0
+        assert calls == ["parse_history", "check_history"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--ops", "-1"],
+        ["gen", "--kind", "random", "--adt", "set", "--values", "0"],
+        ["gen", "--threads", "-2"],
+        ["record", "--ops", "-5"],
+        ["record", "--threads", "0"],
+        ["bench", "--step", "0"],
+        ["bench", "--min-n", "-100"],
+        ["bench", "--threads", "-1"],
+        ["gen", "--ops", "many"],
+    ])
+    def test_bad_size_argument_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: limon ") and argv[-2] in captured.err
 
 
 def mutate_bytes(rng: random.Random, data: bytes) -> bytes:

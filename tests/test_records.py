@@ -1,0 +1,214 @@
+"""The record types' value semantics and the package's public names.
+
+The records are compared, printed and hashed by callers and tests alike,
+so equality, repr, immutability and construction checks are pinned here
+independently of how the types are declared.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+import limon
+from limon import (
+    AttributedValue,
+    Event,
+    History,
+    HistoryError,
+    Interval,
+    Operation,
+    SetValueState,
+    Verdict,
+    Violation,
+)
+from limon.history import ValueTable, value_table
+
+from helpers import limon_env
+
+
+def op(i, kind, value, call, ret):
+    return Operation(i, Event(kind, value), call, ret)
+
+
+class TestInterval:
+    def test_value_semantics(self):
+        assert Interval(1, 2) == Interval(1, 2)
+        assert Interval(1, 2) != Interval(1, 3)
+        assert hash(Interval(1, 2)) == hash(Interval(1, 2))
+        assert repr(Interval(1, 2)) == "Interval(left=1, right=2)"
+
+    def test_is_immutable(self):
+        iv = Interval(1, 2)
+        with pytest.raises(AttributeError):
+            iv.left = 0
+
+    def test_rejects_left_after_right(self):
+        with pytest.raises(HistoryError, match=r"\[3,1\]"):
+            Interval(3, 1)
+        assert Interval(2, 2).as_pair() == (2, 2)
+
+    def test_predicates(self):
+        assert Interval(0, 2).intersects(Interval(2, 5))
+        assert not Interval(0, 2).intersects(Interval(3, 5))
+        assert Interval(0, 5).contains(Interval(1, 5))
+        assert not Interval(1, 5).contains(Interval(0, 5))
+
+
+class TestValueRecords:
+    def test_attributed_value(self):
+        av = AttributedValue(7, 0, 2, 4, 6)
+        assert av == AttributedValue(7, 0, 2, 4, 6)
+        assert av != AttributedValue(7, 0, 2, 4, 5)
+        assert repr(av) == ("AttributedValue(value=7, push_call=0, push_ret=2, "
+                            "pop_call=4, pop_ret=6)")
+        assert av.i_segment == Interval(2, 4) and av.t_segment == Interval(0, 6)
+        assert AttributedValue(7, 0, 5, 4, 6).i_segment is None
+        with pytest.raises(AttributeError):
+            av.value = 8
+
+    def test_violation(self):
+        assert Violation("unmatched-pop") == Violation("unmatched-pop", None)
+        assert repr(Violation("duplicate-timestamp", 4)) == (
+            "Violation(code='duplicate-timestamp', detail=4)")
+        assert Violation("duplicate-timestamp", 4).structural
+        assert not Violation("unmatched-pop", 4).structural
+        with pytest.raises(AttributeError):
+            Violation("x").code = "y"
+
+    def test_event_and_operation(self):
+        assert Event("push", 1) == Event("push", 1, None)
+        assert repr(Event("popempty")) == "Event(kind='popempty', value=None, outcome=None)"
+        o = op(0, "push", 1, 2, 5)
+        assert repr(o) == ("Operation(id=0, event=Event(kind='push', value=1, outcome=None), "
+                           "call=2, ret=5)")
+        assert o.interval == Interval(2, 5)
+        with pytest.raises(AttributeError):
+            o.call = 3
+
+    def test_value_table(self):
+        t = value_table(History("stack", (op(0, "push", 5, 0, 1), op(1, "pop", 5, 2, 3))))
+        assert t == ValueTable([5], [0], [1], [2], [3], [])
+        assert repr(t) == ("ValueTable(value=[5], push_call=[0], push_ret=[1], "
+                           "pop_call=[2], pop_ret=[3], pop_empties=[])")
+        with pytest.raises(AttributeError):
+            t.value = []
+
+
+class TestHistory:
+    def test_sorts_by_call(self):
+        a, b = op(0, "push", 1, 5, 6), op(1, "push", 2, 0, 1)
+        h = History("stack", [a, b])
+        assert h.ops == (b, a)
+        assert len(h) == 2 and list(h) == [b, a]
+
+    def test_validates_adt(self):
+        with pytest.raises(HistoryError, match="unknown adt 'deque'"):
+            History("deque", ())
+
+    def test_value_semantics(self):
+        a, b = op(0, "push", 1, 5, 6), op(1, "push", 2, 0, 1)
+        assert History("stack", (a, b)) == History("stack", (b, a))
+        assert History("stack", (a,)) != History("queue", (a,))
+        assert hash(History("stack", (a, b))) == hash(History("stack", (b, a)))
+        assert repr(History("queue", (a,))) == f"History(adt='queue', ops=({a!r},))"
+
+    def test_is_immutable(self):
+        h = History("stack", ())
+        with pytest.raises(AttributeError):
+            h.adt = "queue"
+        with pytest.raises(AttributeError):
+            h.ops = ()
+
+
+class TestVerdict:
+    def test_truth_is_the_answer(self):
+        assert bool(Verdict(True)) is True
+        assert bool(Verdict(False, {"kind": "x"})) is False
+
+    def test_value_semantics(self):
+        assert Verdict(True) == Verdict(True, None)
+        assert Verdict(False, {"kind": "x"}) == Verdict(False, {"kind": "x"})
+        assert Verdict(False) != Verdict(False, {"kind": "x"})
+        assert Verdict(True) != Verdict(False)
+        assert repr(Verdict(False, {"kind": "x"})) == (
+            "Verdict(linearizable=False, witness={'kind': 'x'})")
+
+    def test_is_immutable(self):
+        v = Verdict(True)
+        with pytest.raises(AttributeError):
+            v.linearizable = False
+
+
+class TestSetValueState:
+    def test_is_a_mutable_record(self):
+        st = SetValueState()
+        assert st == SetValueState()
+        st.adds.active += 1
+        st.state = True
+        assert st != SetValueState()
+        assert repr(SetValueState()) == (
+            "SetValueState(adds=_OpCounters(active=0, credits=[]), "
+            "removes=_OpCounters(active=0, credits=[]), pending={}, state=None)")
+
+    def test_fresh_states_share_nothing(self):
+        a, b = SetValueState(), SetValueState()
+        a.adds.credits.append(1)
+        a.pending[0] = True
+        assert b.adds.credits == [] and b.pending == {}
+
+
+# Every public name the package has exported; the oracle, the generators
+# and the recorder resolve on first use.
+EXPORTED = (
+    "ADTS", "AttributedValue", "BoundExceeded", "ContainmentIndex", "EMPTY", "Event",
+    "GenConfig", "History", "HistoryError", "Interval", "Operation", "ParseError",
+    "SetValueState", "Verdict", "Violation", "WorkCounter", "brute_force_linearizable",
+    "check_history", "complete_history", "d_segments", "differentiate", "ensure_state",
+    "extreme_values", "gen_linearizable", "gen_linearizable_with_witness", "gen_random",
+    "gen_small_model_family", "generators", "history", "history_events", "impls",
+    "multiset_linearizable", "multiset_linearizable_events", "mutate",
+    "normalize_failing_ops", "op_to_val", "oracle", "p_segments", "parse_event_stream",
+    "parse_history", "partition", "project", "queue_linearizable", "queues",
+    "record_execution", "remove_overlapping_pairs", "saturation_baseline",
+    "sequential_check", "serialize_history", "set_linearizable", "set_linearizable_events",
+    "sets", "stack_linearizable", "stacks", "validate",
+)
+
+
+class TestPackage:
+    def test_every_exported_name_resolves(self):
+        assert [name for name in EXPORTED if not hasattr(limon, name)] == []
+        assert set(EXPORTED) <= set(dir(limon))
+
+    def test_from_import_resolves(self):
+        from limon import BoundExceeded, GenConfig, brute_force_linearizable, gen_random
+        from limon.oracle import BoundExceeded as oracle_bound
+        assert oracle_bound is BoundExceeded
+        assert issubclass(BoundExceeded, HistoryError)
+        assert GenConfig().adt == "stack"
+        h = gen_random("stack", 6, 1)
+        assert brute_force_linearizable(h).linearizable == limon.check_history(h).linearizable
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            limon.no_such_name
+        assert not hasattr(limon, "no_such_name")
+
+
+# Modules `limon check` never runs.  The oracle, generators and recorder
+# load on first use; dataclasses and inspect come only with them.
+NOT_ON_CHECK_PATH = ("limon.generators", "limon.impls", "limon.oracle", "dataclasses", "inspect")
+
+
+def test_check_path_import_footprint():
+    code = ("import sys; before = set(sys.modules); import limon.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before))); "
+            f"import limon; [getattr(limon, name) for name in {EXPORTED!r}]; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], env=limon_env(), capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    at_import, after_use = (line.split() for line in out)
+    assert "limon.cli" in at_import
+    assert [m for m in NOT_ON_CHECK_PATH if m in at_import] == []
+    assert {"limon.generators", "limon.impls", "limon.oracle"} <= set(after_use)
