@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--verbose", action="store_true",
                          help="print the verdict and witness as one JSON object")
     p_check.add_argument("--stream", action="store_true",
-                         help="read set/multiset events incrementally")
+                         help="read set/multiset events incrementally "
+                              "(events format; --format ops is refused)")
     p_check.set_defaults(func=cmd_check)
 
     p_oracle = sub.add_parser("oracle", help="exact brute-force ground truth (small inputs)")
@@ -237,7 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "check" and args.stream and args.format == "ops":
+        parser.error("check --stream reads the events format, not --format ops")
     try:
         return args.func(args)
     except BoundExceeded as exc:

@@ -133,6 +133,14 @@ class Operation(namedtuple("Operation", "id event call ret")):
         return Interval(self.call, self.ret)
 
 
+# One call or return event of a set or multiset history, the shape that
+# parse_event_stream yields, sets.history_events builds and the set and
+# multiset monitors read: (timestamp, is_call, kind, value, outcome, id, call).
+# `call` is the operation's call timestamp.  A streamed call has outcome
+# None, since its answer comes with its return.
+StreamEvent = tuple[int, bool, str, int | str, bool | None, int, int]
+
+
 class History(_FrozenRecord):
     """An ADT-tagged set of operations, kept sorted by call timestamp."""
 
@@ -316,7 +324,11 @@ def parse_history(text: str | bytes, fmt: str = "auto",
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = text.splitlines()
+    # Lines end at \n, \r\n or \r, as in a stream's universal-newline
+    # reader; str.splitlines would also end them at \x0b, \x1c, \u2028...
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     adt, no = _read_header(lines, adt_override)
     records = lines[no:]
     if fmt == "auto":
@@ -438,8 +450,9 @@ def _event_records(lines: Iterable[str], first: int,
         raise not_utf8(exc, no) from None
 
 
-def _event_op(adt: str, call: tuple, ret: tuple) -> Operation:
-    """The operation of a call record and its return record."""
+def _event_payload(adt: str, call: tuple, ret: tuple) -> tuple:
+    """The (kind, value, outcome) of a call record and its return record,
+    checked against each other and the adt."""
     no, op_id, kind, value, call_ts, _ = call
     rno, _, _, ret_value, ret_ts, result = ret
     outcome = None
@@ -462,7 +475,7 @@ def _event_op(adt: str, call: tuple, ret: tuple) -> Operation:
         _check_kind(adt, kind, outcome, no)
     if call_ts >= ret_ts:
         raise ParseError(f"call {call_ts} not before return {ret_ts} (id {op_id})", rno)
-    return Operation(op_id, Event(kind, value, outcome), call_ts, ret_ts)
+    return kind, value, outcome
 
 
 def _parse_events_format(adt: str, lines: list[str], first: int) -> list[Operation]:
@@ -482,7 +495,10 @@ def _parse_events_format(adt: str, lines: list[str], first: int) -> list[Operati
         side = "return" if which in calls else "call"
         raise ParseError(f"operation id {which} has no matching {side}")
 
-    ops = [_event_op(adt, call, rets[op_id]) for op_id, call in calls.items()]
+    ops = []
+    for op_id, call in calls.items():
+        ret = rets[op_id]
+        ops.append(Operation(op_id, Event._make(_event_payload(adt, call, ret)), call[4], ret[4]))
     if symbols:
         values = [rec[3] for recs in (calls, rets) for rec in recs.values()]
         ops = _number_symbols(ops, symbols, values)
@@ -490,25 +506,27 @@ def _parse_events_format(adt: str, lines: list[str], first: int) -> list[Operati
 
 
 def parse_event_stream(lines: Iterable[str], adt_override: str | None = None
-                       ) -> tuple[str, Iterator[tuple[int, bool, Operation]]]:
+                       ) -> tuple[str, Iterator[StreamEvent]]:
     """Read the header of an event-format stream; give its adt and its events.
 
-    The events are parsed lazily, one (timestamp, is_call, operation) per
-    record, with the file parser's record checks, in a stream whose
-    timestamps must increase.  A call gives its operation with the
-    placeholder return timestamp + 1 and no outcome; its return gives the
-    whole operation.  Failing adds and removes are refused: they need the
-    offline normalization.  Symbolic value tokens stay strings, because a
-    stream cannot know its largest integer literal ahead of time.
+    The events are parsed lazily, one StreamEvent per record, with the file
+    parser's record checks, in a stream whose timestamps must increase and
+    whose operation ids are never reused.  A call carries no outcome and
+    its own timestamp as `call`; its return carries the operation's kind,
+    value and outcome as the file parser reads them.  Failing adds and
+    removes are refused: they need the offline normalization.  Symbolic
+    value tokens stay strings, because a stream cannot know its largest
+    integer literal ahead of time.
     """
     lines = iter(lines)
     adt, no = _read_header(lines, adt_override)
     return adt, _stream_events(adt, lines, no + 1)
 
 
-def _stream_events(adt: str, lines: Iterator[str],
-                   first: int) -> Iterator[tuple[int, bool, Operation]]:
+def _stream_events(adt: str, lines: Iterator[str], first: int) -> Iterator[StreamEvent]:
+    legal = _KINDS_BY_ADT[adt]
     open_calls: dict[int, tuple] = {}
+    seen_ids: set[int] = set()
     last_ts = -1
     for rec in _event_records(lines, first, {}):
         no, op_id, kind, value, ts, _ = rec
@@ -516,20 +534,22 @@ def _stream_events(adt: str, lines: Iterator[str],
             raise ParseError(f"stream timestamps must increase ({ts})", no)
         last_ts = ts
         if kind is not None:
-            if kind not in _KINDS_BY_ADT[adt]:
+            if kind not in legal:
                 _check_kind(adt, kind, None, no)
-            if op_id in open_calls:
+            if op_id in seen_ids:
                 raise ParseError(f"duplicate call for id {op_id}", no)
+            seen_ids.add(op_id)
             open_calls[op_id] = rec
-            yield ts, True, Operation(op_id, Event(kind, value), ts, ts + 1)
+            yield ts, True, kind, value, None, op_id, ts
         else:
             call = open_calls.pop(op_id, None)
             if call is None:
-                raise ParseError(f"return without call for id {op_id}", no)
-            op = _event_op(adt, call, rec)
-            if op.event.kind != CONTAINS and op.event.outcome is False:
+                which = "duplicate return" if op_id in seen_ids else "return without call"
+                raise ParseError(f"{which} for id {op_id}", no)
+            kind, value, outcome = _event_payload(adt, call, rec)
+            if outcome is False and kind != CONTAINS:
                 raise ParseError("failing operations need offline checking (normalization)", no)
-            yield ts, False, op
+            yield ts, False, kind, value, outcome, op_id, call[4]
     if open_calls:
         first_open = next(iter(open_calls.values()))[0]
         raise ParseError(f"stream ended with {len(open_calls)} unreturned calls", first_open)

@@ -1,7 +1,10 @@
 """Set and multiset linearizability monitors.
 
 Both checkers are online: they consume the call/return events of a
-history in timestamp order and decide in a single pass.  For multisets
+history in timestamp order and decide in a single pass.  An event is a
+flat tuple, `history.StreamEvent`: (timestamp, is_call, kind, value,
+outcome, id, call), the shape `parse_event_stream` yields and
+`history_events` builds, so no record is built per event.  For multisets
 (add/remove only) the whole criterion is a per-value count: a prefix in
 which returned removes outnumber called adds is exactly a violation.
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
+from operator import itemgetter
 
 from .history import (
     ADD,
@@ -29,15 +33,11 @@ from .history import (
     History,
     HistoryError,
     Operation,
+    StreamEvent,
     Verdict,
     WorkCounter,
     _Record,
 )
-
-# A stream element: (timestamp, is_call, operation).  At call time the
-# operation's outcome may still be unknown (None) when fed from a live
-# recording; the checkers handle both shapes.
-StreamEvent = tuple[int, bool, Operation]
 
 
 class _OpCounters(_Record):
@@ -77,12 +77,22 @@ class SetValueState(_Record):
 
 
 def history_events(h: History) -> list[StreamEvent]:
-    """Flatten a history into its call/return events in timestamp order."""
+    """Flatten a history into its call/return events in timestamp order.
+
+    Both events of an operation carry its outcome.  In a set history a
+    failing add or remove becomes the membership query it implies, as
+    normalize_failing_ops rewrites it.
+    """
+    is_set = h.adt == "set"
     out: list[StreamEvent] = []
-    for op in h.ops:
-        out.append((op.call, True, op))
-        out.append((op.ret, False, op))
-    out.sort(key=lambda e: e[0])
+    append = out.append
+    for op_id, (kind, value, outcome), call, ret in h.ops:
+        if outcome is False and is_set and (kind == ADD or kind == REMOVE):
+            kind, outcome = CONTAINS, kind == ADD
+        append((call, True, kind, value, outcome, op_id, call))
+        append((ret, False, kind, value, outcome, op_id, call))
+    # By timestamp alone, and stably: values may mix int, str and None.
+    out.sort(key=itemgetter(0))
     return out
 
 
@@ -159,8 +169,7 @@ def set_linearizable_events(events: Iterable[StreamEvent],
                             observer=None) -> Verdict:
     """Run the online set checker over an ordered event stream."""
     states: dict[int, SetValueState] = {}
-    for ts, is_call, op in events:
-        kind, value, outcome = op.event
+    for ts, is_call, kind, value, outcome, op_id, call in events:
         if kind not in (ADD, REMOVE, CONTAINS):
             raise HistoryError(f"event kind {kind!r} illegal for sets")
         if counter is not None:
@@ -178,7 +187,7 @@ def set_linearizable_events(events: Iterable[StreamEvent],
                 # at the call; with the answer unknown (live stream) the
                 # query is parked and resolved at its return.
                 if outcome is None or outcome is not st.state:
-                    st.pending[op.id] = outcome
+                    st.pending[op_id] = outcome
                     if counter is not None:
                         counter.add(1)
         else:
@@ -186,7 +195,7 @@ def set_linearizable_events(events: Iterable[StreamEvent],
                 if outcome is False:
                     raise HistoryError("failing add reached the set checker; "
                                        "normalize_failing_ops first")
-                if not st.adds.claim(op.call):
+                if not st.adds.claim(call):
                     if not ensure_state(st, False, ts):
                         return _fail(value, ts, "ensure-state-failure")
                     _assign_state(st, True)
@@ -195,18 +204,18 @@ def set_linearizable_events(events: Iterable[StreamEvent],
                 if outcome is False:
                     raise HistoryError("failing remove reached the set checker; "
                                        "normalize_failing_ops first")
-                if not st.removes.claim(op.call):
+                if not st.removes.claim(call):
                     if not ensure_state(st, True, ts):
                         return _fail(value, ts, "ensure-state-failure")
                     _assign_state(st, False)
                 st.removes.active -= 1
             else:
-                if op.id in st.pending:
+                if op_id in st.pending:
                     if outcome is None:
-                        raise HistoryError(f"contains id {op.id} returned no answer")
+                        raise HistoryError(f"contains id {op_id} returned no answer")
                     if not ensure_state(st, outcome, ts):
                         return _fail(value, ts, "ensure-state-failure")
-                    st.pending.pop(op.id, None)
+                    st.pending.pop(op_id, None)
                     if counter is not None:
                         counter.add(1)
         if observer is not None:
@@ -218,8 +227,7 @@ def multiset_linearizable_events(events: Iterable[StreamEvent],
                                  counter: WorkCounter | None = None) -> Verdict:
     """Run the online multiset checker over an ordered event stream."""
     counts: dict[int, list[int]] = {}
-    for ts, is_call, op in events:
-        kind, value, outcome = op.event
+    for ts, is_call, kind, value, outcome, _, _ in events:
         if kind not in (ADD, REMOVE):
             raise HistoryError(f"event kind {kind!r} illegal for multisets")
         if outcome is False:
@@ -241,11 +249,13 @@ def multiset_linearizable_events(events: Iterable[StreamEvent],
 
 def set_linearizable(h: History, *, counter: WorkCounter | None = None,
                      observer=None) -> Verdict:
-    """Decide whether a set history (add/remove/contains) is linearizable."""
+    """Decide whether a set history (add/remove/contains) is linearizable.
+
+    Failing adds and removes are normalized while the history is flattened.
+    """
     if h.adt != "set":
         raise HistoryError(f"set monitor got adt {h.adt!r}")
-    normalized = normalize_failing_ops(h)
-    return set_linearizable_events(history_events(normalized), counter, observer)
+    return set_linearizable_events(history_events(h), counter, observer)
 
 
 def multiset_linearizable(h: History, *, counter: WorkCounter | None = None) -> Verdict:

@@ -227,12 +227,11 @@ def test_criterion_9_streaming_counts():
         h = gen_random("multiset", 2 + seed % 19, 300_000 + seed)
         expect = True
         counts = {}
-        for ts, is_call, op in history_events(h):
-            v = op.event.value
+        for ts, is_call, kind, v, *_ in history_events(h):
             adds, rmvs = counts.get(v, (0, 0))
-            if op.event.kind == "add" and is_call:
+            if kind == "add" and is_call:
                 adds += 1
-            elif op.event.kind == "remove" and not is_call:
+            elif kind == "remove" and not is_call:
                 rmvs += 1
             counts[v] = (adds, rmvs)
             if rmvs > adds:

@@ -10,15 +10,18 @@ import pytest
 
 from limon import (
     ADTS,
+    Event,
     GenConfig,
+    Operation,
     check_history,
     gen_linearizable,
     gen_random,
     gen_small_model_family,
+    normalize_failing_ops,
     parse_history,
     serialize_history,
 )
-from limon.cli import main
+from limon.cli import build_parser, main
 
 from helpers import limon_env, nested_stack
 
@@ -181,6 +184,74 @@ class TestStream:
         assert main(["check", missing, "--stream"]) == main(["check", missing]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("missing.txt") == 2
+
+    @pytest.mark.parametrize("adt", ["set", "multiset"])
+    def test_stream_verdicts_equal_file_verdicts(self, adt, tmp_path, capsys, monkeypatch):
+        # A stream refuses failing adds and removes, so set histories go
+        # through the normalization that file checks apply.  Building the
+        # argument parser costs more than these checks; build it once.
+        parser = build_parser()
+        monkeypatch.setattr("limon.cli.build_parser", lambda: parser)
+        path = str(tmp_path / "h.txt")
+        codes = {0: 0, 1: 0}
+        for seed in range(40_000, 42_000):
+            h = gen_random(adt, 2 + seed % 14, seed, values=1 + seed % 4)
+            if adt == "set":
+                h = normalize_failing_ops(h)
+            with open(path, "w") as fh:
+                fh.write(serialize_history(h, fmt="events"))
+            code = main(["check", path, "--verbose"])
+            out = capsys.readouterr().out
+            assert main(["check", path, "--stream", "--verbose"]) == code, seed
+            assert capsys.readouterr().out == out, seed
+            codes[code] += 1
+        assert min(codes.values()) > 200, codes
+
+    def test_stream_builds_no_operation_records(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("record built")
+
+        for cls in (Operation, Event):
+            monkeypatch.setattr(cls, "__new__", refuse)
+            monkeypatch.setattr(cls, "_make", classmethod(refuse))
+        text = ("adt set\n"
+                "call 0 add 5 1\ncall 1 contains 5 2\nret 0 3 ok\n"
+                "call 2 remove 5 4\nret 1 5 true\nret 2 6 ok\n"
+                "call 3 contains 5 7\nret 3 8 false\n")
+        assert main(["check", write(tmp_path, "s.txt", text), "--stream", "--verbose"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["check", str(tmp_path / "s.txt")]) == 3  # the guard is live
+
+    def test_stream_refuses_a_reused_id_as_a_file_does(self, tmp_path, capsys):
+        call_again = "adt set\ncall 0 add 1 0\nret 0 1 ok\ncall 0 add 1 2\nret 0 3 ok\n"
+        ret_again = "adt set\ncall 0 add 1 0\nret 0 1 ok\nret 0 3 ok\n"
+        for text, err in ((call_again, "limon: duplicate call for id 0 (line 4)\n"),
+                          (ret_again, "limon: duplicate return for id 0 (line 4)\n")):
+            path = write(tmp_path, "reuse.txt", text)
+            assert main(["check", path]) == main(["check", path, "--stream"]) == 2
+            assert capsys.readouterr().err == err * 2
+
+    def test_file_and_stream_end_lines_alike(self, tmp_path, capsys):
+        # \x1c ends a line for str.splitlines, but not for a stream.
+        path = write(tmp_path, "fs.txt", "adt set\ncall 0 add 1 1\x1cret 0 2 ok\n")
+        assert main(["check", path]) == main(["check", path, "--stream"]) == 2
+        err = "limon: expected: call <id> <kind> [<value>] <ts> (line 2)\n"
+        assert capsys.readouterr().err == err * 2
+        for newline in ("\r\n", "\r"):
+            text = "adt set\ncall 0 add 1 1\nret 0 2 ok\ncall 1 contains 1 3\nret 1 4 true\n"
+            assert parse_history(text.replace("\n", newline)) == parse_history(text)
+
+    def test_stream_refuses_the_ops_format(self, tmp_path, capsys):
+        path = write(tmp_path, "s.txt", "adt set\ncall 0 add 5 1\nret 0 2 ok\n")
+        assert main(["check", path, "--format", "ops"]) == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path, "--stream", "--format", "ops"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--format ops" in captured.err
+        for fmt in ("auto", "events"):
+            assert main(["check", path, "--stream", "--format", fmt]) == 0
 
 
 class TestCyclicCollector:
