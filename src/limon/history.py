@@ -2,7 +2,8 @@
 
 A history is a finite set of timed operations recorded from a concurrent
 execution.  Every timestamp in a history is globally unique, so the
-real-time precedence order between operations is unambiguous.  The
+real-time precedence order between operations is unambiguous.  Parsed
+histories hold flat records, and build `Operation`s only if asked.  The
 transforms in this module (completion, overlap removal, differentiation,
 projection) define the preprocessing of the stack and queue monitors,
 which `value_table` performs in one pass; the transforms are its reference.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 ADTS = ("stack", "queue", "set", "multiset")
 
@@ -64,12 +65,13 @@ class BoundExceeded(HistoryError):
 
 
 class _Record:
-    """Fields are the __slots__; equality and repr go by them, as for a dataclass."""
+    """Fields are _fields, else the __slots__; equality and repr go by them."""
 
     __slots__ = ()
 
     def _field_values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        names = getattr(self, "_fields", self.__slots__)
+        return tuple(getattr(self, name) for name in names)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -77,7 +79,8 @@ class _Record:
         return self._field_values() == other._field_values()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        names = getattr(self, "_fields", self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{type(self).__name__}({fields})"
 
 
@@ -142,18 +145,45 @@ StreamEvent = tuple[int, bool, str, int | str, bool | None, int, int]
 
 
 class History(_FrozenRecord):
-    """An ADT-tagged set of operations, kept sorted by call timestamp."""
+    """An ADT-tagged set of operations, kept sorted by call timestamp, as
+    Operations (`ops`) and as flat (call, ret, kind, value, outcome, id)
+    tuples (`records`); either view is built from the other on first use."""
 
-    __slots__ = ("adt", "ops")
+    __slots__ = ("adt", "_ops", "_records")
+    _fields = ("adt", "ops")
 
     def __init__(self, adt: str, ops: Iterable[Operation]) -> None:
         if adt not in ADTS:
             raise HistoryError(f"unknown adt {adt!r}")
         object.__setattr__(self, "adt", adt)
-        object.__setattr__(self, "ops", tuple(sorted(ops, key=attrgetter("call"))))
+        object.__setattr__(self, "_ops", tuple(sorted(ops, key=attrgetter("call"))))
+        object.__setattr__(self, "_records", None)
+
+    @classmethod
+    def _from_records(cls, adt: str, records: Iterable[tuple]) -> History:
+        h = cls(adt, ())
+        object.__setattr__(h, "_ops", None)
+        object.__setattr__(h, "_records", tuple(sorted(records, key=itemgetter(0))))
+        return h
+
+    @property
+    def ops(self) -> tuple[Operation, ...]:
+        if self._ops is None:
+            object.__setattr__(self, "_ops", tuple(
+                Operation(op_id, Event(kind, value, outcome), call, ret)
+                for call, ret, kind, value, outcome, op_id in self._records))
+        return self._ops
+
+    @property
+    def records(self) -> tuple[tuple, ...]:
+        if self._records is None:
+            object.__setattr__(self, "_records", tuple(
+                (call, ret, kind, value, outcome, op_id)
+                for op_id, (kind, value, outcome), call, ret in self._ops))
+        return self._records
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self._ops if self._records is None else self._records)
 
     def __iter__(self):
         return iter(self.ops)
@@ -252,12 +282,12 @@ def _value(token: str, symbols: dict[str, int]) -> int | str:
     return token
 
 
-def _number_symbols(ops: list[Operation], symbols: dict[str, int],
-                    values: list) -> list[Operation]:
+def _number_symbols(records: list[tuple], symbols: dict[str, int],
+                    values: list) -> list[tuple]:
     """Give symbolic values max literal + 1 + their first-seen index."""
     base = max([-1] + [v for v in values if type(v) is int]) + 1
-    return [op._replace(event=op.event._replace(value=base + symbols[op.event.value]))
-            if type(op.event.value) is str else op for op in ops]
+    return [rec[:3] + (base + symbols[rec[3]],) + rec[4:] if type(rec[3]) is str else rec
+            for rec in records]
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
@@ -335,26 +365,26 @@ def parse_history(text: str | bytes, fmt: str = "auto",
         first = next((toks[0] for toks in map(str.split, map(_strip, records)) if toks), None)
         fmt = "events" if first in ("call", "ret") else "ops"
     if fmt == "ops":
-        ops = _parse_ops_format(adt, records, no + 1)
+        records = _parse_ops_format(adt, records, no + 1)
     elif fmt == "events":
-        ops = _parse_events_format(adt, records, no + 1)
+        records = _parse_events_format(adt, records, no + 1)
     else:
         raise ParseError(f"unknown format {fmt!r}")
 
     # The record parsers reject everything else _structural_violations names.
-    h = History(adt, tuple(ops))
-    stamps = {op.call for op in h.ops}
-    stamps.update([op.ret for op in h.ops])
-    if len(stamps) != 2 * len(h.ops):
+    h = History._from_records(adt, records)
+    stamps = set(map(itemgetter(0), h.records))
+    stamps.update(map(itemgetter(1), h.records))
+    if len(stamps) != 2 * len(h.records):
         bad = _structural_violations(h)[0]
         raise ParseError(f"invalid history: {bad.code} ({bad.detail})")
     return h
 
 
-def _parse_ops_format(adt: str, lines: list[str], first: int) -> list[Operation]:
+def _parse_ops_format(adt: str, lines: list[str], first: int) -> list[tuple]:
     legal = _KINDS_BY_ADT[adt]
     symbols: dict[str, int] = {}
-    ops: list[Operation] = []
+    ops: list[tuple] = []
     for no, line in enumerate(lines, first):
         if "#" in line:
             line = line[:line.find("#")]
@@ -388,9 +418,9 @@ def _parse_ops_format(adt: str, lines: list[str], first: int) -> list[Operation]
             _check_kind(adt, kind, outcome, no)
         if call >= ret:
             raise ParseError(f"call {call} not before return {ret}", no)
-        ops.append(Operation(len(ops), Event(kind, value, outcome), call, ret))
+        ops.append((call, ret, kind, value, outcome, len(ops)))
     if symbols:
-        ops = _number_symbols(ops, symbols, [op.event.value for op in ops])
+        ops = _number_symbols(ops, symbols, [rec[3] for rec in ops])
     return ops
 
 
@@ -478,7 +508,7 @@ def _event_payload(adt: str, call: tuple, ret: tuple) -> tuple:
     return kind, value, outcome
 
 
-def _parse_events_format(adt: str, lines: list[str], first: int) -> list[Operation]:
+def _parse_events_format(adt: str, lines: list[str], first: int) -> list[tuple]:
     symbols: dict[str, int] = {}
     calls: dict[int, tuple] = {}
     rets: dict[int, tuple] = {}
@@ -495,10 +525,8 @@ def _parse_events_format(adt: str, lines: list[str], first: int) -> list[Operati
         side = "return" if which in calls else "call"
         raise ParseError(f"operation id {which} has no matching {side}")
 
-    ops = []
-    for op_id, call in calls.items():
-        ret = rets[op_id]
-        ops.append(Operation(op_id, Event._make(_event_payload(adt, call, ret)), call[4], ret[4]))
+    ops = [(call[4], rets[op_id][4], *_event_payload(adt, call, rets[op_id]), op_id)
+           for op_id, call in calls.items()]
     if symbols:
         values = [rec[3] for recs in (calls, rets) for rec in recs.values()]
         ops = _number_symbols(ops, symbols, values)
@@ -526,6 +554,8 @@ def parse_event_stream(lines: Iterable[str], adt_override: str | None = None
 def _stream_events(adt: str, lines: Iterator[str], first: int) -> Iterator[StreamEvent]:
     legal = _KINDS_BY_ADT[adt]
     open_calls: dict[int, tuple] = {}
+    # Called ids: the run [low, high) from the first id, then seen_ids.
+    low = high = 0
     seen_ids: set[int] = set()
     last_ts = -1
     for rec in _event_records(lines, first, {}):
@@ -536,15 +566,21 @@ def _stream_events(adt: str, lines: Iterator[str], first: int) -> Iterator[Strea
         if kind is not None:
             if kind not in legal:
                 _check_kind(adt, kind, None, no)
-            if op_id in seen_ids:
+            if low <= op_id < high or op_id in seen_ids:
                 raise ParseError(f"duplicate call for id {op_id}", no)
+            if low == high:
+                low = high = op_id
             seen_ids.add(op_id)
+            while high in seen_ids:
+                seen_ids.remove(high)
+                high += 1
             open_calls[op_id] = rec
             yield ts, True, kind, value, None, op_id, ts
         else:
             call = open_calls.pop(op_id, None)
             if call is None:
-                which = "duplicate return" if op_id in seen_ids else "return without call"
+                seen = low <= op_id < high or op_id in seen_ids
+                which = "duplicate return" if seen else "return without call"
                 raise ParseError(f"{which} for id {op_id}", no)
             kind, value, outcome = _event_payload(adt, call, rec)
             if outcome is False and kind != CONTAINS:
@@ -645,21 +681,20 @@ def _structural_violations(h: History) -> list[Violation]:
     out: list[Violation] = []
     seen_ts: dict[int, int] = {}
     seen_ids: set[int] = set()
-    for op in h.ops:
-        if op.call >= op.ret:
-            out.append(Violation("call-not-before-return", op.id))
-        for ts in (op.call, op.ret):
+    for call, ret, kind, _, outcome, op_id in h.records:
+        if call >= ret:
+            out.append(Violation("call-not-before-return", op_id))
+        for ts in (call, ret):
             if ts in seen_ts:
                 out.append(Violation("duplicate-timestamp", ts))
-            seen_ts[ts] = op.id
-        if op.id in seen_ids:
-            out.append(Violation("duplicate-operation-id", op.id))
-        seen_ids.add(op.id)
-        ev = op.event
-        if ev.kind not in _KINDS_BY_ADT[h.adt]:
-            out.append(Violation("illegal-event", ev.kind))
-        elif h.adt == "multiset" and ev.outcome is False:
-            out.append(Violation("illegal-event", f"{ev.kind} fail"))
+            seen_ts[ts] = op_id
+        if op_id in seen_ids:
+            out.append(Violation("duplicate-operation-id", op_id))
+        seen_ids.add(op_id)
+        if kind not in _KINDS_BY_ADT[h.adt]:
+            out.append(Violation("illegal-event", kind))
+        elif h.adt == "multiset" and outcome is False:
+            out.append(Violation("illegal-event", f"{kind} fail"))
     return out
 
 
@@ -679,7 +714,7 @@ def unmatched_pops(h: History) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _max_timestamp(h: History) -> int:
-    return max((op.ret for op in h.ops), default=0)
+    return max(map(itemgetter(1), h.records), default=0)
 
 
 def complete_history(h: History) -> History:
@@ -815,7 +850,7 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
     value, push_call, push_ret, pop_empties = [], [], [], []
     rows: dict[int, list[int]] = {}  # value -> its rows
     pops: list[tuple[int, int, int]] = []  # (value, call, return)
-    for op_id, (kind, v, _), call, ret in h.ops:
+    for call, ret, kind, v, _, op_id in h.records:
         if call >= ret:
             raise HistoryError(f"operation {op_id}: call {call} not before return {ret}")
         if kind == PUSH:
@@ -830,7 +865,7 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
         else:
             raise HistoryError(f"event kind {kind!r} illegal for adt {h.adt!r}")
     if counter is not None:
-        counter.add(len(h.ops))
+        counter.add(len(h.records))
 
     n = len(value)
     pop_call, pop_ret = [None] * n, [None] * n

@@ -86,7 +86,7 @@ def history_events(h: History) -> list[StreamEvent]:
     is_set = h.adt == "set"
     out: list[StreamEvent] = []
     append = out.append
-    for op_id, (kind, value, outcome), call, ret in h.ops:
+    for call, ret, kind, value, outcome, op_id in h.records:
         if outcome is False and is_set and (kind == ADD or kind == REMOVE):
             kind, outcome = CONTAINS, kind == ADD
         append((call, True, kind, value, outcome, op_id, call))

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from limon import (
     gen_random,
     gen_small_model_family,
     normalize_failing_ops,
+    parse_event_stream,
     parse_history,
     serialize_history,
 )
@@ -41,6 +43,16 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def refuse_records(monkeypatch):
+    """Make building an Operation or an Event raise AssertionError."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("record built")
+
+    for cls in (Operation, Event):
+        monkeypatch.setattr(cls, "__new__", refuse)
+        monkeypatch.setattr(cls, "_make", classmethod(refuse))
 
 
 class TestCheck:
@@ -208,19 +220,29 @@ class TestStream:
         assert min(codes.values()) > 200, codes
 
     def test_stream_builds_no_operation_records(self, tmp_path, monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("record built")
-
-        for cls in (Operation, Event):
-            monkeypatch.setattr(cls, "__new__", refuse)
-            monkeypatch.setattr(cls, "_make", classmethod(refuse))
+        refuse_records(monkeypatch)
         text = ("adt set\n"
                 "call 0 add 5 1\ncall 1 contains 5 2\nret 0 3 ok\n"
                 "call 2 remove 5 4\nret 1 5 true\nret 2 6 ok\n"
                 "call 3 contains 5 7\nret 3 8 false\n")
         assert main(["check", write(tmp_path, "s.txt", text), "--stream", "--verbose"]) == 0
         assert capsys.readouterr().err == ""
-        assert main(["check", str(tmp_path / "s.txt")]) == 3  # the guard is live
+        with pytest.raises(AssertionError, match="record built"):  # the guard is live
+            parse_history(text).ops
+
+    def test_stream_keeps_in_order_ids_in_constant_space(self):
+        # A set of every id called would peak at about 17 MB here.
+        lines = ["adt set\n"]
+        for i in range(200_000):
+            lines += (f"call {i} add {i % 97} {2 * i}\n", f"ret {i} {2 * i + 1} ok\n")
+        tracemalloc.start()
+        try:
+            _, events = parse_event_stream(lines)
+            assert sum(1 for _ in events) == 400_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     def test_stream_refuses_a_reused_id_as_a_file_does(self, tmp_path, capsys):
         call_again = "adt set\ncall 0 add 1 0\nret 0 1 ok\ncall 0 add 1 2\nret 0 3 ok\n"
@@ -252,6 +274,50 @@ class TestStream:
         assert captured.out == "" and "--format ops" in captured.err
         for fmt in ("auto", "events"):
             assert main(["check", path, "--stream", "--format", fmt]) == 0
+
+
+class TestFileCheckBuildsNoRecords:
+    """A file check reads the parser's flat records and never builds an
+    Operation or an Event, whatever the adt, format or verdict."""
+
+    CASES = [
+        # Pop-empties and unmatched pushes.
+        ("adt stack\npopempty 0 1\npush 1 2 3\npush 2 4 5\npop 2 6 7\npush 3 8 9\n", 0),
+        ("adt stack\npush 1 0 1\npopempty 2 3\npop 1 4 5\n", 1),
+        ("adt queue\nenq 1 0 1\nenq 2 2 3\ndeq 1 4 5\nenq 3 6 7\n", 0),
+        ("adt queue\nenq 1 0 1\nenq 2 2 3\ndeq 2 4 5\ndeq 1 6 7\n", 1),
+        # Failing adds and removes.
+        ("adt set\nadd 1 0 1 ok\nadd 1 2 3 fail\nremove 1 4 5 ok\nremove 1 6 7 fail\n"
+         "contains 1 8 9 false\n", 0),
+        ("adt set\nadd 1 0 1 fail\n", 1),
+        ("adt multiset\nadd 1 0 1 ok\nadd 1 2 3 ok\nremove 1 4 5 ok\nremove 1 6 7 ok\n", 0),
+        ("adt multiset\nadd 1 0 3 ok\nremove 1 1 2 ok\nremove 1 4 5 ok\n", 1),
+        # Symbolic values.
+        ("adt stack\npush x 0 1\npush y 2 3\npop y 4 5\npop x 6 7\n", 0),
+        ("adt set\nadd a 0 1 ok\ncontains b 2 3 true\n", 1),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["ops", "events"])
+    @pytest.mark.parametrize("text, code", CASES)
+    def test_exit_code(self, text, code, fmt, tmp_path, capsys, monkeypatch):
+        if fmt == "events":
+            text = serialize_history(parse_history(text), "events")
+        path = write(tmp_path, "h.txt", text)
+        refuse_records(monkeypatch)
+        assert main(["check", path]) == code
+        assert capsys.readouterr().err == ""
+        with pytest.raises(AssertionError, match="record built"):  # the guard is live
+            parse_history(text).ops
+
+    @pytest.mark.parametrize("fmt", ["ops", "events"])
+    def test_unlinearizable_verbose(self, fmt, tmp_path, capsys, monkeypatch):
+        text = serialize_history(parse_history(
+            "adt stack\npush 1 0 1\npush 2 2 3\npop 1 4 5\npop 2 6 7\n"), fmt)
+        path = write(tmp_path, "h.txt", text)
+        refuse_records(monkeypatch)
+        assert main(["check", path, "--verbose"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "linearizable": False, "witness": {"kind": "no-separation", "values": [1, 2]}}
 
 
 class TestCyclicCollector:
@@ -299,6 +365,17 @@ class TestExitCodeContract:
         path.write_text("adt stack\npush 1 ² 3\n", encoding="utf-8")
         assert main(["check", str(path)]) == 2
         assert "(line 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "adt stack\npush x 0 1\npush 5 0 1\npop 5 2 3\n",
+        "adt stack\npopempty 0 1\npopempty 0 1\n",
+    ])
+    def test_operations_called_together_are_a_duplicate_timestamp(self, text, tmp_path,
+                                                                  capsys):
+        # The timestamp check names the shared call, whatever the records
+        # called with it hold: a symbol beside a literal, or no value at all.
+        assert main(["check", write(tmp_path, "tie.txt", text)]) == 2
+        assert capsys.readouterr().err == "limon: invalid history: duplicate-timestamp (0)\n"
 
     def test_non_ascii_digits_are_not_integers(self):
         # '١' (Arabic-Indic one) passes str.isdigit and int(); it is a

@@ -369,6 +369,59 @@ class TestRoundTrip:
                 assert all(type(op.event.value) in (int, type(None)) for op in back.ops)
 
 
+def symbolize(text: str) -> str:
+    """Spell the odd values of a serialized history as symbols: 3 as x3."""
+    lines = []
+    for line in text.splitlines():
+        toks = line.split()
+        at = {"call": 3, "ret": 3, "adt": None, "popempty": None}.get(toks[0], 1)
+        if at is not None and len(toks) > at + (toks[0] == "call") \
+                and toks[at].lstrip("-").isdigit() and int(toks[at]) % 2:
+            toks[at] = f"x{toks[at]}"
+        lines.append(" ".join(toks))
+    return "\n".join(lines) + "\n"
+
+
+class TestParsedRecords:
+    """parse_history keeps flat records; History(adt, ops) keeps Operations.
+    Both must check alike and compare, hash and print alike."""
+
+    @pytest.mark.parametrize("adt", ["stack", "queue", "set", "multiset"])
+    def test_parser_path_equals_library_path(self, adt):
+        texts = []
+        for seed in range(500):
+            fmt = ("ops", "events")[seed % 2]
+            raw = gen_random(adt, 2 + seed % 24, 50_000 + seed, values=2 + seed % 3)
+            lin = gen_linearizable(GenConfig(adt=adt, ops=2 + seed % 30, values=2 + seed % 3,
+                                             threads=1 + seed % 4, seed=50_000 + seed,
+                                             stretch=1.0 + seed % 3))
+            histories = [raw, lin]
+            if adt in ("stack", "queue"):
+                histories.append(fold_values(raw, 2 + seed % 3))
+            for h in histories:
+                text = serialize_history(h, fmt)
+                texts += [text, symbolize(text)]
+        seen = Counter()
+        for text in texts:
+            parsed = parse_history(text)
+            parsed_work, library_work = WorkCounter(), WorkCounter()
+            verdict = check_history(parsed, counter=parsed_work)
+            library = History(adt, parse_history(text).ops)
+            assert check_history(library, counter=library_work) == verdict, text
+            assert parsed_work.count == library_work.count, text
+            assert library == parsed and hash(library) == hash(parsed), text
+            assert repr(library) == repr(parsed) and library.records == parsed.records, text
+            seen[verdict.linearizable] += 1
+            seen["symbolic"] += "x" in text
+            seen["failing"] += " fail" in text
+            seen["popempty"] += "popempty" in text
+        assert len(texts) >= 2000 and min(seen[True], seen[False], seen["symbolic"]) > 200, seen
+        if adt == "set":
+            assert seen["failing"] > 200, seen
+        if adt == "stack":
+            assert seen["popempty"] > 200, seen
+
+
 def parse_error(text: str, fmt: str = "auto") -> ParseError:
     with pytest.raises(ParseError) as info:
         parse_history(text, fmt)

@@ -21,6 +21,7 @@ from limon import (
     SetValueState,
     Verdict,
     Violation,
+    parse_history,
 )
 from limon.history import ValueTable, value_table
 
@@ -119,6 +120,22 @@ class TestHistory:
             h.adt = "queue"
         with pytest.raises(AttributeError):
             h.ops = ()
+
+    def test_parsed_history_caches_views_outside_its_fields(self):
+        a, b = op(0, "push", 1, 5, 6), op(1, "push", 2, 0, 1)
+        library = History("stack", (a, b))
+        parsed = parse_history("adt stack\npush 1 5 6\npush 2 0 1\n")
+        assert parsed.records == ((0, 1, "push", 2, None, 1), (5, 6, "push", 1, None, 0))
+        assert len(parsed) == 2 and parsed.records is parsed.records
+        assert repr(parsed) == f"History(adt='stack', ops=({b!r}, {a!r}))"
+        assert parsed.ops == (b, a) and parsed.ops is parsed.ops
+        assert library.records == parsed.records and library.records is library.records
+        assert parsed == library and hash(parsed) == hash(library)
+        assert repr(parsed) == repr(library)
+        for h in (parsed, library):
+            for name in ("adt", "ops", "records", "_ops", "_records"):
+                with pytest.raises(AttributeError):
+                    setattr(h, name, ())
 
 
 class TestVerdict:
