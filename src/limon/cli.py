@@ -19,7 +19,6 @@ from .history import (
     HistoryError,
     ParseError,
     WorkCounter,
-    not_utf8,
     parse_event_stream,
     parse_history,
     serialize_history,
@@ -37,11 +36,6 @@ def _open_input(path: str):
     if path == "-":
         return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
     return open(path, encoding="utf-8")
-
-
-def _read_input(path: str) -> str:
-    with _open_input(path) as fh:
-        return fh.read()
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -63,31 +57,30 @@ def _emit_verdict(verdict, verbose: bool) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.stream:
-        with _open_input(args.file) as fh:
+    with _open_input(args.file) as fh:
+        if args.stream:
             adt, events = parse_event_stream(fh, args.adt)
             if adt not in ("set", "multiset"):
                 raise ParseError("streaming mode monitors set/multiset event streams")
             runner = set_linearizable_events if adt == "set" else multiset_linearizable_events
             return _emit_verdict(runner(events), args.verbose)
-    text = _read_input(args.file)
-    # Parsing and checking build no reference cycles, so the cyclic
-    # collector would only rescan the records they keep alive.  A stream
-    # keeps it, since a live stream may run without bound.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        verdict = check_history(parse_history(text, fmt=args.format, adt_override=args.adt))
-    finally:
-        if enabled:
-            gc.enable()
+        # Parsing and checking build no reference cycles, so the cyclic
+        # collector would only rescan the records they keep alive.  A stream
+        # keeps it, since a live stream may run without bound.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            verdict = check_history(parse_history(fh, fmt=args.format, adt_override=args.adt))
+        finally:
+            if enabled:
+                gc.enable()
     return _emit_verdict(verdict, args.verbose)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import brute_force_linearizable, saturation_baseline
-    text = _read_input(args.file)
-    h = parse_history(text, fmt=args.format, adt_override=args.adt)
+    with _open_input(args.file) as fh:
+        h = parse_history(fh, fmt=args.format, adt_override=args.adt)
     if args.saturation:
         verdict = saturation_baseline(h)
         print("saturation (experimental, unproven): "
@@ -249,9 +242,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except HistoryError as exc:
         print(f"limon: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except UnicodeDecodeError as exc:
-        print(f"limon: {not_utf8(exc, 0)}", file=sys.stderr)
         return EXIT_MALFORMED
     except OSError as exc:
         print(f"limon: {exc}", file=sys.stderr)

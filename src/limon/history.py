@@ -4,16 +4,20 @@ A history is a finite set of timed operations recorded from a concurrent
 execution.  Every timestamp in a history is globally unique, so the
 real-time precedence order between operations is unambiguous.  Parsed
 histories hold flat records, and build `Operation`s only if asked.  The
+parser reads its input one line at a time and holds, besides the records,
+only the operations whose call or return it has not read yet.  The
 transforms in this module (completion, overlap removal, differentiation,
 projection) define the preprocessing of the stack and queue monitors,
-which `value_table` performs in one pass; the transforms are its reference.
+which `value_table` performs in one pass that keeps only the pushes and pops
+still unpaired; the transforms are its reference.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from operator import attrgetter, itemgetter
+from itertools import chain, islice
+from operator import attrgetter, eq, itemgetter
 
 ADTS = ("stack", "queue", "set", "multiset")
 
@@ -282,10 +286,9 @@ def _value(token: str, symbols: dict[str, int]) -> int | str:
     return token
 
 
-def _number_symbols(records: list[tuple], symbols: dict[str, int],
-                    values: list) -> list[tuple]:
+def _number_symbols(records: list[tuple], symbols: dict[str, int]) -> list[tuple]:
     """Give symbolic values max literal + 1 + their first-seen index."""
-    base = max([-1] + [v for v in values if type(v) is int]) + 1
+    base = max([-1] + [rec[3] for rec in records if type(rec[3]) is int]) + 1
     return [rec[:3] + (base + symbols[rec[3]],) + rec[4:] if type(rec[3]) is str else rec
             for rec in records]
 
@@ -316,25 +319,30 @@ def _check_kind(adt: str, kind: str, outcome: bool | None, lineno: int | None) -
         raise ParseError("failing operations are not defined for multisets", lineno)
 
 
-def not_utf8(exc: UnicodeDecodeError, lines_read: int) -> ParseError:
-    """The error for a non-UTF-8 byte met after lines_read lines of a stream,
+def _not_utf8(exc: UnicodeDecodeError, lines_read: int) -> ParseError:
+    """The error for a non-UTF-8 byte met after lines_read lines of a file,
     which decodes a chunk at a time: the chunk's lines before the byte count."""
     return ParseError("input is not UTF-8", lines_read + 1 + exc.object[:exc.start].count(b"\n"))
 
 
-def _read_header(lines: Iterable[str], adt_override: str | None) -> tuple[str, int]:
-    """The effective adt, and the line number of the header: the first line
-    that is neither blank nor a comment."""
-    no = 0
+def _first_line(lines: Iterator[str], no: int) -> tuple[str | None, int]:
+    """The first line after line no that is neither blank nor a comment,
+    stripped, and its number; None if the input ends first."""
     try:
-        for no, raw in enumerate(lines, 1):
-            header = _strip(raw)
-            if header:
-                break
-        else:
-            raise ParseError("empty input: missing adt header")
+        for no, raw in enumerate(lines, no + 1):
+            line = _strip(raw)
+            if line:
+                return line, no
     except UnicodeDecodeError as exc:
-        raise not_utf8(exc, no) from None
+        raise _not_utf8(exc, no) from None
+    return None, no
+
+
+def _read_header(lines: Iterator[str], adt_override: str | None) -> tuple[str, int]:
+    """The effective adt, and the line number of the header."""
+    header, no = _first_line(lines, 0)
+    if header is None:
+        raise ParseError("empty input: missing adt header")
     parts = header.split()
     if len(parts) != 2 or parts[0] != "adt" or parts[1] not in ADTS:
         raise ParseError(f"bad header {header!r}; expected 'adt <stack|queue|set|multiset>'", no)
@@ -343,96 +351,118 @@ def _read_header(lines: Iterable[str], adt_override: str | None) -> tuple[str, i
     return adt_override or parts[1], no
 
 
-def parse_history(text: str | bytes, fmt: str = "auto",
+def parse_history(source: str | bytes | Iterable[str], fmt: str = "auto",
                   adt_override: str | None = None) -> History:
     """Parse a history in the operation or event file format.
 
+    The source is the whole text, or its lines, such as an open text file
+    yields them; lines are read one at a time, and only once.
     The first non-comment line must be ``adt <stack|queue|set|multiset>``.
     With fmt="auto" the format is inferred from the first record line.
     An adt_override replaces the declared data type (the header is still
     required); record legality is checked against the effective type.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    # Lines end at \n, \r\n or \r, as in a stream's universal-newline
-    # reader; str.splitlines would also end them at \x0b, \x1c, \u2028...
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    if isinstance(source, str):
+        # Lines end at \n, \r\n or \r, as in a file's universal-newline
+        # reader; str.splitlines would also end them at \x0b, \x1c, \u2028...
+        if "\r" in source:
+            source = source.replace("\r\n", "\n").replace("\r", "\n")
+        source = source.split("\n")
+    lines = iter(source)
     adt, no = _read_header(lines, adt_override)
-    records = lines[no:]
     if fmt == "auto":
-        first = next((toks[0] for toks in map(str.split, map(_strip, records)) if toks), None)
-        fmt = "events" if first in ("call", "ret") else "ops"
+        first, first_no = _first_line(lines, no)
+        fmt = "events" if first and first.split()[0] in ("call", "ret") else "ops"
+        if first:
+            lines, no = chain((first,), lines), first_no - 1
     if fmt == "ops":
-        records = _parse_ops_format(adt, records, no + 1)
+        records = _parse_ops_format(adt, lines, no + 1)
     elif fmt == "events":
-        records = _parse_events_format(adt, records, no + 1)
+        records = _parse_events_format(adt, lines, no + 1)
     else:
         raise ParseError(f"unknown format {fmt!r}")
 
     # The record parsers reject everything else _structural_violations names.
     h = History._from_records(adt, records)
-    stamps = set(map(itemgetter(0), h.records))
-    stamps.update(map(itemgetter(1), h.records))
-    if len(stamps) != 2 * len(h.records):
+    if not _distinct_stamps(h.records):
         bad = _structural_violations(h)[0]
         raise ParseError(f"invalid history: {bad.code} ({bad.detail})")
     return h
 
 
-def _parse_ops_format(adt: str, lines: list[str], first: int) -> list[tuple]:
+def _distinct_stamps(records: tuple[tuple, ...]) -> bool:
+    """Whether no two call or return timestamps of the records coincide.
+    Sorting takes a fifth of the memory of a set of the timestamps."""
+    stamps = list(map(itemgetter(0), records))
+    stamps += map(itemgetter(1), records)
+    stamps.sort()
+    return not any(map(eq, stamps, islice(stamps, 1, None)))
+
+
+def _parse_ops_format(adt: str, lines: Iterable[str], first: int) -> list[tuple]:
     legal = _KINDS_BY_ADT[adt]
     symbols: dict[str, int] = {}
     ops: list[tuple] = []
-    for no, line in enumerate(lines, first):
-        if "#" in line:
-            line = line[:line.find("#")]
-        toks = line.split()
-        if not toks:
-            continue
-        kind = _KIND_ALIASES.get(toks[0])
-        if kind is None:
-            raise ParseError(f"unknown operation {toks[0]!r}", no)
-        n = len(toks)
-        value = outcome = None
-        if kind == POP_EMPTY:
-            if n != 3:
-                raise ParseError("expected: popempty <call> <ret>", no)
-            call, ret = toks[1], toks[2]
-        else:
-            if kind == PUSH or kind == POP:
-                if n != 4:
-                    raise ParseError(f"expected: {toks[0]} <value> <call> <ret>", no)
-            elif n != 5:
-                raise ParseError(f"expected: {toks[0]} <value> <call> <ret> <result>", no)
-            value, call, ret = toks[1], toks[2], toks[3]
-            value = int(value) if value.isdigit() and value.isascii() else _value(value, symbols)
-        call = int(call) if call.isdigit() and call.isascii() else _parse_ts(call, no)
-        ret = int(ret) if ret.isdigit() and ret.isascii() else _parse_ts(ret, no)
-        if n == 5:
-            outcome = _OUTCOMES.get((kind, toks[4]))
-            if outcome is None:
-                _bad_outcome(kind, toks[4], no)
-        if kind not in legal or outcome is False:
-            _check_kind(adt, kind, outcome, no)
-        if call >= ret:
-            raise ParseError(f"call {call} not before return {ret}", no)
-        ops.append((call, ret, kind, value, outcome, len(ops)))
-    if symbols:
-        ops = _number_symbols(ops, symbols, [rec[3] for rec in ops])
-    return ops
+    no = first - 1
+    try:
+        for no, line in enumerate(lines, first):
+            if "#" in line:
+                line = line[:line.find("#")]
+            toks = line.split()
+            if not toks:
+                continue
+            kind = _KIND_ALIASES.get(toks[0])
+            if kind is None:
+                raise ParseError(f"unknown operation {toks[0]!r}", no)
+            n = len(toks)
+            value = outcome = None
+            if kind == POP_EMPTY:
+                if n != 3:
+                    raise ParseError("expected: popempty <call> <ret>", no)
+                call, ret = toks[1], toks[2]
+            else:
+                if kind == PUSH or kind == POP:
+                    if n != 4:
+                        raise ParseError(f"expected: {toks[0]} <value> <call> <ret>", no)
+                elif n != 5:
+                    raise ParseError(f"expected: {toks[0]} <value> <call> <ret> <result>", no)
+                value, call, ret = toks[1], toks[2], toks[3]
+                value = int(value) if value.isdigit() and value.isascii() else _value(value, symbols)
+            call = int(call) if call.isdigit() and call.isascii() else _parse_ts(call, no)
+            ret = int(ret) if ret.isdigit() and ret.isascii() else _parse_ts(ret, no)
+            if n == 5:
+                outcome = _OUTCOMES.get((kind, toks[4]))
+                if outcome is None:
+                    _bad_outcome(kind, toks[4], no)
+            if kind not in legal or outcome is False:
+                _check_kind(adt, kind, outcome, no)
+            if call >= ret:
+                raise ParseError(f"call {call} not before return {ret}", no)
+            ops.append((call, ret, kind, value, outcome, len(ops)))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc, no) from None
+    return _number_symbols(ops, symbols) if symbols else ops
 
 
-def _event_records(lines: Iterable[str], first: int,
-                   symbols: dict[str, int]) -> Iterator[tuple]:
-    """Check event-format records one at a time, for the file and the
-    stream parser alike.
+def _event_records(lines: Iterable[str], first: int, symbols: dict[str, int],
+                   pending: dict[int, tuple]) -> Iterator[tuple[tuple, tuple | None]]:
+    """Check event-format records one at a time and pair them by id, for
+    the file and the stream parser alike.
 
-    Yields (line, id, kind, value, timestamp, result).  A call has result
-    None; a return has kind None, and its result token, unless it is a
-    result word, read as a value: a pop's value may come with its return.
+    A record is (line, id, kind, value, timestamp, result).  A call has
+    result None; a return has kind None, and its result token, unless it
+    is a result word, read as a value: a pop's value may come with its
+    return.  Yields (record, partner): the partner is the operation's other
+    record if it was read before, else None, and the record waits in
+    pending, by id, for its partner.  A second call or return of an id is
+    refused; the ids seen so far are kept as the run [low, high) from the
+    first one plus a set of the others, so that ids that count up take
+    constant memory.
     """
+    low = high = 0
+    seen: set[int] = set()
     no = first - 1
     try:
         for no, line in enumerate(lines, first):
@@ -453,31 +483,42 @@ def _event_records(lines: Iterable[str], first: int,
             op_id = toks[1]
             op_id = int(op_id) if op_id.isdigit() and op_id.isascii() else _parse_int(
                 op_id, "operation id", no)
+            result = value = None
             if is_call:
                 kind = _KIND_ALIASES.get(toks[2])
                 if kind is None:
                     raise ParseError(f"unknown event kind {toks[2]!r}", no)
-                value = None
                 if n == 5:
+                    if kind == POP_EMPTY:
+                        raise ParseError("popempty call takes no value", no)
                     value = toks[3]
                     value = int(value) if value.isdigit() and value.isascii() else _value(value, symbols)
                 elif kind != POP and kind != POP_EMPTY:
                     raise ParseError(f"{kind} call needs a value", no)
-                ts = toks[-1]
-                ts = int(ts) if ts.isdigit() and ts.isascii() else _parse_ts(ts, no)
-                yield no, op_id, kind, value, ts, None
             else:
-                ts = toks[2]
-                ts = int(ts) if ts.isdigit() and ts.isascii() else _parse_ts(ts, no)
-                result = value = None
+                kind = None
                 if n == 4:
                     result = toks[3]
                     if result not in _RESULT_WORDS:
                         value = int(result) if result.isdigit() and result.isascii() else _value(
                             result, symbols)
-                yield no, op_id, None, value, ts, result
+            ts = toks[-1] if is_call else toks[2]
+            ts = int(ts) if ts.isdigit() and ts.isascii() else _parse_ts(ts, no)
+            rec = (no, op_id, kind, value, ts, result)
+            partner = pending.pop(op_id, None)
+            if partner is None and not (low <= op_id < high or op_id in seen):
+                if low == high:
+                    low = high = op_id
+                seen.add(op_id)
+                while high in seen:
+                    seen.remove(high)
+                    high += 1
+                pending[op_id] = rec
+            elif partner is None or (partner[2] is not None) == is_call:
+                raise ParseError(f"duplicate {'call' if is_call else 'return'} for id {op_id}", no)
+            yield rec, partner
     except UnicodeDecodeError as exc:
-        raise not_utf8(exc, no) from None
+        raise _not_utf8(exc, no) from None
 
 
 def _event_payload(adt: str, call: tuple, ret: tuple) -> tuple:
@@ -486,16 +527,16 @@ def _event_payload(adt: str, call: tuple, ret: tuple) -> tuple:
     no, op_id, kind, value, call_ts, _ = call
     rno, _, _, ret_value, ret_ts, result = ret
     outcome = None
-    if kind == POP:
+    if kind == POP and value is None:
         if result == "empty":
-            kind, value = POP_EMPTY, None
-        elif value is None:
-            value = ret_value
-            if value is None:
-                raise ParseError(f"pop id {op_id} carries no value (call or ret)", rno)
-    elif kind == POP_EMPTY:
-        value = None
-    elif kind != PUSH:
+            kind = POP_EMPTY
+        elif ret_value is None:
+            raise ParseError(f"pop id {op_id} carries no value (call or ret)", rno)
+        value = ret_value
+    elif kind == PUSH or kind == POP or kind == POP_EMPTY:
+        if result is not None and (kind != POP or ret_value != value):
+            raise ParseError(f"return {result!r} contradicts its {kind} call (id {op_id})", rno)
+    else:
         if result is None:
             raise ParseError(f"{kind} return needs a result", rno)
         outcome = _OUTCOMES.get((kind, result))
@@ -508,29 +549,19 @@ def _event_payload(adt: str, call: tuple, ret: tuple) -> tuple:
     return kind, value, outcome
 
 
-def _parse_events_format(adt: str, lines: list[str], first: int) -> list[tuple]:
+def _parse_events_format(adt: str, lines: Iterable[str], first: int) -> list[tuple]:
     symbols: dict[str, int] = {}
-    calls: dict[int, tuple] = {}
-    rets: dict[int, tuple] = {}
-    for rec in _event_records(lines, first, symbols):
-        side = calls if rec[2] is not None else rets
-        if rec[1] in side:
-            which = "call" if side is calls else "return"
-            raise ParseError(f"duplicate {which} for id {rec[1]}", rec[0])
-        side[rec[1]] = rec
-
-    unmatched = calls.keys() ^ rets.keys()
-    if unmatched:
-        which = min(unmatched)
-        side = "return" if which in calls else "call"
+    pending: dict[int, tuple] = {}
+    ops: list[tuple] = []
+    for rec, partner in _event_records(lines, first, symbols, pending):
+        if partner is not None:
+            call, ret = (rec, partner) if partner[2] is None else (partner, rec)
+            ops.append((call[4], ret[4], *_event_payload(adt, call, ret), rec[1]))
+    if pending:
+        which = min(pending)
+        side = "return" if pending[which][2] is not None else "call"
         raise ParseError(f"operation id {which} has no matching {side}")
-
-    ops = [(call[4], rets[op_id][4], *_event_payload(adt, call, rets[op_id]), op_id)
-           for op_id, call in calls.items()]
-    if symbols:
-        values = [rec[3] for recs in (calls, rets) for rec in recs.values()]
-        ops = _number_symbols(ops, symbols, values)
-    return ops
+    return _number_symbols(ops, symbols) if symbols else ops
 
 
 def parse_event_stream(lines: Iterable[str], adt_override: str | None = None
@@ -554,11 +585,8 @@ def parse_event_stream(lines: Iterable[str], adt_override: str | None = None
 def _stream_events(adt: str, lines: Iterator[str], first: int) -> Iterator[StreamEvent]:
     legal = _KINDS_BY_ADT[adt]
     open_calls: dict[int, tuple] = {}
-    # Called ids: the run [low, high) from the first id, then seen_ids.
-    low = high = 0
-    seen_ids: set[int] = set()
     last_ts = -1
-    for rec in _event_records(lines, first, {}):
+    for rec, call in _event_records(lines, first, {}, open_calls):
         no, op_id, kind, value, ts, _ = rec
         if ts <= last_ts:
             raise ParseError(f"stream timestamps must increase ({ts})", no)
@@ -566,22 +594,10 @@ def _stream_events(adt: str, lines: Iterator[str], first: int) -> Iterator[Strea
         if kind is not None:
             if kind not in legal:
                 _check_kind(adt, kind, None, no)
-            if low <= op_id < high or op_id in seen_ids:
-                raise ParseError(f"duplicate call for id {op_id}", no)
-            if low == high:
-                low = high = op_id
-            seen_ids.add(op_id)
-            while high in seen_ids:
-                seen_ids.remove(high)
-                high += 1
-            open_calls[op_id] = rec
             yield ts, True, kind, value, None, op_id, ts
+        elif call is None:
+            raise ParseError(f"return without call for id {op_id}", no)
         else:
-            call = open_calls.pop(op_id, None)
-            if call is None:
-                seen = low <= op_id < high or op_id in seen_ids
-                which = "duplicate return" if seen else "return without call"
-                raise ParseError(f"{which} for id {op_id}", no)
             kind, value, outcome = _event_payload(adt, call, rec)
             if outcome is False and kind != CONTAINS:
                 raise ParseError("failing operations need offline checking (normalization)", no)
@@ -847,49 +863,54 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
     """
     if h.adt not in ("stack", "queue"):
         raise HistoryError("value tables are defined for stack and queue histories")
-    value, push_call, push_ret, pop_empties = [], [], [], []
-    rows: dict[int, list[int]] = {}  # value -> its rows
-    pops: list[tuple[int, int, int]] = []  # (value, call, return)
+    value, push_call, push_ret, pop_call, pop_ret, pop_empties = [], [], [], [], [], []
+    # value -> [head, ...]: a FIFO, read from index head, of the value's
+    # unpaired pushes (rows) or of its early pops ((call, return)), never
+    # both; the k-th push of a value pairs with its k-th pop.
+    waiting: dict = {}
     for call, ret, kind, v, _, op_id in h.records:
         if call >= ret:
             raise HistoryError(f"operation {op_id}: call {call} not before return {ret}")
         if kind == PUSH:
-            rows.setdefault(v, []).append(len(value))
+            mine = len(value)
             value.append(v)
             push_call.append(call)
             push_ret.append(ret)
+            pop_call.append(None)
+            pop_ret.append(None)
         elif kind == POP:
-            pops.append((v, call, ret))
+            mine = (call, ret)
         elif kind == POP_EMPTY and h.adt == "stack":
             pop_empties.append((call, ret))
+            continue
         else:
             raise HistoryError(f"event kind {kind!r} illegal for adt {h.adt!r}")
+        fifo = waiting.get(v)
+        if fifo is None:
+            waiting[v] = [1, mine]
+        elif type(fifo[-1]) is type(mine):
+            fifo.append(mine)
+        else:
+            head = fifo[0]
+            x, pop = (mine, fifo[head]) if kind == PUSH else (fifo[head], mine)
+            pop_call[x], pop_ret[x] = pop
+            if head + 1 == len(fifo):
+                del waiting[v]
+            else:
+                fifo[0] = head + 1
     if counter is not None:
         counter.add(len(h.records))
 
-    n = len(value)
-    pop_call, pop_ret = [None] * n, [None] * n
-    rank: dict[int, int] = {}
-    unmatched = set()
-    for v, call, ret in pops:
-        j = rank.get(v, 0)
-        rank[v] = j + 1
-        mine = rows.get(v, ())
-        if j < len(mine):
-            pop_call[mine[j]], pop_ret[mine[j]] = call, ret
-        else:
-            unmatched.add(v)
+    unmatched = [v for v, fifo in waiting.items() if type(fifo[-1]) is tuple]
     if unmatched:
         return Verdict(False, {"kind": "unmatched-pop", "value": min(unmatched)})
-    missing = [x for x in range(n) if pop_call[x] is None]
+    if not _distinct_stamps(h.records):
+        raise HistoryError("timestamps are not distinct")
+    missing = [x for x in range(len(value)) if pop_call[x] is None]
     m, k = _max_timestamp(h), len(missing)
     for i, x in enumerate(missing, start=1):
         pop_call[x], pop_ret[x] = m + i, m + k + i
-
-    stamps = set().union(push_call, push_ret, pop_call, pop_ret, *pop_empties)
-    if len(stamps) != 4 * n + 2 * len(pop_empties):
-        raise HistoryError("timestamps are not distinct")
-    for x in range(n):
+    for x in range(len(value)):
         if pop_ret[x] < push_call[x]:
             return Verdict(False, {"kind": "pop-before-push", "value": value[x]})
     return ValueTable(value, push_call, push_ret, pop_call, pop_ret, pop_empties)

@@ -377,6 +377,18 @@ class TestExitCodeContract:
         assert main(["check", write(tmp_path, "tie.txt", text)]) == 2
         assert capsys.readouterr().err == "limon: invalid history: duplicate-timestamp (0)\n"
 
+    @pytest.mark.parametrize("records, line", [
+        ("call 0 push 5 0\nret 0 1\ncall 1 pop 5 2\nret 1 3 7\n", 5),  # another value
+        ("call 0 push 5 0\nret 0 1\ncall 1 pop 5 2\nret 1 3 empty\n", 5),  # empty after 5
+        ("call 0 push 5 0\nret 0 1 9\n", 3),  # a push returns nothing
+        ("call 0 push 5 0\nret 0 1 ok\n", 3),
+        ("call 0 popempty 0\nret 0 1 empty\n", 3),  # nor does a pop-empty
+        ("call 0 popempty 5 0\nret 0 1\n", 2),  # whose call names no value
+    ])
+    def test_return_contradicting_its_call_exit_2(self, records, line, tmp_path, capsys):
+        assert main(["check", write(tmp_path, "c.txt", "adt stack\n" + records)]) == 2
+        assert capsys.readouterr().err.endswith(f" (line {line})\n")
+
     def test_non_ascii_digits_are_not_integers(self):
         # '١' (Arabic-Indic one) passes str.isdigit and int(); it is a
         # token of its own, not the literal 1.
@@ -411,13 +423,22 @@ class TestExitCodeContract:
         assert proc.returncode == 2
         assert proc.stderr == b"limon: input is not UTF-8 (line 2)\n"
 
-    def test_stream_non_utf8_line_past_the_first_chunk(self, capsys, monkeypatch):
-        records = [f"call {i} add {i} {2 * i + 1}\nret {i} {2 * i + 2} ok\n"
-                   for i in range(5000)]
-        data = b"adt set\n" + "".join(records).encode() + b"call 5000 add \xff 10001\n"
+    @pytest.mark.parametrize("fmt, stream", [("events", ["--stream"]), ("events", []),
+                                             ("ops", [])])
+    def test_non_utf8_line_past_the_first_chunk(self, fmt, stream, tmp_path, capsys):
+        # Files and streams are decoded a chunk at a time, as they are read.
+        if fmt == "events":
+            records = [f"call {i} add {i} {2 * i + 1}\nret {i} {2 * i + 2} ok\n"
+                       for i in range(5000)]
+            last = b"call 5000 add \xff 10001\n"
+        else:
+            records = [f"add {i} {2 * i + 1} {2 * i + 2} ok\n" for i in range(10_000)]
+            last = b"add \xff 20001 20002 ok\n"
+        data = b"adt set\n" + "".join(records).encode() + last
         assert data.count(b"\n") == 10002
-        feed_stdin(monkeypatch, data)
-        assert main(["check", "-", "--stream"]) == 2
+        path = tmp_path / "ff.txt"
+        path.write_bytes(data)
+        assert main(["check", str(path), "--format", fmt, *stream]) == 2
         assert capsys.readouterr().err == "limon: input is not UTF-8 (line 10002)\n"
 
     def test_unexpected_exception_exit_3(self, tmp_path, capsys, monkeypatch):

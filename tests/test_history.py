@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -486,3 +488,86 @@ class TestParseEdgeCases:
     def test_pop_returning_a_result_word_carries_no_value(self):
         err = parse_error("adt stack\ncall 0 pop 0\nret 0 1 ok\n")
         assert str(err) == "pop id 0 carries no value (call or ret) (line 3)"
+
+    def test_contradicting_return_message(self):
+        err = parse_error("adt stack\ncall 0 push 5 0\nret 0 1\ncall 1 pop 5 2\nret 1 3 7\n")
+        assert str(err) == "return '7' contradicts its pop call (id 1) (line 5)"
+
+
+class TestEventFilePairing:
+    """Event files pair each return with its call as the records arrive."""
+
+    @pytest.mark.parametrize("adt", ["stack", "queue", "set", "multiset"])
+    def test_returns_before_their_calls_parse_alike(self, adt):
+        for seed in range(200):
+            h = gen_random(adt, 1 + seed % 20, 70_000 + seed, values=1 + seed % 4)
+            header, *records = serialize_history(h, "events").splitlines()
+            # Backwards, every return comes before its call.
+            backwards = "\n".join([header, *reversed(records)]) + "\n"
+            assert parse_history(backwards) == parse_history(serialize_history(h, "events")) == h
+
+    @pytest.mark.parametrize("records, message", [
+        ("call 3 push 1 0\nret 3 1\ncall 4 push 2 2\n", "operation id 4 has no matching return"),
+        ("call 7 push 1 0\nret 2 5\n", "operation id 2 has no matching call"),
+        ("ret 2 5\ncall 7 push 1 0\n", "operation id 2 has no matching call"),
+    ])
+    def test_unpaired_ids(self, records, message):
+        assert str(parse_error("adt stack\n" + records)) == message
+
+    @pytest.mark.parametrize("records, message", [
+        ("ret 0 3\nret 0 4\ncall 0 push 1 0\n", "duplicate return for id 0 (line 3)"),
+        ("ret 0 3\ncall 0 push 1 0\nret 0 4\n", "duplicate return for id 0 (line 4)"),
+        ("ret 0 3\ncall 0 push 1 0\ncall 0 push 1 1\n", "duplicate call for id 0 (line 4)"),
+        ("call 0 push 1 0\ncall 0 push 1 1\nret 0 3\n", "duplicate call for id 0 (line 3)"),
+    ])
+    def test_duplicates_with_early_returns(self, records, message):
+        assert str(parse_error("adt stack\n" + records)) == message
+
+
+class TestWorkingMemory:
+    """A file check holds the parsed history and little besides."""
+
+    @pytest.fixture(scope="class")
+    def events_file(self, tmp_path_factory):
+        # 50k operations in order: push i, then its pop, which names i on its return.
+        path = tmp_path_factory.mktemp("memory") / "h.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("adt stack\n")
+            for i in range(25_000):
+                fh.write(f"call {2 * i} push {i} {4 * i}\nret {2 * i} {4 * i + 1}\n"
+                         f"call {2 * i + 1} pop {4 * i + 2}\nret {2 * i + 1} {4 * i + 3} {i}\n")
+        return path
+
+    @staticmethod
+    def traced(fn, *args):
+        """fn(*args), the memory its result keeps, and the peak during the call."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, kept, peak
+
+    @pytest.fixture(scope="class")
+    def parsed(self, events_file):
+        def parse():
+            with open(events_file, encoding="utf-8") as fh:
+                return parse_history(fh)
+        return self.traced(parse)
+
+    def test_parsing_a_file_peaks_near_the_history_it_keeps(self, parsed):
+        # Holding the whole text, or every call and return record until the
+        # end, would peak at about 4 times the history.
+        h, kept, peak = parsed
+        assert len(h) == 50_000
+        assert peak < 1.5 * kept, (peak, kept)
+
+    def test_value_table_needs_little_beyond_its_rows(self, parsed):
+        # Lists of every value's rows and every pop, or a set of all the
+        # timestamps, would need about 1.3 times the history.
+        h, history, _ = parsed
+        t, kept, peak = self.traced(value_table, h)
+        assert len(t.value) == 25_000
+        assert peak - kept < 0.25 * history, (peak - kept, history)
