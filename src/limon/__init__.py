@@ -16,7 +16,6 @@ names, as in `limon.gen_random` or `from limon import sequential_check`.
 
 from .history import (
     ADTS,
-    EMPTY,
     AttributedValue,
     BoundExceeded,
     Event,
@@ -28,23 +27,12 @@ from .history import (
     Verdict,
     Violation,
     WorkCounter,
-    complete_history,
-    differentiate,
     parse_event_stream,
     parse_history,
-    project,
-    remove_overlapping_pairs,
     serialize_history,
     validate,
 )
-from .stacks import (
-    d_segments,
-    extreme_values,
-    op_to_val,
-    p_segments,
-    partition,
-    stack_linearizable,
-)
+from .stacks import stack_linearizable
 from .queues import ContainmentIndex, queue_linearizable
 from .sets import (
     SetValueState,
@@ -59,7 +47,7 @@ from .sets import (
 
 # Names resolved on first use, by the module that defines them.
 _LAZY_MODULES = {
-    "oracle": ("brute_force_linearizable", "saturation_baseline", "sequential_check"),
+    "oracle": ("brute_force_linearizable", "sequential_check"),
     "generators": ("GenConfig", "gen_linearizable", "gen_linearizable_with_witness",
                    "gen_random", "gen_small_model_family", "mutate", "record_execution"),
     "impls": (),

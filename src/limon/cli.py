@@ -78,14 +78,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import brute_force_linearizable, saturation_baseline
+    from .oracle import brute_force_linearizable
     with _open_input(args.file) as fh:
         h = parse_history(fh, fmt=args.format, adt_override=args.adt)
-    if args.saturation:
-        verdict = saturation_baseline(h)
-        print("saturation (experimental, unproven): "
-              + ("linearizable" if verdict.linearizable else "unlinearizable"))
-        return EXIT_LINEARIZABLE if verdict.linearizable else EXIT_UNLINEARIZABLE
     verdict = brute_force_linearizable(h, max_ops=args.max_ops)
     return _emit_verdict(verdict, args.verbose)
 
@@ -151,14 +146,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_LINEARIZABLE
 
 
-def _at_least(least: int):
-    """An argparse type: an integer no smaller than least."""
-    def parse(text: str) -> int:
-        n = int(text)
-        if n < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+def _at_least(least, number=int):
+    """An argparse type: a finite number of the given type, no smaller than least."""
+    def parse(text: str):
+        n = number(text)
+        if not least <= n < float("inf"):  # also false for nan
+            raise argparse.ArgumentTypeError(f"must be finite and at least {least}, got {n}")
         return n
-    parse.__name__ = "int"  # argparse names the type when int() fails
+    parse.__name__ = number.__name__  # argparse names the type when it fails
     return parse
 
 
@@ -183,11 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("file")
     p_oracle.add_argument("--adt", choices=ADTS)
     p_oracle.add_argument("--format", default="auto", choices=("auto", "ops", "events"))
-    p_oracle.add_argument("--max-ops", type=int, default=10,
+    p_oracle.add_argument("--max-ops", type=_at_least(0), default=10,
                           help="refuse histories larger than this (default 10)")
     p_oracle.add_argument("--verbose", action="store_true")
-    p_oracle.add_argument("--saturation", action="store_true",
-                          help="run the experimental saturation baseline instead")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic history")
@@ -198,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--values", type=_at_least(1), default=8)
     p_gen.add_argument("--threads", type=_at_least(1), default=4)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--stretch", type=float, default=1.0)
+    p_gen.add_argument("--stretch", type=_at_least(0.0, float), default=1.0)
     p_gen.add_argument("--n", type=int, default=5, help="family size for --kind small-model")
     p_gen.add_argument("--format", default="ops", choices=("ops", "events"))
     p_gen.add_argument("--out", default="-")
@@ -220,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="work-count and wall-time ladder as CSV")
     p_bench.add_argument("--adt", default="stack", choices=ADTS)
     p_bench.add_argument("--min-n", type=_at_least(0), default=100)
-    p_bench.add_argument("--max-n", type=int, default=5000)
+    p_bench.add_argument("--max-n", type=_at_least(0), default=5000)
     p_bench.add_argument("--step", type=_at_least(1), default=100)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--threads", type=_at_least(1), default=8,

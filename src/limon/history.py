@@ -5,16 +5,14 @@ execution.  Every timestamp in a history is globally unique, so the
 real-time precedence order between operations is unambiguous.  Parsed
 histories hold flat records, and build `Operation`s only if asked.  The
 parser reads its input one line at a time and holds, besides the records,
-only the operations whose call or return it has not read yet.  The
-transforms in this module (completion, overlap removal, differentiation,
-projection) define the preprocessing of the stack and queue monitors,
-which `value_table` performs in one pass that keeps only the pushes and pops
-still unpaired; the transforms are its reference.
+only the operations whose call or return it has not read yet.
+`value_table` preprocesses a stack or queue history for its monitor in one
+pass, holding besides its rows only the pushes and pops still unpaired.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from operator import attrgetter, eq, itemgetter
@@ -27,10 +25,6 @@ POP_EMPTY = "popempty"
 ADD = "add"
 REMOVE = "remove"
 CONTAINS = "contains"
-
-# Sentinel for the empty-stack value in projections: project(h, {EMPTY, ...})
-# keeps pop-empty operations.
-EMPTY = None
 
 _KINDS_BY_ADT = {
     "stack": (PUSH, POP, POP_EMPTY),
@@ -363,7 +357,10 @@ def parse_history(source: str | bytes | Iterable[str], fmt: str = "auto",
     required); record legality is checked against the effective type.
     """
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc, 0) from None
     if isinstance(source, str):
         # Lines end at \n, \r\n or \r, as in a file's universal-newline
         # reader; str.splitlines would also end them at \x0b, \x1c, \u2028...
@@ -670,26 +667,19 @@ def serialize_history(h: History, fmt: str = "ops") -> str:
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate(h: History, assume_differentiated: bool = False) -> list[Violation]:
+def validate(h: History) -> list[Violation]:
     """Report invariant violations; an empty list means the history is valid.
 
     Structural violations (duplicate timestamps or ids, call >= return,
     kinds illegal for the adt) make the input unusable.  For stack and
     queue histories, value-matching problems (a value popped more often
     than pushed) are also reported; monitors treat those as semantic
-    unlinearizability rather than as malformed input.  Value reuse is only
-    reported when assume_differentiated is set, since differentiation
-    resolves it.
+    unlinearizability rather than as malformed input.  A value pushed
+    more than once is legal: its pushes and pops pair by rank.
     """
     out = _structural_violations(h)
     if h.adt in ("stack", "queue"):
         out.extend(Violation("unmatched-pop", value) for value in unmatched_pops(h))
-        if assume_differentiated:
-            seen = Counter((op.event.kind, op.event.value) for op in h.ops
-                           if op.event.kind in (PUSH, POP))
-            for value in sorted({v for (_, v), n in seen.items() if n > 1}):
-                if (PUSH, value) in seen:
-                    out.append(Violation("duplicate-value", value))
     return out
 
 
@@ -726,140 +716,35 @@ def unmatched_pops(h: History) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Preprocessing transforms
+# Preprocessing
 # ---------------------------------------------------------------------------
 
 def _max_timestamp(h: History) -> int:
     return max(map(itemgetter(1), h.records), default=0)
 
 
-def complete_history(h: History) -> History:
-    """Append pairwise-concurrent pops at the end for every unmatched push.
-
-    With M the maximum timestamp and k unmatched values, the i-th appended
-    pop (1-based, in push-call order) spans [M+i, M+k+i], so all appended
-    pops overlap each other and follow every existing operation.
-    """
-    if h.adt not in ("stack", "queue"):
-        raise HistoryError("completion is defined for stack and queue histories")
-    counts: dict[int, int] = {}
-    order: list[int] = []
-    for op in h.ops:
-        v = op.event.value
-        if op.event.kind == PUSH:
-            if v not in counts:
-                order.append(v)
-                counts[v] = 0
-            counts[v] += 1
-        elif op.event.kind == POP:
-            # Unmatched pops go negative here; validate/monitors flag them.
-            counts[v] = counts.get(v, 0) - 1
-    missing = [v for v in order for _ in range(max(counts.get(v, 0), 0))]
-    if not missing:
-        return h
-    m = _max_timestamp(h)
-    k = len(missing)
-    next_id = max((op.id for op in h.ops), default=-1) + 1
-    new_ops = list(h.ops)
-    for i, v in enumerate(missing, start=1):
-        new_ops.append(Operation(next_id, Event(POP, v), m + i, m + k + i))
-        next_id += 1
-    return History(h.adt, tuple(new_ops))
-
-
-def remove_overlapping_pairs(h: History) -> tuple[History, tuple[int, ...]]:
-    """Drop values whose push and pop intervals intersect.
-
-    Such a pair linearizes adjacently at any point of the overlap, so it
-    never constrains the rest of the history.  Returns the reduced history
-    together with the values whose pop strictly precedes its push; any such
-    value makes the history immediately unlinearizable.
-    """
-    push_ops: dict[int, Operation] = {}
-    pop_ops: dict[int, Operation] = {}
-    for op in h.ops:
-        if op.event.kind == PUSH:
-            push_ops[op.event.value] = op
-        elif op.event.kind == POP:
-            pop_ops[op.event.value] = op
-    drop: set[int] = set()
-    popped_first: list[int] = []
-    for v, pop_op in pop_ops.items():
-        push_op = push_ops.get(v)
-        if push_op is None:
-            continue
-        if pop_op.ret < push_op.call:
-            popped_first.append(v)
-        elif push_op.interval.intersects(pop_op.interval):
-            drop.add(v)
-    if drop:
-        kept = tuple(op for op in h.ops
-                     if op.event.kind == POP_EMPTY or op.event.value not in drop)
-        h = History(h.adt, kept)
-    return h, tuple(sorted(popped_first))
-
-
-_FRESH_BASE = 10
-
-
-def differentiate(h: History) -> tuple[History, dict[int, int]]:
-    """Rewrite reused values to fresh ones, pairing pushes and pops by rank.
-
-    The j-th pop of a value (in call order) is paired with its j-th push.
-    Fresh values are consecutive integers from a fixed base; the returned
-    map sends each fresh value back to the original one, so diagnostics can
-    be reported in the caller's vocabulary.
-    """
-    if h.adt not in ("stack", "queue"):
-        raise HistoryError("differentiation applies to stack and queue histories")
-    fresh_to_orig: dict[int, int] = {}
-    push_fresh: dict[int, list[int]] = {}  # value -> fresh ids, push-call order
-    next_fresh = _FRESH_BASE
-    assigned: dict[int, int] = {}  # op id -> fresh value
-    for op in h.ops:  # already sorted by call timestamp
-        if op.event.kind == PUSH:
-            fresh = next_fresh
-            next_fresh += 1
-            fresh_to_orig[fresh] = op.event.value
-            push_fresh.setdefault(op.event.value, []).append(fresh)
-            assigned[op.id] = fresh
-    ranks: dict[int, int] = {}
-    for op in h.ops:
-        if op.event.kind == POP:
-            v = op.event.value
-            j = ranks.get(v, 0)
-            ranks[v] = j + 1
-            if j >= len(push_fresh.get(v, ())):
-                raise HistoryError(f"more pops than pushes of value {v}")
-            assigned[op.id] = push_fresh[v][j]
-    new_ops = []
-    for op in h.ops:
-        if op.id in assigned:
-            new_ops.append(Operation(op.id, Event(op.event.kind, assigned[op.id]),
-                                     op.call, op.ret))
-        else:
-            new_ops.append(op)
-    return History(h.adt, tuple(new_ops)), fresh_to_orig
-
-
 ValueTable = namedtuple("ValueTable", "value push_call push_ret pop_call pop_ret pop_empties")
 ValueTable.__doc__ = """Per-value columns of a stack or queue history, one row per push.
 
-    Row x is the x-th push in call order, which differentiate names
-    _FRESH_BASE + x, with its rank-paired pop or the pop complete_history
-    appends for it; `value` holds the original values.  `pop_empties`
-    lists the (call, return) pairs of pop-empty operations in call order.
+    Row x is the x-th push in call order with the pop paired with it: the
+    value's pop of the same rank, or, for a push left unmatched, a pop
+    appended after the history (see value_table).  `value` holds the
+    original values.  `pop_empties` lists the (call, return) pairs of
+    pop-empty operations in call order.
     """
 
 
 def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | Verdict:
     """Preprocess a stack or queue history in one pass over its operations.
 
-    Gives the rows of op_to_val(complete_history(differentiate(h)[0])), or
-    the verdict for the least value popped more often than pushed, else
-    for the first row popped before it was pushed.  Raises HistoryError
-    unless every call precedes its return and all timestamps are distinct,
-    which the monitors' verdicts assume.  Charges one unit per operation.
+    Pairs the j-th push of each value with its j-th pop, and completes the
+    k pushes left unmatched, in call order, with pops that overlap each
+    other and follow the history: the i-th spans [M+i, M+k+i], with M the
+    greatest timestamp.  Gives the rows, or the verdict for the least value
+    popped more often than pushed, else for the first row popped before it
+    was pushed.  Raises HistoryError unless every call precedes its return
+    and all timestamps are distinct, which the monitors' verdicts assume.
+    Charges one unit per operation.
     """
     if h.adt not in ("stack", "queue"):
         raise HistoryError("value tables are defined for stack and queue histories")
@@ -914,18 +799,3 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
         if pop_ret[x] < push_call[x]:
             return Verdict(False, {"kind": "pop-before-push", "value": value[x]})
     return ValueTable(value, push_call, push_ret, pop_call, pop_ret, pop_empties)
-
-
-def project(h: History, values: set) -> History:
-    """Keep the operations whose value lies in the given set.
-
-    Pop-empty operations are kept iff the EMPTY sentinel is a member.
-    """
-    kept = []
-    for op in h.ops:
-        if op.event.kind == POP_EMPTY:
-            if EMPTY in values:
-                kept.append(op)
-        elif op.event.value in values:
-            kept.append(op)
-    return History(h.adt, tuple(kept))

@@ -1,17 +1,13 @@
-"""Ground-truth checkers: exhaustive interleaving search and a saturation baseline.
+"""Ground truth: exhaustive interleaving search.
 
 The brute-force oracle enumerates linearizations directly (memoized over
 completed-operation sets and abstract states), so it is exact for any of
 the four data types but exponential; it is the arbiter for differential
-tests at small operation counts.  The saturation baseline reimplements
-the order-saturation approach used by earlier violation checkers; its
-soundness has no accepted proof, so it is provided for experiments only
-and never used as an oracle.
+tests at small operation counts.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 
 from .history import (
@@ -24,10 +20,7 @@ from .history import (
     BoundExceeded,  # defined with the other errors, so the CLI need not load this module
     Event,
     History,
-    HistoryError,
     Verdict,
-    complete_history,
-    differentiate,
 )
 
 
@@ -140,76 +133,3 @@ def brute_force_linearizable(h: History, max_ops: int = 10) -> Verdict:
         return False
 
     return Verdict(search(0, _initial_state(h.adt)))
-
-
-def saturation_baseline(h: History) -> Verdict:
-    """Experimental order-saturation check for stack/queue histories.
-
-    Starting from the real-time precedence order, repeatedly applies
-    (stack)  push(a) < push(b) and pop(a) < pop(b)  =>  pop(a) < push(b)
-    (queue)  enq(a) < enq(b)  <=>  deq(a) < deq(b)
-    together with transitivity, and reports unlinearizable iff the order
-    becomes cyclic.  The approach is known to lack a soundness proof;
-    disagreements with the oracle are expected to be possible and must be
-    logged, never asserted.
-    """
-    if h.adt not in ("stack", "queue"):
-        raise HistoryError("saturation baseline covers stack and queue histories")
-    dh, _ = differentiate(h)
-    dh = complete_history(dh)
-    ops = dh.ops
-    n = len(ops)
-    succ = [set() for _ in range(n)]
-    for i, a in enumerate(ops):
-        for j, b in enumerate(ops):
-            if a.ret < b.call:
-                succ[i].add(j)
-
-    push_of: dict[int, int] = {}
-    pop_of: dict[int, int] = {}
-    for i, op in enumerate(ops):
-        if op.event.kind == PUSH:
-            push_of[op.event.value] = i
-        elif op.event.kind == POP:
-            pop_of[op.event.value] = i
-    values = [v for v in push_of if v in pop_of]
-
-    def close() -> None:
-        queue = deque(range(n))
-        while queue:
-            i = queue.popleft()
-            added = False
-            for j in list(succ[i]):
-                extra = succ[j] - succ[i]
-                if extra:
-                    succ[i] |= extra
-                    added = True
-            if added:
-                queue.append(i)
-
-    changed = True
-    while changed:
-        close()
-        changed = False
-        for a in values:
-            for b in values:
-                if a == b:
-                    continue
-                pa, pb = push_of[a], push_of[b]
-                qa, qb = pop_of[a], pop_of[b]
-                if h.adt == "stack":
-                    if pb in succ[pa] and qb in succ[qa] and pb not in succ[qa]:
-                        succ[qa].add(pb)
-                        changed = True
-                else:
-                    if pb in succ[pa] and qb not in succ[qa]:
-                        succ[qa].add(qb)
-                        changed = True
-                    if qb in succ[qa] and pb not in succ[pa]:
-                        succ[pa].add(pb)
-                        changed = True
-    close()
-    for i in range(n):
-        if i in succ[i]:
-            return Verdict(False, {"kind": "saturation-cycle", "operation": ops[i].id})
-    return Verdict(True)

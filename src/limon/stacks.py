@@ -19,14 +19,10 @@ case quadratic, through chains of splits only.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from itertools import islice
 
 from .history import (
-    _FRESH_BASE,
-    POP,
-    POP_EMPTY,
-    PUSH,
     AttributedValue,
     History,
     HistoryError,
@@ -39,37 +35,8 @@ from .history import (
 
 Observer = Callable[[tuple, list, list, set], None]
 
-
-def op_to_val(h: History) -> dict[int, AttributedValue]:
-    """Extract the value-centric view: one attributed value per value.
-
-    Requires a differentiated, matched history with no same-value overlap
-    (the monitor's preprocessing guarantees this).
-    """
-    push_ops: dict[int, tuple[int, int]] = {}
-    pop_ops: dict[int, tuple[int, int]] = {}
-    for op in h.ops:
-        if op.event.kind == PUSH:
-            if op.event.value in push_ops:
-                raise HistoryError(f"value {op.event.value} pushed twice")
-            push_ops[op.event.value] = (op.call, op.ret)
-        elif op.event.kind == POP:
-            if op.event.value in pop_ops:
-                raise HistoryError(f"value {op.event.value} popped twice")
-            pop_ops[op.event.value] = (op.call, op.ret)
-    if set(push_ops) != set(pop_ops):
-        odd = (set(push_ops) ^ set(pop_ops)).pop()
-        raise HistoryError(f"value {odd} is missing its push or pop")
-    return {
-        v: AttributedValue(v, pc, pr, pop_ops[v][0], pop_ops[v][1])
-        for v, (pc, pr) in push_ops.items()
-    }
-
-
-def _as_vals(vals: Iterable[AttributedValue] | dict[int, AttributedValue]) -> list[AttributedValue]:
-    if isinstance(vals, dict):
-        return list(vals.values())
-    return list(vals)
+# The observer names row x of the value table _FRESH_BASE + x.
+_FRESH_BASE = 10
 
 
 def _sweep_p(rows: list[int], push_ret: list[int], pop_call: list[int],
@@ -101,74 +68,6 @@ def _gaps_d(lo: int, hi: int, p: list[tuple[int, int]],
     if counter is not None:
         counter.add(len(p) + 1)
     return out
-
-
-def p_segments(vals: Iterable[AttributedValue] | dict[int, AttributedValue]) -> list[Interval]:
-    """Compute the P-segments of a set of attributed values.
-
-    Values are swept in push-return order; a value joins the segment under
-    construction iff its push returns no later than the segment's right
-    end, extending the segment to its pop-call when that reaches further.
-    """
-    vs = sorted(_as_vals(vals), key=lambda v: v.push_ret)
-    if not vs:
-        raise HistoryError("p_segments needs at least one value")
-    p = _sweep_p(range(len(vs)), [v.push_ret for v in vs], [v.pop_call for v in vs], None)
-    return [Interval(a, b) for a, b in p]
-
-
-def _history_span(h: History) -> tuple[int, int]:
-    if not h.ops:
-        raise HistoryError("empty history has no span")
-    return min(op.call for op in h.ops), max(op.ret for op in h.ops)
-
-
-def d_segments(h: History, p_segs: list[Interval]) -> list[Interval]:
-    """Compute the D-segments: the complement of the P-segments.
-
-    The span runs from the start to the end of the whole history, which
-    for a completed overlap-free history is the earliest push-call and the
-    latest pop-return; pop-empty operations extend it when they stick out.
-    Always returns len(p_segs) + 1 intervals, the first and last possibly
-    zero-length.
-    """
-    lo, hi = _history_span(h)
-    p = [seg.as_pair() for seg in sorted(p_segs, key=lambda s: s.left)]
-    return [Interval(a, b) for a, b in _gaps_d(lo, hi, p, None)]
-
-
-def extreme_values(vals: Iterable[AttributedValue] | dict[int, AttributedValue],
-                   d_segs: list[Interval]) -> set[int]:
-    """Values whose push meets the first D-segment and pop meets the last.
-
-    Equivalently (for the histories reached by the monitor): values with a
-    minimal push and a maximal pop, removable without affecting the
-    verdict.
-    """
-    if not d_segs:
-        raise HistoryError("extreme_values needs at least one D-segment")
-    (f0, f1), (l0, l1) = d_segs[0].as_pair(), d_segs[-1].as_pair()
-    return {v.value for v in _as_vals(vals)
-            if v.push_call <= f1 and f0 <= v.push_ret
-            and v.pop_call <= l1 and l0 <= v.pop_ret}
-
-
-def partition(h: History, alpha: Interval) -> tuple[History, History]:
-    """Split a history around an internal D-segment.
-
-    The left part holds the values whose push returns at or before the
-    left end of alpha; the right part holds the rest.  Deciding both parts
-    independently is equivalent to deciding the whole history.
-    """
-    left_values = set()
-    for op in h.ops:
-        if op.event.kind == POP_EMPTY:
-            raise HistoryError("partition expects a pop-empty-free history")
-        if op.event.kind == PUSH and op.ret <= alpha.left:
-            left_values.add(op.event.value)
-    left_ops = tuple(op for op in h.ops if op.event.value in left_values)
-    right_ops = tuple(op for op in h.ops if op.event.value not in left_values)
-    return History(h.adt, left_ops), History(h.adt, right_ops)
 
 
 def _sort_cost(n: int) -> int:
@@ -246,8 +145,8 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
     part gets its own orders, sorted afresh.  Both keep the marks.
 
     The optional counter accumulates every step taken, sorts included (as
-    n log n); the optional observer is called with (values, p_segments,
-    d_segments, extremes) once per round.
+    n log n); the optional observer is called with (values, P-segments,
+    D-segments, extremes) once per round.
     """
     prepared = _prepare(h, counter)
     if isinstance(prepared, Verdict):

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import os
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 
-from limon import AttributedValue, Event, History, Interval, Operation, Verdict
-from limon.history import _FRESH_BASE, POP, POP_EMPTY, PUSH
+from limon import AttributedValue, Event, History, HistoryError, Interval, Operation, Verdict
+from limon.history import POP, POP_EMPTY, PUSH, _max_timestamp, unmatched_pops
 from limon.oracle import sequential_check
-from limon.stacks import _prepare
+from limon.stacks import _FRESH_BASE, _gaps_d, _prepare, _sweep_p
 
 
 def limon_env(**overrides: str) -> dict:
@@ -132,13 +134,7 @@ def find_critical_pair_naive(vals) -> CriticalPair | None:
 
 def matched(h: History) -> bool:
     """True when every pushed value has exactly as many pops as pushes."""
-    counts: dict[int, int] = {}
-    for op in h.ops:
-        if op.event.kind == PUSH:
-            counts[op.event.value] = counts.get(op.event.value, 0) + 1
-        elif op.event.kind == POP:
-            counts[op.event.value] = counts.get(op.event.value, 0) - 1
-    return all(n == 0 for n in counts.values())
+    return not unmatched_pops(h) and complete_history(h) is h
 
 
 def check_pop_empty(h: History, d_segs: list[Interval]) -> History | Verdict:
@@ -179,27 +175,20 @@ def reference_stack_linearizable(h: History, observer=None) -> Verdict:
         vs = pending.pop()
         if not vs:
             continue
-        p = []
-        for v in vs:  # sorted by push-return
-            if p and v.push_ret <= p[-1][1]:
-                p[-1] = (p[-1][0], max(p[-1][1], v.pop_call))
-            else:
-                p.append((v.push_ret, v.pop_call))
-        ends = [a for a, _ in p] + [max(v.pop_ret for v in vs)]
-        d = list(zip([min(v.push_call for v in vs)] + [b for _, b in p], ends))
-        (f0, f1), (l0, l1) = d[0], d[-1]
-        ex = {v.value for v in vs if v.push_call <= f1 and f0 <= v.push_ret
-              and v.pop_call <= l1 and l0 <= v.pop_ret}
+        p = p_segments(vs)
+        d = [Interval(a, b) for a, b in _gaps_d(min(v.push_call for v in vs),
+                                                max(v.pop_ret for v in vs),
+                                                [s.as_pair() for s in p], None)]
+        ex = extreme_values(vs, d)
         if observer is not None:
-            observer(tuple(vs), [Interval(a, b) for a, b in p],
-                     [Interval(a, b) for a, b in d], set(ex))
+            observer(tuple(vs), p, d, ex)
         if ex:
             pending.append([v for v in vs if v.value not in ex])
         elif len(d) <= 2:
             return Verdict(False, {"kind": "no-separation", "values":
                                    sorted(t.value[v.value - _FRESH_BASE] for v in vs)})
         else:
-            cut = d[1][0]
+            cut = d[1].left
             pending.append([v for v in vs if v.push_ret <= cut])
             pending.append([v for v in vs if v.push_ret > cut])
     return Verdict(True)
@@ -218,3 +207,304 @@ class StackTally:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return self.rounds, self.extremes, self.splits
+
+
+# Preprocessing, step by step: the reference for history.value_table.
+
+# Sentinel for the empty-stack value in projections: project(h, {EMPTY, ...})
+# keeps pop-empty operations.
+EMPTY = None
+
+
+def complete_history(h: History) -> History:
+    """Append pairwise-concurrent pops at the end for every unmatched push.
+
+    With M the maximum timestamp and k unmatched values, the i-th appended
+    pop (1-based, in push-call order) spans [M+i, M+k+i], so all appended
+    pops overlap each other and follow every existing operation.
+    """
+    if h.adt not in ("stack", "queue"):
+        raise HistoryError("completion is defined for stack and queue histories")
+    counts: dict[int, int] = {}
+    order: list[int] = []
+    for op in h.ops:
+        v = op.event.value
+        if op.event.kind == PUSH:
+            if v not in counts:
+                order.append(v)
+                counts[v] = 0
+            counts[v] += 1
+        elif op.event.kind == POP:
+            # Unmatched pops go negative here; validate/monitors flag them.
+            counts[v] = counts.get(v, 0) - 1
+    missing = [v for v in order for _ in range(max(counts.get(v, 0), 0))]
+    if not missing:
+        return h
+    m = _max_timestamp(h)
+    k = len(missing)
+    next_id = max((op.id for op in h.ops), default=-1) + 1
+    new_ops = list(h.ops)
+    for i, v in enumerate(missing, start=1):
+        new_ops.append(Operation(next_id, Event(POP, v), m + i, m + k + i))
+        next_id += 1
+    return History(h.adt, tuple(new_ops))
+
+
+def remove_overlapping_pairs(h: History) -> tuple[History, tuple[int, ...]]:
+    """Drop values whose push and pop intervals intersect.
+
+    Such a pair linearizes adjacently at any point of the overlap, so it
+    never constrains the rest of the history.  Returns the reduced history
+    together with the values whose pop strictly precedes its push; any such
+    value makes the history immediately unlinearizable.
+    """
+    push_ops: dict[int, Operation] = {}
+    pop_ops: dict[int, Operation] = {}
+    for op in h.ops:
+        if op.event.kind == PUSH:
+            push_ops[op.event.value] = op
+        elif op.event.kind == POP:
+            pop_ops[op.event.value] = op
+    drop: set[int] = set()
+    popped_first: list[int] = []
+    for v, pop_op in pop_ops.items():
+        push_op = push_ops.get(v)
+        if push_op is None:
+            continue
+        if pop_op.ret < push_op.call:
+            popped_first.append(v)
+        elif push_op.interval.intersects(pop_op.interval):
+            drop.add(v)
+    if drop:
+        kept = tuple(op for op in h.ops
+                     if op.event.kind == POP_EMPTY or op.event.value not in drop)
+        h = History(h.adt, kept)
+    return h, tuple(sorted(popped_first))
+
+
+def differentiate(h: History) -> tuple[History, dict[int, int]]:
+    """Rewrite reused values to fresh ones, pairing pushes and pops by rank.
+
+    The j-th pop of a value (in call order) is paired with its j-th push.
+    Fresh values are consecutive integers from a fixed base; the returned
+    map sends each fresh value back to the original one, so diagnostics can
+    be reported in the caller's vocabulary.
+    """
+    if h.adt not in ("stack", "queue"):
+        raise HistoryError("differentiation applies to stack and queue histories")
+    fresh_to_orig: dict[int, int] = {}
+    push_fresh: dict[int, list[int]] = {}  # value -> fresh ids, push-call order
+    next_fresh = _FRESH_BASE
+    assigned: dict[int, int] = {}  # op id -> fresh value
+    for op in h.ops:  # already sorted by call timestamp
+        if op.event.kind == PUSH:
+            fresh = next_fresh
+            next_fresh += 1
+            fresh_to_orig[fresh] = op.event.value
+            push_fresh.setdefault(op.event.value, []).append(fresh)
+            assigned[op.id] = fresh
+    ranks: dict[int, int] = {}
+    for op in h.ops:
+        if op.event.kind == POP:
+            v = op.event.value
+            j = ranks.get(v, 0)
+            ranks[v] = j + 1
+            if j >= len(push_fresh.get(v, ())):
+                raise HistoryError(f"more pops than pushes of value {v}")
+            assigned[op.id] = push_fresh[v][j]
+    new_ops = []
+    for op in h.ops:
+        if op.id in assigned:
+            new_ops.append(Operation(op.id, Event(op.event.kind, assigned[op.id]),
+                                     op.call, op.ret))
+        else:
+            new_ops.append(op)
+    return History(h.adt, tuple(new_ops)), fresh_to_orig
+
+
+def project(h: History, values: set) -> History:
+    """Keep the operations whose value lies in the given set.
+
+    Pop-empty operations are kept iff the EMPTY sentinel is a member.
+    """
+    kept = []
+    for op in h.ops:
+        if op.event.kind == POP_EMPTY:
+            if EMPTY in values:
+                kept.append(op)
+        elif op.event.value in values:
+            kept.append(op)
+    return History(h.adt, tuple(kept))
+
+
+def op_to_val(h: History) -> dict[int, AttributedValue]:
+    """Extract the value-centric view: one attributed value per value.
+
+    Requires a differentiated, matched history with no same-value overlap
+    (the monitor's preprocessing guarantees this).
+    """
+    push_ops: dict[int, tuple[int, int]] = {}
+    pop_ops: dict[int, tuple[int, int]] = {}
+    for op in h.ops:
+        if op.event.kind == PUSH:
+            if op.event.value in push_ops:
+                raise HistoryError(f"value {op.event.value} pushed twice")
+            push_ops[op.event.value] = (op.call, op.ret)
+        elif op.event.kind == POP:
+            if op.event.value in pop_ops:
+                raise HistoryError(f"value {op.event.value} popped twice")
+            pop_ops[op.event.value] = (op.call, op.ret)
+    if set(push_ops) != set(pop_ops):
+        odd = (set(push_ops) ^ set(pop_ops)).pop()
+        raise HistoryError(f"value {odd} is missing its push or pop")
+    return {
+        v: AttributedValue(v, pc, pr, pop_ops[v][0], pop_ops[v][1])
+        for v, (pc, pr) in push_ops.items()
+    }
+
+
+# The stack recursion's steps, over the monitor's own sweeps.
+
+def _as_vals(vals: Iterable[AttributedValue] | dict[int, AttributedValue]) -> list[AttributedValue]:
+    if isinstance(vals, dict):
+        return list(vals.values())
+    return list(vals)
+
+
+def p_segments(vals: Iterable[AttributedValue] | dict[int, AttributedValue]) -> list[Interval]:
+    """Compute the P-segments of a set of attributed values.
+
+    Values are swept in push-return order; a value joins the segment under
+    construction iff its push returns no later than the segment's right
+    end, extending the segment to its pop-call when that reaches further.
+    """
+    vs = sorted(_as_vals(vals), key=lambda v: v.push_ret)
+    if not vs:
+        raise HistoryError("p_segments needs at least one value")
+    p = _sweep_p(range(len(vs)), [v.push_ret for v in vs], [v.pop_call for v in vs], None)
+    return [Interval(a, b) for a, b in p]
+
+
+def d_segments(h: History, p_segs: list[Interval]) -> list[Interval]:
+    """Compute the D-segments: the complement of the P-segments.
+
+    The span runs from the start to the end of the whole history, which
+    for a completed overlap-free history is the earliest push-call and the
+    latest pop-return; pop-empty operations extend it when they stick out.
+    Always returns len(p_segs) + 1 intervals, the first and last possibly
+    zero-length.
+    """
+    if not h.ops:
+        raise HistoryError("empty history has no span")
+    lo, hi = min(op.call for op in h.ops), max(op.ret for op in h.ops)
+    p = [seg.as_pair() for seg in sorted(p_segs, key=lambda s: s.left)]
+    return [Interval(a, b) for a, b in _gaps_d(lo, hi, p, None)]
+
+
+def extreme_values(vals: Iterable[AttributedValue] | dict[int, AttributedValue],
+                   d_segs: list[Interval]) -> set[int]:
+    """Values whose push meets the first D-segment and pop meets the last.
+
+    Equivalently (for the histories reached by the monitor): values with a
+    minimal push and a maximal pop, removable without affecting the
+    verdict.
+    """
+    if not d_segs:
+        raise HistoryError("extreme_values needs at least one D-segment")
+    (f0, f1), (l0, l1) = d_segs[0].as_pair(), d_segs[-1].as_pair()
+    return {v.value for v in _as_vals(vals)
+            if v.push_call <= f1 and f0 <= v.push_ret
+            and v.pop_call <= l1 and l0 <= v.pop_ret}
+
+
+def partition(h: History, alpha: Interval) -> tuple[History, History]:
+    """Split a history around an internal D-segment.
+
+    The left part holds the values whose push returns at or before the
+    left end of alpha; the right part holds the rest.  Deciding both parts
+    independently is equivalent to deciding the whole history.
+    """
+    left_values = set()
+    for op in h.ops:
+        if op.event.kind == POP_EMPTY:
+            raise HistoryError("partition expects a pop-empty-free history")
+        if op.event.kind == PUSH and op.ret <= alpha.left:
+            left_values.add(op.event.value)
+    left_ops = tuple(op for op in h.ops if op.event.value in left_values)
+    right_ops = tuple(op for op in h.ops if op.event.value not in left_values)
+    return History(h.adt, left_ops), History(h.adt, right_ops)
+
+
+# Order saturation: an unproven baseline, compared with the oracle only.
+
+def saturation_baseline(h: History) -> Verdict:
+    """Experimental order-saturation check for stack/queue histories.
+
+    Starting from the real-time precedence order, repeatedly applies
+    (stack)  push(a) < push(b) and pop(a) < pop(b)  =>  pop(a) < push(b)
+    (queue)  enq(a) < enq(b)  <=>  deq(a) < deq(b)
+    together with transitivity, and reports unlinearizable iff the order
+    becomes cyclic.  The approach is known to lack a soundness proof;
+    disagreements with the oracle are expected to be possible and must be
+    logged, never asserted.
+    """
+    if h.adt not in ("stack", "queue"):
+        raise HistoryError("saturation baseline covers stack and queue histories")
+    dh, _ = differentiate(h)
+    dh = complete_history(dh)
+    ops = dh.ops
+    n = len(ops)
+    succ = [set() for _ in range(n)]
+    for i, a in enumerate(ops):
+        for j, b in enumerate(ops):
+            if a.ret < b.call:
+                succ[i].add(j)
+
+    push_of: dict[int, int] = {}
+    pop_of: dict[int, int] = {}
+    for i, op in enumerate(ops):
+        if op.event.kind == PUSH:
+            push_of[op.event.value] = i
+        elif op.event.kind == POP:
+            pop_of[op.event.value] = i
+    values = [v for v in push_of if v in pop_of]
+
+    def close() -> None:
+        queue = deque(range(n))
+        while queue:
+            i = queue.popleft()
+            added = False
+            for j in list(succ[i]):
+                extra = succ[j] - succ[i]
+                if extra:
+                    succ[i] |= extra
+                    added = True
+            if added:
+                queue.append(i)
+
+    changed = True
+    while changed:
+        close()
+        changed = False
+        for a in values:
+            for b in values:
+                if a == b:
+                    continue
+                pa, pb = push_of[a], push_of[b]
+                qa, qb = pop_of[a], pop_of[b]
+                if h.adt == "stack":
+                    if pb in succ[pa] and qb in succ[qa] and pb not in succ[qa]:
+                        succ[qa].add(pb)
+                        changed = True
+                else:
+                    if pb in succ[pa] and qb not in succ[qa]:
+                        succ[qa].add(qb)
+                        changed = True
+                    if qb in succ[qa] and pb not in succ[pa]:
+                        succ[pa].add(pb)
+                        changed = True
+    close()
+    for i in range(n):
+        if i in succ[i]:
+            return Verdict(False, {"kind": "saturation-cycle", "operation": ops[i].id})
+    return Verdict(True)

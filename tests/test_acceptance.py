@@ -15,15 +15,8 @@ from limon import (
     Interval,
     brute_force_linearizable,
     check_history,
-    complete_history,
-    d_segments,
-    extreme_values,
     gen_random,
     gen_small_model_family,
-    op_to_val,
-    p_segments,
-    partition,
-    project,
     queue_linearizable,
     record_execution,
     set_linearizable,
@@ -35,6 +28,13 @@ from helpers import (
     STAGGERED_ROWS,
     QUEUE_BAD_ROWS,
     QUEUE_OK_ROWS,
+    complete_history,
+    d_segments,
+    extreme_values,
+    op_to_val,
+    p_segments,
+    partition,
+    project,
     scan_container,
     value_history,
 )

@@ -93,10 +93,6 @@ class TestOracle:
     def test_bound_exit_3(self, tmp_path):
         assert main(["oracle", write(tmp_path, "h.txt", H1), "--max-ops", "2"]) == 3
 
-    def test_saturation_flag(self, tmp_path, capsys):
-        assert main(["oracle", write(tmp_path, "h.txt", H1), "--saturation"]) == 0
-        assert "experimental" in capsys.readouterr().out
-
 
 class TestGen:
     def test_deterministic_bytes(self, tmp_path):
@@ -476,6 +472,11 @@ class TestExitCodeContract:
         ["bench", "--min-n", "-100"],
         ["bench", "--threads", "-1"],
         ["gen", "--ops", "many"],
+        ["gen", "--stretch", "nan"],
+        ["gen", "--stretch", "inf"],
+        ["gen", "--stretch", "-1"],
+        ["oracle", "h.txt", "--max-ops", "-1"],
+        ["bench", "--max-n", "-5"],
     ])
     def test_bad_size_argument_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

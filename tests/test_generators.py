@@ -11,13 +11,14 @@ from limon import (
     gen_small_model_family,
     mutate,
     parse_history,
-    project,
     record_execution,
     sequential_check,
     serialize_history,
     stack_linearizable,
     validate,
 )
+
+from helpers import project
 
 
 class TestGenLinearizable:

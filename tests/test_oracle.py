@@ -10,11 +10,10 @@ from limon import (
     brute_force_linearizable,
     gen_random,
     parse_history,
-    saturation_baseline,
     sequential_check,
 )
 
-from helpers import naive_linearizable
+from helpers import naive_linearizable, saturation_baseline
 
 H1_TEXT = "adt stack\npush 0 0 2\npush 1 1 3\npop 1 4 6\npop 0 5 7\n"
 LIFO_BAD = "adt stack\npush 1 0 1\npush 2 2 3\npop 1 4 5\npop 2 6 7\n"

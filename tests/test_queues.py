@@ -12,10 +12,7 @@ from limon import (
     Operation,
     WorkCounter,
     brute_force_linearizable,
-    complete_history,
-    differentiate,
     gen_random,
-    op_to_val,
     parse_history,
     queue_linearizable,
 )
@@ -24,7 +21,10 @@ from helpers import (
     QUEUE_BAD_ROWS,
     QUEUE_OK_ROWS,
     CriticalPair,
+    complete_history,
+    differentiate,
     find_critical_pair_naive,
+    op_to_val,
     scan_container,
     value_history,
 )
@@ -131,7 +131,6 @@ class TestQueueLinearizable:
             if verdict.witness and verdict.witness["kind"] != "critical-pair":
                 continue  # unmatched-pop / pop-before-push short-circuits
             try:
-                from limon import complete_history, differentiate
                 dh, _ = differentiate(h)
                 vals = op_to_val(complete_history(dh))
             except HistoryError:

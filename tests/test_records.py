@@ -175,28 +175,26 @@ class TestSetValueState:
         assert b.adds.credits == [] and b.pending == {}
 
 
-# Every public name the package has exported; the oracle, the generators
-# and the recorder resolve on first use.
+# Every public name the package exports, no more; the oracle, the
+# generators and the recorder resolve on first use.
 EXPORTED = (
-    "ADTS", "AttributedValue", "BoundExceeded", "ContainmentIndex", "EMPTY", "Event",
-    "GenConfig", "History", "HistoryError", "Interval", "Operation", "ParseError",
-    "SetValueState", "Verdict", "Violation", "WorkCounter", "brute_force_linearizable",
-    "check_history", "complete_history", "d_segments", "differentiate", "ensure_state",
-    "extreme_values", "gen_linearizable", "gen_linearizable_with_witness", "gen_random",
+    "ADTS", "AttributedValue", "BoundExceeded", "ContainmentIndex", "Event", "GenConfig",
+    "History", "HistoryError", "Interval", "Operation", "ParseError", "SetValueState",
+    "Verdict", "Violation", "WorkCounter", "brute_force_linearizable", "check_history",
+    "ensure_state", "gen_linearizable", "gen_linearizable_with_witness", "gen_random",
     "gen_small_model_family", "generators", "history", "history_events", "impls",
     "multiset_linearizable", "multiset_linearizable_events", "mutate",
-    "normalize_failing_ops", "op_to_val", "oracle", "p_segments", "parse_event_stream",
-    "parse_history", "partition", "project", "queue_linearizable", "queues",
-    "record_execution", "remove_overlapping_pairs", "saturation_baseline",
-    "sequential_check", "serialize_history", "set_linearizable", "set_linearizable_events",
-    "sets", "stack_linearizable", "stacks", "validate",
+    "normalize_failing_ops", "oracle", "parse_event_stream", "parse_history",
+    "queue_linearizable", "queues", "record_execution", "sequential_check",
+    "serialize_history", "set_linearizable", "set_linearizable_events", "sets",
+    "stack_linearizable", "stacks", "validate",
 )
 
 
 class TestPackage:
     def test_every_exported_name_resolves(self):
         assert [name for name in EXPORTED if not hasattr(limon, name)] == []
-        assert set(EXPORTED) <= set(dir(limon))
+        assert sorted(limon.__all__) == sorted(EXPORTED)
 
     def test_from_import_resolves(self):
         from limon import BoundExceeded, GenConfig, brute_force_linearizable, gen_random

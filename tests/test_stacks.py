@@ -14,19 +14,11 @@ from limon import (
     Verdict,
     WorkCounter,
     brute_force_linearizable,
-    complete_history,
-    d_segments,
-    differentiate,
-    extreme_values,
     gen_linearizable,
     gen_random,
     gen_small_model_family,
     mutate,
-    op_to_val,
-    p_segments,
     parse_history,
-    partition,
-    remove_overlapping_pairs,
     stack_linearizable,
 )
 
@@ -34,9 +26,17 @@ from helpers import (
     STAGGERED_ROWS,
     StackTally,
     check_pop_empty,
+    complete_history,
+    d_segments,
+    differentiate,
+    extreme_values,
     fold_values,
     nested_stack,
+    op_to_val,
+    p_segments,
+    partition,
     reference_stack_linearizable,
+    remove_overlapping_pairs,
     value_history,
 )
 
