@@ -1,12 +1,12 @@
 """limon: linearizability monitoring for stacks, queues, sets and multisets.
 
 Decides whether a recorded concurrent history is linearizable with respect
-to its abstract data type, in O(n log n) for stacks between splits
-(O(n^2) in the worst case, through chains of splits only), O(n log n)
-for queues (a containment query over I-segments sorted by left end, with
-a running maximum of right ends) and O(n) for sets and multisets, plus the
-supporting machinery: file formats, preprocessing, an exact brute-force
-oracle, corpus generators and an execution recorder.
+to its abstract data type: in O(n log n) for stacks between splits (O(n^2)
+in the worst case, through chains of splits only), for queues (a
+containment query over I-segments sorted by left end, with a running
+maximum of right ends) and for set and multiset histories (their returns
+are sorted), in O(n) for set and multiset streams.  Also file formats,
+preprocessing, an exact oracle, corpus generators and an execution recorder.
 
 Importing the package loads the file formats and the four monitors, all
 that `limon check` runs.  The oracle, the generators and the recorder

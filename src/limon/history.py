@@ -135,7 +135,7 @@ class Operation(namedtuple("Operation", "id event call ret")):
 
 
 # One call or return event of a set or multiset history, the shape that
-# parse_event_stream yields, sets.history_events builds and the set and
+# parse_event_stream and sets.history_events yield and the set and
 # multiset monitors read: (timestamp, is_call, kind, value, outcome, id, call).
 # `call` is the operation's call timestamp.  A streamed call has outcome
 # None, since its answer comes with its return.
@@ -147,7 +147,7 @@ class History(_FrozenRecord):
     Operations (`ops`) and as flat (call, ret, kind, value, outcome, id)
     tuples (`records`); either view is built from the other on first use."""
 
-    __slots__ = ("adt", "_ops", "_records")
+    __slots__ = ("adt", "_ops", "_records", "_checked")  # _checked: see _check_timestamps
     _fields = ("adt", "ops")
 
     def __init__(self, adt: str, ops: Iterable[Operation]) -> None:
@@ -156,6 +156,7 @@ class History(_FrozenRecord):
         object.__setattr__(self, "adt", adt)
         object.__setattr__(self, "_ops", tuple(sorted(ops, key=attrgetter("call"))))
         object.__setattr__(self, "_records", None)
+        object.__setattr__(self, "_checked", False)
 
     @classmethod
     def _from_records(cls, adt: str, records: Iterable[tuple]) -> History:
@@ -386,6 +387,7 @@ def parse_history(source: str | bytes | Iterable[str], fmt: str = "auto",
     if not _distinct_stamps(h.records):
         bad = _structural_violations(h)[0]
         raise ParseError(f"invalid history: {bad.code} ({bad.detail})")
+    object.__setattr__(h, "_checked", True)  # the record parsers refuse call >= return
     return h
 
 
@@ -396,6 +398,17 @@ def _distinct_stamps(records: tuple[tuple, ...]) -> bool:
     stamps += map(itemgetter(1), records)
     stamps.sort()
     return not any(map(eq, stamps, islice(stamps, 1, None)))
+
+
+def _check_timestamps(h: History) -> None:
+    """Raise HistoryError unless every call precedes its return and all
+    timestamps are distinct, as the monitors assume; parsed histories pass."""
+    if not h._checked:
+        for call, ret, _, _, _, op_id in h.records:
+            if call >= ret:
+                raise HistoryError(f"operation {op_id}: call {call} not before return {ret}")
+        if not _distinct_stamps(h.records):
+            raise HistoryError("timestamps are not distinct")
 
 
 def _parse_ops_format(adt: str, lines: Iterable[str], first: int) -> list[tuple]:
@@ -742,20 +755,18 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
     other and follow the history: the i-th spans [M+i, M+k+i], with M the
     greatest timestamp.  Gives the rows, or the verdict for the least value
     popped more often than pushed, else for the first row popped before it
-    was pushed.  Raises HistoryError unless every call precedes its return
-    and all timestamps are distinct, which the monitors' verdicts assume.
-    Charges one unit per operation.
+    was pushed.  Raises HistoryError as _check_timestamps does.  Charges
+    one unit per operation.
     """
     if h.adt not in ("stack", "queue"):
         raise HistoryError("value tables are defined for stack and queue histories")
+    _check_timestamps(h)
     value, push_call, push_ret, pop_call, pop_ret, pop_empties = [], [], [], [], [], []
     # value -> [head, ...]: a FIFO, read from index head, of the value's
     # unpaired pushes (rows) or of its early pops ((call, return)), never
     # both; the k-th push of a value pairs with its k-th pop.
     waiting: dict = {}
-    for call, ret, kind, v, _, op_id in h.records:
-        if call >= ret:
-            raise HistoryError(f"operation {op_id}: call {call} not before return {ret}")
+    for call, ret, kind, v, _, _ in h.records:
         if kind == PUSH:
             mine = len(value)
             value.append(v)
@@ -789,8 +800,6 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
     unmatched = [v for v, fifo in waiting.items() if type(fifo[-1]) is tuple]
     if unmatched:
         return Verdict(False, {"kind": "unmatched-pop", "value": min(unmatched)})
-    if not _distinct_stamps(h.records):
-        raise HistoryError("timestamps are not distinct")
     missing = [x for x in range(len(value)) if pop_call[x] is None]
     m, k = _max_timestamp(h), len(missing)
     for i, x in enumerate(missing, start=1):

@@ -2,9 +2,9 @@
 
 Both checkers are online: they consume the call/return events of a
 history in timestamp order and decide in a single pass.  An event is a
-flat tuple, `history.StreamEvent`: (timestamp, is_call, kind, value,
-outcome, id, call), the shape `parse_event_stream` yields and
-`history_events` builds, so no record is built per event.  For multisets
+flat tuple, `history.StreamEvent`, as `parse_event_stream` yields it from
+a stream and `history_events` from a history, block by block: neither
+builds a record per event, nor the whole list of events.  For multisets
 (add/remove only) the whole criterion is a per-value count: a prefix in
 which returned removes outnumber called adds is exactly a violation.
 
@@ -22,7 +22,8 @@ answer.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from operator import itemgetter
 
 from .history import (
@@ -36,6 +37,7 @@ from .history import (
     StreamEvent,
     Verdict,
     WorkCounter,
+    _check_timestamps,
     _Record,
 )
 
@@ -76,24 +78,35 @@ class SetValueState(_Record):
         self.state: bool | None = None  # None is the unknown initial state
 
 
-def history_events(h: History) -> list[StreamEvent]:
-    """Flatten a history into its call/return events in timestamp order.
+_BLOCK = 4096  # operations per block of history_events: rare resumes, small blocks
 
-    Both events of an operation carry its outcome.  In a set history a
-    failing add or remove becomes the membership query it implies, as
-    normalize_failing_ops rewrites it.
-    """
-    is_set = h.adt == "set"
-    out: list[StreamEvent] = []
-    append = out.append
-    for call, ret, kind, value, outcome, op_id in h.records:
-        if outcome is False and is_set and (kind == ADD or kind == REMOVE):
-            kind, outcome = CONTAINS, kind == ADD
-        append((call, True, kind, value, outcome, op_id, call))
-        append((ret, False, kind, value, outcome, op_id, call))
-    # By timestamp alone, and stably: values may mix int, str and None.
-    out.sort(key=itemgetter(0))
-    return out
+
+def history_events(h: History) -> Iterator[StreamEvent]:
+    """The call/return events of a history in timestamp order, lazily; both
+    events of an operation carry its outcome.  In a set history a failing
+    add or remove becomes the membership query it implies, as
+    normalize_failing_ops rewrites it.  Raises HistoryError unless every
+    call precedes its return and all timestamps are distinct."""
+    _check_timestamps(h)
+    return chain.from_iterable(_event_blocks(h.records, h.adt == "set"))
+
+
+def _event_blocks(records: tuple[tuple, ...], is_set: bool) -> Iterator[list[StreamEvent]]:
+    """Sorted blocks of events: the calls of the next _BLOCK operations and
+    the returns not yet given before the next call, which all later events follow."""
+    by_ret = sorted(records, key=itemgetter(1))
+    stops = [bisect_left(by_ret, rec[0], key=itemgetter(1)) for rec in records[_BLOCK::_BLOCK]]
+    stops.append(len(records))
+    for start, done, stop in zip(range(0, len(records), _BLOCK), [0, *stops], stops):
+        out: list[StreamEvent] = []
+        append = out.append
+        for is_call, ops in ((True, records[start:start + _BLOCK]), (False, by_ret[done:stop])):
+            for call, ret, kind, value, outcome, op_id in ops:
+                if outcome is False and is_set and (kind == ADD or kind == REMOVE):
+                    kind, outcome = CONTAINS, kind == ADD
+                append((call if is_call else ret, is_call, kind, value, outcome, op_id, call))
+        out.sort(key=itemgetter(0))  # by timestamp alone: values may mix int and str
+        yield out
 
 
 def normalize_failing_ops(h: History) -> History:
@@ -249,10 +262,8 @@ def multiset_linearizable_events(events: Iterable[StreamEvent],
 
 def set_linearizable(h: History, *, counter: WorkCounter | None = None,
                      observer=None) -> Verdict:
-    """Decide whether a set history (add/remove/contains) is linearizable.
-
-    Failing adds and removes are normalized while the history is flattened.
-    """
+    """Decide whether a set history (add/remove/contains) is linearizable;
+    history_events rewrites its failing adds and removes."""
     if h.adt != "set":
         raise HistoryError(f"set monitor got adt {h.adt!r}")
     return set_linearizable_events(history_events(h), counter, observer)

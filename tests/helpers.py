@@ -10,7 +10,16 @@ from itertools import permutations
 from pathlib import Path
 
 from limon import AttributedValue, Event, History, HistoryError, Interval, Operation, Verdict
-from limon.history import POP, POP_EMPTY, PUSH, _max_timestamp, unmatched_pops
+from limon.history import (
+    ADD,
+    CONTAINS,
+    POP,
+    POP_EMPTY,
+    PUSH,
+    REMOVE,
+    _max_timestamp,
+    unmatched_pops,
+)
 from limon.oracle import sequential_check
 from limon.stacks import _FRESH_BASE, _gaps_d, _prepare, _sweep_p
 
@@ -508,3 +517,16 @@ def saturation_baseline(h: History) -> Verdict:
         if i in succ[i]:
             return Verdict(False, {"kind": "saturation-cycle", "operation": ops[i].id})
     return Verdict(True)
+
+
+def reference_history_events(h: History) -> list:
+    """The call/return events of a set or multiset history as one list,
+    sorted stably by timestamp, rewritten as sets.history_events gives them."""
+    out = []
+    for call, ret, kind, value, outcome, op_id in h.records:
+        if outcome is False and h.adt == "set" and kind in (ADD, REMOVE):
+            kind, outcome = CONTAINS, kind == ADD
+        out.append((call, True, kind, value, outcome, op_id, call))
+        out.append((ret, False, kind, value, outcome, op_id, call))
+    out.sort(key=lambda event: event[0])
+    return out

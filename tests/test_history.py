@@ -23,7 +23,7 @@ from limon import (
     stack_linearizable,
     validate,
 )
-from limon.history import unmatched_pops, value_table
+from limon.history import _distinct_stamps, unmatched_pops, value_table
 
 from helpers import (
     EMPTY,
@@ -310,6 +310,22 @@ class TestValueTable:
         with pytest.raises(HistoryError):
             check_history(h)
 
+    def test_a_check_sorts_the_timestamps_once(self, monkeypatch):
+        # The parser's sort serves the monitor; a library history is sorted
+        # by every check.
+        sorts = []
+        monkeypatch.setattr("limon.history._distinct_stamps",
+                            lambda records: sorts.append(len(records)) or _distinct_stamps(records))
+        for adt in ("stack", "queue", "set", "multiset"):
+            h = gen_linearizable(GenConfig(adt=adt, ops=40, seed=3))
+            parsed = parse_history(serialize_history(h))
+            assert sorts == [40]
+            check_history(parsed)
+            check_history(h)
+            check_history(h)
+            assert sorts == [40, 40, 40], adt
+            sorts.clear()
+
 
 class TestProject:
     def test_full_value_set(self):
@@ -574,3 +590,41 @@ class TestWorkingMemory:
         t, kept, peak = self.traced(value_table, h)
         assert len(t.value) == 25_000
         assert peak - kept < 0.25 * history, (peak - kept, history)
+
+    @staticmethod
+    def set_text() -> str:
+        # 50k operations on a pool of 500 values, each group linearizable:
+        # add, contains true, remove, failing remove, overlapping in turn.
+        lines = ["adt set"]
+        for i in range(12_500):
+            v, t = i % 500, 8 * i
+            lines += [f"add {v} {t} {t + 2} ok", f"contains {v} {t + 1} {t + 4} true",
+                      f"remove {v} {t + 3} {t + 6} ok", f"remove {v} {t + 5} {t + 7} fail"]
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def multiset_text() -> str:
+        # 50k operations on a pool of 500 values: each remove is called
+        # while its add runs.
+        lines = ["adt multiset"]
+        for i in range(25_000):
+            v, t = i % 500, 4 * i
+            lines += [f"add {v} {t} {t + 2} ok", f"remove {v} {t + 1} {t + 3} ok"]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("adt", ["set", "multiset"])
+    def test_set_checks_need_little_beyond_the_history(self, adt, tmp_path):
+        # A list of every call and return event would need about 1.2 times
+        # the history.  The monitors' per-value state is small here, as the
+        # values come from a pool of 500.
+        path = tmp_path / "h.txt"
+        path.write_text(self.set_text() if adt == "set" else self.multiset_text())
+
+        def parse():
+            with open(path, encoding="utf-8") as fh:
+                return parse_history(fh)
+        h, history, _ = self.traced(parse)
+        assert len(h) == 50_000
+        verdict, _, peak = self.traced(check_history, h)
+        assert verdict.linearizable
+        assert peak < 0.5 * history, (peak, history)

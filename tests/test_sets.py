@@ -4,20 +4,27 @@ import pytest
 
 from limon import (
     Event,
+    GenConfig,
     History,
     HistoryError,
     Operation,
     SetValueState,
     brute_force_linearizable,
     ensure_state,
+    gen_linearizable,
     gen_random,
     history_events,
     multiset_linearizable,
     normalize_failing_ops,
     parse_history,
+    serialize_history,
     set_linearizable,
 )
+from limon import sets
+from limon.cli import main
 from limon.sets import set_linearizable_events
+
+from helpers import reference_history_events
 
 
 def set_history(rows):
@@ -258,3 +265,89 @@ class TestStreaming:
                 stream.append((ts, is_call, kind, value, outcome, op_id, call))
             assert (set_linearizable_events(stream).linearizable
                     == set_linearizable(h).linearizable), seed
+
+
+def symbolic(h: History) -> History:
+    """h with every odd value v renamed to the string 'v<v>', so values mix
+    int and str, as library histories may."""
+    return History(h.adt, tuple(
+        Operation(op.id, op.event._replace(value=f"v{op.event.value}"), op.call, op.ret)
+        if op.event.value % 2 else op for op in h.ops))
+
+
+class TestHistoryEvents:
+    """history_events yields, block by block, the list the reference sorts at once."""
+
+    @staticmethod
+    def assert_matches(h: History) -> None:
+        assert list(history_events(h)) == reference_history_events(h)
+
+    def test_random_and_generated_histories(self, monkeypatch):
+        # Small blocks make short histories cross many block boundaries.
+        failing = 0
+        for block in (sets._BLOCK, 1, 3, 16):
+            monkeypatch.setattr(sets, "_BLOCK", block)
+            for seed in range(250):
+                for adt in ("set", "multiset"):
+                    h = gen_random(adt, seed % 40, 40_000 + seed, values=1 + seed % 5)
+                    self.assert_matches(h)
+                    self.assert_matches(symbolic(h))
+                    failing += sum(o.event.outcome is False and o.event.kind != "contains"
+                                   for o in h.ops)
+                    self.assert_matches(gen_linearizable(GenConfig(
+                        adt=adt, ops=seed % 60, values=1 + seed % 7, threads=1 + seed % 6,
+                        seed=seed, stretch=1.0 + seed % 4)))
+        assert failing > 1000
+
+    def test_empty_and_single_operation(self):
+        assert list(history_events(History("set", ()))) == []
+        h = History("set", (Operation(7, Event("remove", "x", False), 3, 9),))
+        assert list(history_events(h)) == [(3, True, "contains", "x", False, 7, 3),
+                                           (9, False, "contains", "x", False, 7, 3)]
+        self.assert_matches(History("multiset", (Operation(0, Event("add", 1, True), 0, 1),)))
+
+    @pytest.mark.parametrize("ops", [sets._BLOCK - 1, sets._BLOCK, sets._BLOCK + 1])
+    def test_one_block_and_one_more_operation(self, ops):
+        for adt in ("set", "multiset"):
+            for seed in range(3):
+                self.assert_matches(gen_linearizable(GenConfig(
+                    adt=adt, ops=ops, values=50, threads=8, seed=seed, stretch=4.0)))
+
+    def test_operations_spanning_many_blocks(self):
+        # One long add under thousands of short operations, and a long
+        # failing remove called in the middle of them.
+        n = 5 * sets._BLOCK
+        rows = [("add", 0, 0, 4 * n + 5, True), ("remove", 1, 2 * n + 3, 4 * n + 3, False)]
+        rows += [("add" if i % 2 else "remove", 2 + i % 9, 4 * i + 1, 4 * i + 2, True)
+                 for i in range(n)]
+        ops = [Operation(i, Event(k, v, out), c, r) for i, (k, v, c, r, out) in enumerate(rows)]
+        for adt in ("set", "multiset"):
+            h = History(adt, ops if adt == "set" else ops[:1] + ops[2:])
+            self.assert_matches(h)
+            assert len(list(history_events(h))) == 2 * len(h)
+
+
+# Histories the monitors used to decide: the first two with a verdict the
+# oracle contradicts, the third, whose add is called after it returns, as
+# linearizable.
+MALFORMED = [
+    ("set", [("add", 1, 0, 5, True), ("contains", 1, 5, 6, False)],
+     "invalid history: duplicate-timestamp (5)"),
+    ("multiset", [("remove", 1, 0, 5, True), ("add", 1, 5, 6, True)],
+     "invalid history: duplicate-timestamp (5)"),
+    ("set", [("add", 1, 6, 2, True)], "call 6 not before return 2 (line 2)"),
+]
+
+
+@pytest.mark.parametrize("adt, rows, message", MALFORMED)
+def test_monitors_refuse_shared_timestamps_and_calls_not_before_returns(
+        adt, rows, message, tmp_path, capsys):
+    h = History(adt, tuple(Operation(i, Event(kind, v, out), call, ret)
+                           for i, (kind, v, call, ret, out) in enumerate(rows)))
+    monitor = set_linearizable if adt == "set" else multiset_linearizable
+    with pytest.raises(HistoryError):
+        monitor(h)
+    path = tmp_path / "h.txt"
+    path.write_text(serialize_history(h))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"limon: {message}\n")
