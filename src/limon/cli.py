@@ -65,7 +65,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             runner = set_linearizable_events if adt == "set" else multiset_linearizable_events
             return _emit_verdict(runner(events), args.verbose)
         # Parsing and checking build no reference cycles, so the cyclic
-        # collector would only rescan the records they keep alive.  A stream
+        # collector would only rescan the objects they keep alive.  A stream
         # keeps it, since a live stream may run without bound.
         enabled = gc.isenabled()
         gc.disable()

@@ -3,9 +3,10 @@
 A history is a finite set of timed operations recorded from a concurrent
 execution.  Every timestamp in a history is globally unique, so the
 real-time precedence order between operations is unambiguous.  Parsed
-histories hold flat records, and build `Operation`s only if asked.  The
-parser reads its input one line at a time and holds, besides the records,
-only the operations whose call or return it has not read yet.
+histories hold six parallel columns, one row per operation in call order,
+and build `Operation`s only if asked.  The parser reads its input one line
+at a time and holds, besides the columns, only the operations whose call
+or return it has not read yet.
 `value_table` preprocesses a stack or queue history for its monitor in one
 pass, holding besides its rows only the pushes and pops still unpaired.
 """
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice
-from operator import attrgetter, eq, itemgetter
+from itertools import chain, compress, islice
+from operator import attrgetter, eq, le
 
 ADTS = ("stack", "queue", "set", "multiset")
 
@@ -142,12 +143,21 @@ class Operation(namedtuple("Operation", "id event call ret")):
 StreamEvent = tuple[int, bool, str, int | str, bool | None, int, int]
 
 
+Columns = namedtuple("Columns", "call ret kind value outcome id")
+Columns.__doc__ = """A history's operations as six parallel columns, in call order.
+
+    Row r is one operation: call[r], ret[r], kind[r], value[r], outcome[r]
+    and id[r].  The id column of an operation-format file is its line
+    order, and a `range` when the file was in call order already.
+    """
+
+
 class History(_FrozenRecord):
     """An ADT-tagged set of operations, kept sorted by call timestamp, as
-    Operations (`ops`) and as flat (call, ret, kind, value, outcome, id)
-    tuples (`records`); either view is built from the other on first use."""
+    Operations (`ops`) and as parallel columns (`columns`); either view is
+    built from the other on first use."""
 
-    __slots__ = ("adt", "_ops", "_records", "_checked")  # _checked: see _check_timestamps
+    __slots__ = ("adt", "_ops", "_cols", "_checked")  # _checked: see _check_timestamps
     _fields = ("adt", "ops")
 
     def __init__(self, adt: str, ops: Iterable[Operation]) -> None:
@@ -155,14 +165,14 @@ class History(_FrozenRecord):
             raise HistoryError(f"unknown adt {adt!r}")
         object.__setattr__(self, "adt", adt)
         object.__setattr__(self, "_ops", tuple(sorted(ops, key=attrgetter("call"))))
-        object.__setattr__(self, "_records", None)
+        object.__setattr__(self, "_cols", None)
         object.__setattr__(self, "_checked", False)
 
     @classmethod
-    def _from_records(cls, adt: str, records: Iterable[tuple]) -> History:
+    def _from_columns(cls, adt: str, cols: Columns) -> History:
         h = cls(adt, ())
         object.__setattr__(h, "_ops", None)
-        object.__setattr__(h, "_records", tuple(sorted(records, key=itemgetter(0))))
+        object.__setattr__(h, "_cols", cols)
         return h
 
     @property
@@ -170,19 +180,25 @@ class History(_FrozenRecord):
         if self._ops is None:
             object.__setattr__(self, "_ops", tuple(
                 Operation(op_id, Event(kind, value, outcome), call, ret)
-                for call, ret, kind, value, outcome, op_id in self._records))
+                for call, ret, kind, value, outcome, op_id in zip(*self._cols)))
         return self._ops
 
     @property
-    def records(self) -> tuple[tuple, ...]:
-        if self._records is None:
-            object.__setattr__(self, "_records", tuple(
-                (call, ret, kind, value, outcome, op_id)
-                for op_id, (kind, value, outcome), call, ret in self._ops))
-        return self._records
+    def columns(self) -> Columns:
+        if self._cols is None:
+            cols = Columns([], [], [], [], [], [])
+            for op_id, (kind, value, outcome), call, ret in self._ops:
+                cols.call.append(call)
+                cols.ret.append(ret)
+                cols.kind.append(kind)
+                cols.value.append(value)
+                cols.outcome.append(outcome)
+                cols.id.append(op_id)
+            object.__setattr__(self, "_cols", cols)
+        return self._cols
 
     def __len__(self) -> int:
-        return len(self._ops if self._records is None else self._records)
+        return len(self._ops if self._cols is None else self._cols.call)
 
     def __iter__(self):
         return iter(self.ops)
@@ -281,11 +297,20 @@ def _value(token: str, symbols: dict[str, int]) -> int | str:
     return token
 
 
-def _number_symbols(records: list[tuple], symbols: dict[str, int]) -> list[tuple]:
-    """Give symbolic values max literal + 1 + their first-seen index."""
-    base = max([-1] + [rec[3] for rec in records if type(rec[3]) is int]) + 1
-    return [rec[:3] + (base + symbols[rec[3]],) + rec[4:] if type(rec[3]) is str else rec
-            for rec in records]
+def _in_call_order(cols: list, symbols: dict[str, int]) -> Columns:
+    """The parsed columns, rows in input order, as Columns in call order.
+    Symbolic values become max literal + 1 + their first-seen index."""
+    call, value = cols[0], cols[3]
+    if symbols:
+        base = max([-1] + [v for v in value if type(v) is int]) + 1
+        for row, v in enumerate(value):
+            if type(v) is str:
+                value[row] = base + symbols[v]
+    if not all(map(le, call, islice(call, 1, None))):
+        order = sorted(range(len(call)), key=call.__getitem__)
+        for i, col in enumerate(cols):
+            cols[i] = list(map(col.__getitem__, order))
+    return Columns(*cols)
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
@@ -376,45 +401,46 @@ def parse_history(source: str | bytes | Iterable[str], fmt: str = "auto",
         if first:
             lines, no = chain((first,), lines), first_no - 1
     if fmt == "ops":
-        records = _parse_ops_format(adt, lines, no + 1)
+        cols = _parse_ops_format(adt, lines, no + 1)
     elif fmt == "events":
-        records = _parse_events_format(adt, lines, no + 1)
+        cols = _parse_events_format(adt, lines, no + 1)
     else:
         raise ParseError(f"unknown format {fmt!r}")
 
-    # The record parsers reject everything else _structural_violations names.
-    h = History._from_records(adt, records)
-    if not _distinct_stamps(h.records):
-        bad = _structural_violations(h)[0]
-        raise ParseError(f"invalid history: {bad.code} ({bad.detail})")
-    object.__setattr__(h, "_checked", True)  # the record parsers refuse call >= return
+    # The record parsers refuse every other structural fault: calls not
+    # before their returns, reused ids and kinds illegal for the adt.
+    h = History._from_columns(adt, cols)
+    shared = _duplicate_stamp(h)
+    if shared is not None:
+        raise ParseError(f"invalid history: duplicate-timestamp ({shared})")
+    object.__setattr__(h, "_checked", True)
     return h
 
 
-def _distinct_stamps(records: tuple[tuple, ...]) -> bool:
-    """Whether no two call or return timestamps of the records coincide.
+def _duplicate_stamp(h: History) -> int | None:
+    """The least timestamp that two calls or returns of h share, or None.
     Sorting takes a fifth of the memory of a set of the timestamps."""
-    stamps = list(map(itemgetter(0), records))
-    stamps += map(itemgetter(1), records)
+    stamps = h.columns.call + h.columns.ret
     stamps.sort()
-    return not any(map(eq, stamps, islice(stamps, 1, None)))
+    return next(compress(stamps, map(eq, stamps, islice(stamps, 1, None))), None)
 
 
 def _check_timestamps(h: History) -> None:
     """Raise HistoryError unless every call precedes its return and all
     timestamps are distinct, as the monitors assume; parsed histories pass."""
     if not h._checked:
-        for call, ret, _, _, _, op_id in h.records:
+        cols = h.columns
+        for call, ret, op_id in zip(cols.call, cols.ret, cols.id):
             if call >= ret:
                 raise HistoryError(f"operation {op_id}: call {call} not before return {ret}")
-        if not _distinct_stamps(h.records):
+        if _duplicate_stamp(h) is not None:
             raise HistoryError("timestamps are not distinct")
 
 
-def _parse_ops_format(adt: str, lines: Iterable[str], first: int) -> list[tuple]:
+def _parse_ops_format(adt: str, lines: Iterable[str], first: int) -> Columns:
     legal = _KINDS_BY_ADT[adt]
     symbols: dict[str, int] = {}
-    ops: list[tuple] = []
+    calls, rets, kinds, values, outcomes = cols = [[], [], [], [], []]
     no = first - 1
     try:
         for no, line in enumerate(lines, first):
@@ -450,10 +476,14 @@ def _parse_ops_format(adt: str, lines: Iterable[str], first: int) -> list[tuple]
                 _check_kind(adt, kind, outcome, no)
             if call >= ret:
                 raise ParseError(f"call {call} not before return {ret}", no)
-            ops.append((call, ret, kind, value, outcome, len(ops)))
+            calls.append(call)
+            rets.append(ret)
+            kinds.append(kind)
+            values.append(value)
+            outcomes.append(outcome)
     except UnicodeDecodeError as exc:
         raise _not_utf8(exc, no) from None
-    return _number_symbols(ops, symbols) if symbols else ops
+    return _in_call_order(cols + [range(len(calls))], symbols)  # ids are line order
 
 
 def _event_records(lines: Iterable[str], first: int, symbols: dict[str, int],
@@ -559,19 +589,33 @@ def _event_payload(adt: str, call: tuple, ret: tuple) -> tuple:
     return kind, value, outcome
 
 
-def _parse_events_format(adt: str, lines: Iterable[str], first: int) -> list[tuple]:
+def _parse_events_format(adt: str, lines: Iterable[str], first: int) -> Columns:
+    """A row per operation in the order of its first record, so the rows of
+    a file in timestamp order are in call order already."""
     symbols: dict[str, int] = {}
     pending: dict[int, tuple] = {}
-    ops: list[tuple] = []
+    rows: dict[int, int] = {}  # the row of each id in pending
+    calls, rets, kinds, values, outcomes, ids = cols = [[], [], [], [], [], []]
     for rec, partner in _event_records(lines, first, symbols, pending):
-        if partner is not None:
+        op_id = rec[1]
+        if partner is None:
+            rows[op_id] = len(ids)
+            calls.append(None)
+            rets.append(None)
+            kinds.append(None)
+            values.append(None)
+            outcomes.append(None)
+            ids.append(op_id)
+        else:
             call, ret = (rec, partner) if partner[2] is None else (partner, rec)
-            ops.append((call[4], ret[4], *_event_payload(adt, call, ret), rec[1]))
+            row = rows.pop(op_id)
+            calls[row], rets[row] = call[4], ret[4]
+            kinds[row], values[row], outcomes[row] = _event_payload(adt, call, ret)
     if pending:
         which = min(pending)
         side = "return" if pending[which][2] is not None else "call"
         raise ParseError(f"operation id {which} has no matching {side}")
-    return _number_symbols(ops, symbols) if symbols else ops
+    return _in_call_order(cols, symbols)
 
 
 def parse_event_stream(lines: Iterable[str], adt_override: str | None = None
@@ -700,7 +744,7 @@ def _structural_violations(h: History) -> list[Violation]:
     out: list[Violation] = []
     seen_ts: dict[int, int] = {}
     seen_ids: set[int] = set()
-    for call, ret, kind, _, outcome, op_id in h.records:
+    for call, ret, kind, _, outcome, op_id in zip(*h.columns):
         if call >= ret:
             out.append(Violation("call-not-before-return", op_id))
         for ts in (call, ret):
@@ -733,7 +777,7 @@ def unmatched_pops(h: History) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _max_timestamp(h: History) -> int:
-    return max(map(itemgetter(1), h.records), default=0)
+    return max(h.columns.ret, default=0)
 
 
 ValueTable = namedtuple("ValueTable", "value push_call push_ret pop_call pop_ret pop_empties")
@@ -766,7 +810,8 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
     # unpaired pushes (rows) or of its early pops ((call, return)), never
     # both; the k-th push of a value pairs with its k-th pop.
     waiting: dict = {}
-    for call, ret, kind, v, _, _ in h.records:
+    cols = h.columns
+    for call, ret, kind, v in zip(cols.call, cols.ret, cols.kind, cols.value):
         if kind == PUSH:
             mine = len(value)
             value.append(v)
@@ -795,7 +840,7 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
             else:
                 fifo[0] = head + 1
     if counter is not None:
-        counter.add(len(h.records))
+        counter.add(len(h))
 
     unmatched = [v for v, fifo in waiting.items() if type(fifo[-1]) is tuple]
     if unmatched:

@@ -9,35 +9,39 @@ one with a red-black tree augmented with high keys; here the same
 containment query is answered in O(n log n) by the I-segments sorted by
 left end with a running maximum of their right ends: some I-segment
 contains [c, r] iff the farthest right end among those starting at or
-before c reaches r.
+before c reaches r.  The index holds value-table row numbers, sorted by
+enqueue-return, and reads the ends from the table's columns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 
 from .history import History, HistoryError, Verdict, WorkCounter, value_table
 from .stacks import _sort_cost
 
 
 class ContainmentIndex:
-    """Intervals sorted by left end, each position holding the farthest
-    right end reached so far and the owner of the interval reaching it."""
+    """The intervals [left[x], right[x]] of the rows x, sorted by left end,
+    each position holding the farthest right end reached so far and the
+    row of the interval reaching it.  left and right are columns, or any
+    mappings from the rows to the ends."""
 
     __slots__ = ("lefts", "reach", "owner")
 
-    def __init__(self, entries: list[tuple[int, int, int]],
-                 counter: WorkCounter | None = None):
-        items = sorted(entries)
+    def __init__(self, left, right, rows: Iterable, counter: WorkCounter | None = None):
+        rows = sorted(rows, key=left.__getitem__)
         if counter is not None:
-            counter.add(_sort_cost(len(items)))
-        self.lefts = [left for left, _, _ in items]
+            counter.add(_sort_cost(len(rows)))
+        self.lefts = list(map(left.__getitem__, rows))
         self.reach: list[int] = []
-        self.owner: list[int] = []
+        self.owner: list = []
         best = who = None
-        for _, right, owner in items:
-            if best is None or right > best:
-                best, who = right, owner
+        for x in rows:
+            end = right[x]
+            if best is None or end > best:
+                best, who = end, x
             self.reach.append(best)
             self.owner.append(who)
 
@@ -72,8 +76,7 @@ def queue_linearizable(h: History, *, counter: WorkCounter | None = None) -> Ver
     if isinstance(t, Verdict):
         return t
     pr, qc = t.push_ret, t.pop_call
-    index = ContainmentIndex([(pr[x], qc[x], x) for x in range(len(pr)) if pr[x] < qc[x]],
-                             counter)
+    index = ContainmentIndex(pr, qc, (x for x in range(len(pr)) if pr[x] < qc[x]), counter)
     for x, (left, right) in enumerate(zip(t.push_call, t.pop_ret)):
         outer = index.container(left, right, counter)
         if outer is not None:

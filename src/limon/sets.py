@@ -3,10 +3,11 @@
 Both checkers are online: they consume the call/return events of a
 history in timestamp order and decide in a single pass.  An event is a
 flat tuple, `history.StreamEvent`, as `parse_event_stream` yields it from
-a stream and `history_events` from a history, block by block: neither
-builds a record per event, nor the whole list of events.  For multisets
-(add/remove only) the whole criterion is a per-value count: a prefix in
-which returned removes outnumber called adds is exactly a violation.
+a stream and `history_events` from a history's columns, block by block:
+neither builds a record per event, nor the whole list of events.  For
+multisets (add/remove only) the whole criterion is a per-value count: a
+prefix in which returned removes outnumber called adds is exactly a
+violation.
 
 The set checker additionally tracks membership queries and a per-value
 state in {present, absent, unknown}.  Calls bank "active" credits for
@@ -21,15 +22,17 @@ answer.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
-from itertools import chain
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .history import (
     ADD,
     CONTAINS,
     REMOVE,
+    Columns,
     Event,
     History,
     HistoryError,
@@ -88,25 +91,40 @@ def history_events(h: History) -> Iterator[StreamEvent]:
     normalize_failing_ops rewrites it.  Raises HistoryError unless every
     call precedes its return and all timestamps are distinct."""
     _check_timestamps(h)
-    return chain.from_iterable(_event_blocks(h.records, h.adt == "set"))
+    return chain.from_iterable(_event_blocks(h.columns, h.adt == "set"))
 
 
-def _event_blocks(records: tuple[tuple, ...], is_set: bool) -> Iterator[list[StreamEvent]]:
+def _event_blocks(cols: Columns, is_set: bool) -> Iterator[list[StreamEvent]]:
     """Sorted blocks of events: the calls of the next _BLOCK operations and
-    the returns not yet given before the next call, which all later events follow."""
-    by_ret = sorted(records, key=itemgetter(1))
-    stops = [bisect_left(by_ret, rec[0], key=itemgetter(1)) for rec in records[_BLOCK::_BLOCK]]
-    stops.append(len(records))
-    for start, done, stop in zip(range(0, len(records), _BLOCK), [0, *stops], stops):
+    the returns not yet given before the next call, which all later events
+    follow.  The rows in return order are kept as machine integers."""
+    n, ret_of = len(cols.call), cols.ret.__getitem__
+    by_ret = array("l", sorted(range(n), key=ret_of))
+    stops = [bisect_left(by_ret, call, key=ret_of) for call in cols.call[_BLOCK::_BLOCK]]
+    stops.append(n)
+    for start, done, stop in zip(range(0, n, _BLOCK), [0, *stops], stops):
+        rows = by_ret[done:stop]
+        # itemgetter of a single row gives the item itself, not a tuple.
+        gather = itemgetter(*rows) if len(rows) > 1 else lambda col: [col[r] for r in rows]
         out: list[StreamEvent] = []
-        append = out.append
-        for is_call, ops in ((True, records[start:start + _BLOCK]), (False, by_ret[done:stop])):
-            for call, ret, kind, value, outcome, op_id in ops:
-                if outcome is False and is_set and (kind == ADD or kind == REMOVE):
-                    kind, outcome = CONTAINS, kind == ADD
-                append((call if is_call else ret, is_call, kind, value, outcome, op_id, call))
+        for is_call, part in ((True, [col[start:start + _BLOCK] for col in cols]),
+                              (False, [gather(col) for col in cols])):
+            call, ret, kind, value, outcome, op_id = part
+            if is_set and False in outcome:
+                kind, outcome = _as_queries(kind, outcome)
+            out += zip(call if is_call else ret, repeat(is_call), kind, value, outcome, op_id, call)
         out.sort(key=itemgetter(0))  # by timestamp alone: values may mix int and str
         yield out
+
+
+def _as_queries(kinds: Sequence[str], outcomes: Sequence[bool | None]) -> tuple[list, list]:
+    """The kinds and outcomes with each failing add or remove made the
+    membership query it implies."""
+    kinds, outcomes = list(kinds), list(outcomes)
+    for i, outcome in enumerate(outcomes):
+        if outcome is False and (kinds[i] == ADD or kinds[i] == REMOVE):
+            kinds[i], outcomes[i] = CONTAINS, kinds[i] == ADD
+    return kinds, outcomes
 
 
 def normalize_failing_ops(h: History) -> History:

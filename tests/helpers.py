@@ -523,7 +523,7 @@ def reference_history_events(h: History) -> list:
     """The call/return events of a set or multiset history as one list,
     sorted stably by timestamp, rewritten as sets.history_events gives them."""
     out = []
-    for call, ret, kind, value, outcome, op_id in h.records:
+    for call, ret, kind, value, outcome, op_id in zip(*h.columns):
         if outcome is False and h.adt == "set" and kind in (ADD, REMOVE):
             kind, outcome = CONTAINS, kind == ADD
         out.append((call, True, kind, value, outcome, op_id, call))

@@ -86,8 +86,9 @@ def test_criterion_2_queue_walkthroughs():
     h_bad = value_history("queue", QUEUE_BAD_ROWS)
 
     def index(h):
-        return ContainmentIndex([(a.push_ret, a.pop_call, a.value)
-                                 for a in op_to_val(h).values() if a.i_segment is not None])
+        values = [a for a in op_to_val(h).values() if a.i_segment is not None]
+        return ContainmentIndex({a.value: a.push_ret for a in values},
+                                {a.value: a.pop_call for a in values}, [a.value for a in values])
 
     probe_ok = index(h_ok).container(4, 16) is None
     probe_bad = index(h_bad).container(14, 22) == 3
@@ -185,7 +186,8 @@ def test_criterion_7_qtree_properties():
             n = 1 + rng.randrange(60)
         pool = rng.sample(range(40 * n + 80), 2 * n)
         entries = [(Interval(*sorted(pool[2 * i: 2 * i + 2])), i) for i in range(n)]
-        index = ContainmentIndex([(iv.left, iv.right, v) for iv, v in entries])
+        index = ContainmentIndex([iv.left for iv, _ in entries], [iv.right for iv, _ in entries],
+                                 [v for _, v in entries])
         span = 40 * n + 80
         probes = [Interval(*sorted((rng.randrange(span), rng.randrange(span))))
                   for _ in range(3)]

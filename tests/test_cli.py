@@ -273,7 +273,7 @@ class TestStream:
 
 
 class TestFileCheckBuildsNoRecords:
-    """A file check reads the parser's flat records and never builds an
+    """A file check reads the parser's columns and never builds an
     Operation or an Event, whatever the adt, format or verdict."""
 
     CASES = [

@@ -1,4 +1,5 @@
 import gc
+import random
 import tracemalloc
 from collections import Counter
 
@@ -23,7 +24,7 @@ from limon import (
     stack_linearizable,
     validate,
 )
-from limon.history import _distinct_stamps, unmatched_pops, value_table
+from limon.history import _duplicate_stamp, unmatched_pops, value_table
 
 from helpers import (
     EMPTY,
@@ -314,8 +315,8 @@ class TestValueTable:
         # The parser's sort serves the monitor; a library history is sorted
         # by every check.
         sorts = []
-        monkeypatch.setattr("limon.history._distinct_stamps",
-                            lambda records: sorts.append(len(records)) or _distinct_stamps(records))
+        monkeypatch.setattr("limon.history._duplicate_stamp",
+                            lambda h: sorts.append(len(h)) or _duplicate_stamp(h))
         for adt in ("stack", "queue", "set", "multiset"):
             h = gen_linearizable(GenConfig(adt=adt, ops=40, seed=3))
             parsed = parse_history(serialize_history(h))
@@ -404,7 +405,7 @@ def symbolize(text: str) -> str:
 
 
 class TestParsedRecords:
-    """parse_history keeps flat records; History(adt, ops) keeps Operations.
+    """parse_history keeps columns; History(adt, ops) keeps Operations.
     Both must check alike and compare, hash and print alike."""
 
     @pytest.mark.parametrize("adt", ["stack", "queue", "set", "multiset"])
@@ -431,7 +432,8 @@ class TestParsedRecords:
             assert check_history(library, counter=library_work) == verdict, text
             assert parsed_work.count == library_work.count, text
             assert library == parsed and hash(library) == hash(parsed), text
-            assert repr(library) == repr(parsed) and library.records == parsed.records, text
+            assert repr(library) == repr(parsed), text
+            assert list(map(list, library.columns)) == list(map(list, parsed.columns)), text
             seen[verdict.linearizable] += 1
             seen["symbolic"] += "x" in text
             seen["failing"] += " fail" in text
@@ -504,6 +506,14 @@ class TestParseEdgeCases:
     def test_duplicate_timestamp_message(self, text):
         assert str(parse_error(text)) == "invalid history: duplicate-timestamp (2)"
 
+    @pytest.mark.parametrize("fmt", ["ops", "events"])
+    def test_two_duplicate_timestamps_name_the_least(self, fmt):
+        # 8 is the first stamp shared in call order, 3 the least one.
+        h = History("stack", tuple(Operation(i, Event("push", i), call, ret) for i, (call, ret)
+                                   in enumerate([(0, 8), (1, 8), (2, 3), (3, 4)])))
+        text = serialize_history(h, fmt)
+        assert str(parse_error(text)) == "invalid history: duplicate-timestamp (3)"
+
     def test_pop_returning_a_result_word_carries_no_value(self):
         err = parse_error("adt stack\ncall 0 pop 0\nret 0 1 ok\n")
         assert str(err) == "pop id 0 carries no value (call or ret) (line 3)"
@@ -541,6 +551,59 @@ class TestEventFilePairing:
     ])
     def test_duplicates_with_early_returns(self, records, message):
         assert str(parse_error("adt stack\n" + records)) == message
+
+
+class TestOutOfCallOrder:
+    """Records in any order parse to the rows of the file in call order."""
+
+    @pytest.mark.parametrize("adt", ["stack", "queue", "set", "multiset"])
+    def test_shuffled_records(self, adt):
+        rng = random.Random(5)
+        moved = 0
+        for seed in range(150):
+            raw = gen_random(adt, 2 + seed % 30, 80_000 + seed, values=1 + seed % 4)
+            lin = gen_linearizable(GenConfig(adt=adt, ops=2 + seed % 30, threads=1 + seed % 4,
+                                             seed=80_000 + seed))
+            for h in (raw, lin):
+                verdict = check_history(h)
+                # Operation format: ids are line numbers, so they give the shuffle back.
+                header, *lines = serialize_history(h, "ops").splitlines()
+                shuffled = rng.sample(lines, len(lines))
+                moved += shuffled != lines
+                in_order = parse_history(serialize_history(h, "ops"))
+                got = parse_history("\n".join([header, *shuffled]) + "\n")
+                assert check_history(got) == verdict, (adt, seed)
+                assert got.columns[:5] == in_order.columns[:5], (adt, seed)
+                assert [shuffled[i] for i in got.columns.id] == lines, (adt, seed)
+                # Event format: the file names the ids.
+                header, *records = serialize_history(h, "events").splitlines()
+                shuffled = rng.sample(records, len(records))
+                got = parse_history("\n".join([header, *shuffled]) + "\n")
+                assert check_history(got) == verdict, (adt, seed)
+                assert got.columns == parse_history(serialize_history(h, "events")).columns
+        assert moved > 250, moved
+
+
+class TestParsedHistorySize:
+    """A parsed history keeps its operations as columns, with no object per
+    operation besides the timestamps, values and ids the file names."""
+
+    @pytest.mark.parametrize("fmt, bound", [("ops", 140), ("events", 175)])
+    def test_bytes_kept_per_operation(self, fmt, bound, tmp_path):
+        # 50k operations in order: push i, then its pop.  A tuple per
+        # operation would keep about 207 bytes per operation.
+        h = History("stack", tuple(
+            Operation(2 * i + k, Event(kind, i), 4 * i + 2 * k, 4 * i + 2 * k + 1)
+            for i in range(25_000) for k, kind in enumerate(("push", "pop"))))
+        path = tmp_path / "h.txt"
+        path.write_text(serialize_history(h, fmt))
+
+        def parse():
+            with open(path, encoding="utf-8") as fh:
+                return parse_history(fh)
+        parsed, kept, _ = TestWorkingMemory.traced(parse)
+        assert len(parsed) == 50_000
+        assert kept / len(parsed) <= bound, kept / len(parsed)
 
 
 class TestWorkingMemory:

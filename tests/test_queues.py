@@ -39,12 +39,14 @@ def queue_bad():
 
 
 def index_for(h):
-    return ContainmentIndex([(a.push_ret, a.pop_call, a.value) for a in op_to_val(h).values()
-                             if a.i_segment is not None])
+    values = [a for a in op_to_val(h).values() if a.i_segment is not None]
+    return ContainmentIndex({a.value: a.push_ret for a in values},
+                            {a.value: a.pop_call for a in values}, [a.value for a in values])
 
 
 def index_of(entries):
-    return ContainmentIndex([(iv.left, iv.right, v) for iv, v in entries])
+    return ContainmentIndex({v: iv.left for iv, v in entries}, {v: iv.right for iv, v in entries},
+                            [v for _, v in entries])
 
 
 def random_entries(rng, n, lo, hi):
@@ -60,7 +62,7 @@ class TestSearch:
         assert index_for(queue_bad()).container(14, 22) == 3
 
     def test_empty_tree(self):
-        assert ContainmentIndex([]).container(0, 1) is None
+        assert ContainmentIndex([], [], []).container(0, 1) is None
 
     def test_matches_linear_scan(self):
         rng = random.Random(23)

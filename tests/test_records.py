@@ -125,15 +125,15 @@ class TestHistory:
         a, b = op(0, "push", 1, 5, 6), op(1, "push", 2, 0, 1)
         library = History("stack", (a, b))
         parsed = parse_history("adt stack\npush 1 5 6\npush 2 0 1\n")
-        assert parsed.records == ((0, 1, "push", 2, None, 1), (5, 6, "push", 1, None, 0))
-        assert len(parsed) == 2 and parsed.records is parsed.records
+        assert parsed.columns == ([0, 5], [1, 6], ["push", "push"], [2, 1], [None, None], [1, 0])
+        assert len(parsed) == 2 and parsed.columns is parsed.columns
         assert repr(parsed) == f"History(adt='stack', ops=({b!r}, {a!r}))"
         assert parsed.ops == (b, a) and parsed.ops is parsed.ops
-        assert library.records == parsed.records and library.records is library.records
+        assert library.columns == parsed.columns and library.columns is library.columns
         assert parsed == library and hash(parsed) == hash(library)
         assert repr(parsed) == repr(library)
         for h in (parsed, library):
-            for name in ("adt", "ops", "records", "_ops", "_records"):
+            for name in ("adt", "ops", "columns", "_ops", "_cols"):
                 with pytest.raises(AttributeError):
                     setattr(h, name, ())
 

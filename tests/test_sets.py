@@ -313,6 +313,28 @@ class TestHistoryEvents:
                 self.assert_matches(gen_linearizable(GenConfig(
                     adt=adt, ops=ops, values=50, threads=8, seed=seed, stretch=4.0)))
 
+    @staticmethod
+    def all_overlapping(adt: str, n: int, seed: int) -> History:
+        """n operations on three values, every call before every return."""
+        rng = random.Random(seed)
+        rets = rng.sample(range(n, 2 * n), n)
+        kinds = ("add", "remove", "contains") if adt == "set" else ("add", "remove")
+        return History(adt, tuple(
+            Operation(i, Event(rng.choice(kinds), rng.randrange(3),
+                               rng.random() < 0.7 if adt == "set" else True), i, rets[i])
+            for i in range(n)))
+
+    def test_all_overlapping_histories(self, monkeypatch):
+        # No return comes before the last call, so every block's returns
+        # carry over to the last block.
+        for block in (1, 3, 16, sets._BLOCK):
+            monkeypatch.setattr(sets, "_BLOCK", block)
+            for adt in ("set", "multiset"):
+                for seed in range(3):
+                    h = self.all_overlapping(adt, 3 * block + seed, seed)
+                    self.assert_matches(h)
+                    assert len(list(history_events(h))) == 2 * len(h)
+
     def test_operations_spanning_many_blocks(self):
         # One long add under thousands of short operations, and a long
         # failing remove called in the middle of them.
