@@ -6,7 +6,11 @@ real-time precedence order between operations is unambiguous.  Parsed
 histories hold six parallel columns, one row per operation in call order,
 and build `Operation`s only if asked.  The parser reads its input one line
 at a time and holds, besides the columns, only the operations whose call
-or return it has not read yet.
+or return it has not read yet.  Event files and event streams share one
+record loop, `_events`: it checks each record, pairs it by id with the
+half of its operation already read and yields it as a `StreamEvent`, which
+the set and multiset monitors read from a stream and the file parser turns
+into columns.
 `value_table` preprocesses a stack or queue history for its monitor in one
 pass, holding besides its rows only the pushes and pops still unpaired.
 """
@@ -136,8 +140,9 @@ class Operation(namedtuple("Operation", "id event call ret")):
 
 
 # One call or return event of a set or multiset history, the shape that
-# parse_event_stream and sets.history_events yield and the set and
-# multiset monitors read: (timestamp, is_call, kind, value, outcome, id, call).
+# the event-record loop (_events, behind parse_event_stream) and
+# sets.history_events yield and the set and multiset monitors read:
+# (timestamp, is_call, kind, value, outcome, id, call).
 # `call` is the operation's call timestamp.  A streamed call has outcome
 # None, since its answer comes with its return.
 StreamEvent = tuple[int, bool, str, int | str, bool | None, int, int]
@@ -288,12 +293,14 @@ def _is_int(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def _value(token: str, symbols: dict[str, int]) -> int | str:
+def _value(token: str, symbols: dict[str, int] | None) -> int | str:
     """A value token that is not plain ASCII digits: a signed literal, or a
-    symbolic token, which keeps its first-seen index in symbols."""
+    symbolic token, which keeps its first-seen index in symbols (a stream,
+    which keeps the token itself, passes None)."""
     if _is_int(token):
         return int(token)
-    symbols.setdefault(token, len(symbols))
+    if symbols is not None:
+        symbols.setdefault(token, len(symbols))
     return token
 
 
@@ -486,23 +493,31 @@ def _parse_ops_format(adt: str, lines: Iterable[str], first: int) -> Columns:
     return _in_call_order(cols + [range(len(calls))], symbols)  # ids are line order
 
 
-def _event_records(lines: Iterable[str], first: int, symbols: dict[str, int],
-                   pending: dict[int, tuple]) -> Iterator[tuple[tuple, tuple | None]]:
-    """Check event-format records one at a time and pair them by id, for
-    the file and the stream parser alike.
+def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] | None,
+            stream: bool) -> Iterator[StreamEvent]:
+    """Check event-format records one at a time, pair them by id and yield a
+    StreamEvent per record, for the file and the stream parser alike.
 
-    A record is (line, id, kind, value, timestamp, result).  A call has
-    result None; a return has kind None, and its result token, unless it
-    is a result word, read as a value: a pop's value may come with its
-    return.  Yields (record, partner): the partner is the operation's other
-    record if it was read before, else None, and the record waits in
-    pending, by id, for its partner.  A second call or return of an id is
-    refused; the ids seen so far are kept as the run [low, high) from the
-    first one plus a set of the others, so that ids that count up take
-    constant memory.
+    A call's kind is checked against the adt at the call's line.  A call
+    read first yields its call event, with outcome None.  The record that
+    completes an operation, its return or, in a file, a call read after its
+    return, is checked against the other half and yields the operation's
+    return event: kind, value and outcome as the two records give them, and
+    the call's timestamp as `call`.  A return read first yields
+    (ts, False, None, value, None, id, None).  A pop's value may come with
+    its return: a return's result token, unless it is a result word, is
+    read as a value.  Symbolic values are numbered in symbols (see _value).
+    A second call or return of an id is refused; the ids seen so far are
+    kept as the run [low, high) from the first one plus a set of the
+    others, so that ids that count up take constant memory.  With stream
+    set, timestamps must increase, a return must follow its call, failing
+    adds and removes are refused and every call must return.
     """
+    legal = _KINDS_BY_ADT[adt]
+    pending: dict[int, tuple] = {}  # by id, (line, kind, value, ts, result) of a half read
     low = high = 0
     seen: set[int] = set()
+    last_ts = -1
     no = first - 1
     try:
         for no, line in enumerate(lines, first):
@@ -523,11 +538,11 @@ def _event_records(lines: Iterable[str], first: int, symbols: dict[str, int],
             op_id = toks[1]
             op_id = int(op_id) if op_id.isdigit() and op_id.isascii() else _parse_int(
                 op_id, "operation id", no)
-            result = value = None
             if is_call:
                 kind = _KIND_ALIASES.get(toks[2])
                 if kind is None:
                     raise ParseError(f"unknown event kind {toks[2]!r}", no)
+                value = None
                 if n == 5:
                     if kind == POP_EMPTY:
                         raise ParseError("popempty call takes no value", no)
@@ -535,130 +550,131 @@ def _event_records(lines: Iterable[str], first: int, symbols: dict[str, int],
                     value = int(value) if value.isdigit() and value.isascii() else _value(value, symbols)
                 elif kind != POP and kind != POP_EMPTY:
                     raise ParseError(f"{kind} call needs a value", no)
+                ts = toks[-1]
             else:
-                kind = None
+                result = ret_value = None
                 if n == 4:
                     result = toks[3]
                     if result not in _RESULT_WORDS:
-                        value = int(result) if result.isdigit() and result.isascii() else _value(
+                        ret_value = int(result) if result.isdigit() and result.isascii() else _value(
                             result, symbols)
-            ts = toks[-1] if is_call else toks[2]
+                ts = toks[2]
             ts = int(ts) if ts.isdigit() and ts.isascii() else _parse_ts(ts, no)
-            rec = (no, op_id, kind, value, ts, result)
             partner = pending.pop(op_id, None)
             if partner is None and not (low <= op_id < high or op_id in seen):
                 if low == high:
                     low = high = op_id
-                seen.add(op_id)
-                while high in seen:
+                if op_id == high:
+                    high += 1
+                else:
+                    seen.add(op_id)
+                while seen and high in seen:
                     seen.remove(high)
                     high += 1
-                pending[op_id] = rec
-            elif partner is None or (partner[2] is not None) == is_call:
+            elif partner is None or (partner[1] is not None) == is_call:
                 raise ParseError(f"duplicate {'call' if is_call else 'return'} for id {op_id}", no)
-            yield rec, partner
+            if stream:
+                if ts <= last_ts:
+                    raise ParseError(f"stream timestamps must increase ({ts})", no)
+                last_ts = ts
+            if is_call:
+                if kind not in legal:
+                    _check_kind(adt, kind, None, no)
+                if partner is None:
+                    pending[op_id] = (no, kind, value, ts, None)
+                    yield ts, True, kind, value, None, op_id, ts
+                    continue
+                cno, call_ts = no, ts
+                rno, _, ret_value, ret_ts, result = partner
+            elif partner is None:
+                if stream:
+                    raise ParseError(f"return without call for id {op_id}", no)
+                pending[op_id] = (no, None, ret_value, ts, result)
+                yield ts, False, None, ret_value, None, op_id, None
+                continue
+            else:
+                cno, kind, value, call_ts, _ = partner
+                rno, ret_ts = no, ts
+            # The operation is complete: check its call against its return.
+            outcome = None
+            if kind == POP and value is None:
+                if result == "empty":
+                    kind = POP_EMPTY
+                elif ret_value is None:
+                    raise ParseError(f"pop id {op_id} carries no value (call or ret)", rno)
+                value = ret_value
+            elif kind == PUSH or kind == POP or kind == POP_EMPTY:
+                if result is not None and (kind != POP or ret_value != value):
+                    raise ParseError(f"return {result!r} contradicts its {kind} call (id {op_id})", rno)
+            else:
+                if result is None:
+                    raise ParseError(f"{kind} return needs a result", rno)
+                outcome = _OUTCOMES.get((kind, result))
+                if outcome is None:
+                    _bad_outcome(kind, result, rno)
+            if kind not in legal or outcome is False:
+                _check_kind(adt, kind, outcome, cno)
+            if call_ts >= ret_ts:
+                raise ParseError(f"call {call_ts} not before return {ret_ts} (id {op_id})", rno)
+            if stream and outcome is False and kind != CONTAINS:
+                raise ParseError("failing operations need offline checking (normalization)", no)
+            yield ret_ts, False, kind, value, outcome, op_id, call_ts
     except UnicodeDecodeError as exc:
         raise _not_utf8(exc, no) from None
-
-
-def _event_payload(adt: str, call: tuple, ret: tuple) -> tuple:
-    """The (kind, value, outcome) of a call record and its return record,
-    checked against each other and the adt."""
-    no, op_id, kind, value, call_ts, _ = call
-    rno, _, _, ret_value, ret_ts, result = ret
-    outcome = None
-    if kind == POP and value is None:
-        if result == "empty":
-            kind = POP_EMPTY
-        elif ret_value is None:
-            raise ParseError(f"pop id {op_id} carries no value (call or ret)", rno)
-        value = ret_value
-    elif kind == PUSH or kind == POP or kind == POP_EMPTY:
-        if result is not None and (kind != POP or ret_value != value):
-            raise ParseError(f"return {result!r} contradicts its {kind} call (id {op_id})", rno)
-    else:
-        if result is None:
-            raise ParseError(f"{kind} return needs a result", rno)
-        outcome = _OUTCOMES.get((kind, result))
-        if outcome is None:
-            _bad_outcome(kind, result, rno)
-    if kind not in _KINDS_BY_ADT[adt] or outcome is False:
-        _check_kind(adt, kind, outcome, no)
-    if call_ts >= ret_ts:
-        raise ParseError(f"call {call_ts} not before return {ret_ts} (id {op_id})", rno)
-    return kind, value, outcome
+    if pending:
+        if stream:
+            first_open = next(iter(pending.values()))[0]
+            raise ParseError(f"stream ended with {len(pending)} unreturned calls", first_open)
+        which = min(pending)
+        side = "return" if pending[which][1] is not None else "call"
+        raise ParseError(f"operation id {which} has no matching {side}")
 
 
 def _parse_events_format(adt: str, lines: Iterable[str], first: int) -> Columns:
     """A row per operation in the order of its first record, so the rows of
-    a file in timestamp order are in call order already."""
+    a file in timestamp order are in call order already.  The id column is
+    a `range` while every id is its row number."""
     symbols: dict[str, int] = {}
-    pending: dict[int, tuple] = {}
-    rows: dict[int, int] = {}  # the row of each id in pending
-    calls, rets, kinds, values, outcomes, ids = cols = [[], [], [], [], [], []]
-    for rec, partner in _event_records(lines, first, symbols, pending):
-        op_id = rec[1]
-        if partner is None:
-            rows[op_id] = len(ids)
+    rows: dict[int, int] = {}  # the row of each operation with one record read
+    calls, rets, kinds, values, outcomes = cols = [[], [], [], [], []]
+    ids = None
+    for ts, is_call, kind, value, outcome, op_id, call in _events(adt, lines, first, symbols, False):
+        if is_call or kind is None:  # the operation's first record opens its row
+            row = len(calls)
+            if ids is None and op_id != row:
+                ids = list(range(row))
+            if ids is not None:
+                ids.append(op_id)
+                rows[op_id] = row
             calls.append(None)
             rets.append(None)
             kinds.append(None)
             values.append(None)
             outcomes.append(None)
-            ids.append(op_id)
-        else:
-            call, ret = (rec, partner) if partner[2] is None else (partner, rec)
-            row = rows.pop(op_id)
-            calls[row], rets[row] = call[4], ret[4]
-            kinds[row], values[row], outcomes[row] = _event_payload(adt, call, ret)
-    if pending:
-        which = min(pending)
-        side = "return" if pending[which][2] is not None else "call"
-        raise ParseError(f"operation id {which} has no matching {side}")
-    return _in_call_order(cols, symbols)
+        else:  # rows opened while ids was None are their ids' rows
+            row = op_id if ids is None else rows.pop(op_id, op_id)
+            calls[row], rets[row] = call, ts
+            kinds[row], values[row], outcomes[row] = kind, value, outcome
+    return _in_call_order(cols + [range(len(calls)) if ids is None else ids], symbols)
 
 
 def parse_event_stream(lines: Iterable[str], adt_override: str | None = None
                        ) -> tuple[str, Iterator[StreamEvent]]:
     """Read the header of an event-format stream; give its adt and its events.
 
-    The events are parsed lazily, one StreamEvent per record, with the file
-    parser's record checks, in a stream whose timestamps must increase and
-    whose operation ids are never reused.  A call carries no outcome and
-    its own timestamp as `call`; its return carries the operation's kind,
-    value and outcome as the file parser reads them.  Failing adds and
-    removes are refused: they need the offline normalization.  Symbolic
-    value tokens stay strings, because a stream cannot know its largest
-    integer literal ahead of time.
+    The events come lazily, one StreamEvent per record, from the record
+    loop that event files go through (_events), so a record is checked, and
+    a fault named at its line, as in a file.  A stream is also refused when
+    its timestamps do not increase, a return comes before its call, an add
+    or remove fails (that needs the offline normalization) or a call has
+    not returned at the end.  A call carries no outcome and its own
+    timestamp as `call`; its return carries the operation's kind, value and
+    outcome and its call's timestamp.  Symbolic value tokens stay strings,
+    because a stream cannot know its largest integer literal ahead of time.
     """
     lines = iter(lines)
     adt, no = _read_header(lines, adt_override)
-    return adt, _stream_events(adt, lines, no + 1)
-
-
-def _stream_events(adt: str, lines: Iterator[str], first: int) -> Iterator[StreamEvent]:
-    legal = _KINDS_BY_ADT[adt]
-    open_calls: dict[int, tuple] = {}
-    last_ts = -1
-    for rec, call in _event_records(lines, first, {}, open_calls):
-        no, op_id, kind, value, ts, _ = rec
-        if ts <= last_ts:
-            raise ParseError(f"stream timestamps must increase ({ts})", no)
-        last_ts = ts
-        if kind is not None:
-            if kind not in legal:
-                _check_kind(adt, kind, None, no)
-            yield ts, True, kind, value, None, op_id, ts
-        elif call is None:
-            raise ParseError(f"return without call for id {op_id}", no)
-        else:
-            kind, value, outcome = _event_payload(adt, call, rec)
-            if outcome is False and kind != CONTAINS:
-                raise ParseError("failing operations need offline checking (normalization)", no)
-            yield ts, False, kind, value, outcome, op_id, call[4]
-    if open_calls:
-        first_open = next(iter(open_calls.values()))[0]
-        raise ParseError(f"stream ended with {len(open_calls)} unreturned calls", first_open)
+    return adt, _events(adt, lines, no + 1, None, True)
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,21 @@ class TestStream:
             tracemalloc.stop()
         assert peak < 1_000_000, peak
 
+    def test_stream_keeps_no_table_of_symbolic_values(self):
+        # A stream keeps a symbolic value as its token; a table of the
+        # 100k distinct tokens would peak at about 13 MB here.
+        lines = ["adt set\n"]
+        for i in range(100_000):
+            lines += (f"call {i} add v{i} {2 * i}\n", f"ret {i} {2 * i + 1} ok\n")
+        tracemalloc.start()
+        try:
+            _, events = parse_event_stream(lines)
+            assert sum(1 for _ in events) == 200_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
     def test_stream_refuses_a_reused_id_as_a_file_does(self, tmp_path, capsys):
         call_again = "adt set\ncall 0 add 1 0\nret 0 1 ok\ncall 0 add 1 2\nret 0 3 ok\n"
         ret_again = "adt set\ncall 0 add 1 0\nret 0 1 ok\nret 0 3 ok\n"
@@ -248,6 +263,13 @@ class TestStream:
             path = write(tmp_path, "reuse.txt", text)
             assert main(["check", path]) == main(["check", path, "--stream"]) == 2
             assert capsys.readouterr().err == err * 2
+
+    @pytest.mark.parametrize("text", ["adt set\ncall 0 push 5 1\ncall 1 add 5 2\nret 1 3 ok\n",
+                                      "adt set\ncall 0 push 5 1\nfoo\n"])
+    def test_file_and_stream_name_an_illegal_call_at_its_line(self, text, tmp_path, capsys):
+        path = write(tmp_path, "kind.txt", text)
+        assert main(["check", path]) == main(["check", path, "--stream"]) == 2
+        assert capsys.readouterr().err == "limon: event kind 'push' illegal for adt 'set' (line 2)\n" * 2
 
     def test_file_and_stream_end_lines_alike(self, tmp_path, capsys):
         # \x1c ends a line for str.splitlines, but not for a stream.

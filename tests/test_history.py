@@ -1,4 +1,5 @@
 import gc
+import io
 import random
 import tracemalloc
 from collections import Counter
@@ -18,6 +19,7 @@ from limon import (
     check_history,
     gen_linearizable,
     gen_random,
+    parse_event_stream,
     parse_history,
     queue_linearizable,
     serialize_history,
@@ -552,6 +554,95 @@ class TestEventFilePairing:
     def test_duplicates_with_early_returns(self, records, message):
         assert str(parse_error("adt stack\n" + records)) == message
 
+    @pytest.mark.parametrize("records, ids", [
+        ("call 0 push 1 0\nret 0 1\ncall 1 pop 2\nret 1 3 1\n", range(2)),
+        ("ret 0 1\ncall 0 push 1 0\ncall 1 pop 2\nret 1 3 1\n", range(2)),
+        ("call 0 push 1 0\nret 0 1\ncall 2 pop 2\nret 2 3 1\n", [0, 2]),
+        ("call 5 push 1 0\ncall 0 push 2 1\nret 0 2\nret 5 3\n", [5, 0]),
+        ("call 0 push 1 0\ncall 2 push 2 1\nret 2 2\nret 0 3\ncall 1 pop 4\nret 1 5 2\n", [0, 2, 1]),
+    ])
+    def test_ids_that_number_the_rows_stay_a_range(self, records, ids):
+        assert parse_history("adt stack\n" + records).columns.id == ids
+
+
+class TestFileAndStreamParity:
+    """Files and streams check their records in one loop, so a fault in a
+    record is reported alike by both, with the same line."""
+
+    @staticmethod
+    def stream_error(text: str) -> ParseError:
+        with pytest.raises(ParseError) as info:
+            _, events = parse_event_stream(io.StringIO(text))
+            for _ in events:
+                pass
+        return info.value
+
+    @pytest.mark.parametrize("text, message", [
+        ("adt set\ncall 0 add\n", "expected: call <id> <kind> [<value>] <ts> (line 2)"),
+        ("adt set\ncall 0 add 5 1 2 3\n", "expected: call <id> <kind> [<value>] <ts> (line 2)"),
+        ("adt set\ncall 0 add 5 1\nret 0\n", "expected: ret <id> <ts> [<result>] (line 3)"),
+        ("adt set\ncall 0 add 5 1\nret 0 2 ok 4\n", "expected: ret <id> <ts> [<result>] (line 3)"),
+        ("adt set\ncall 0 put 5 1\n", "unknown event kind 'put' (line 2)"),
+        ("adt stack\ncall 0 popempty 5 1\n", "popempty call takes no value (line 2)"),
+        ("adt set\ncall 0 add 1\n", "add call needs a value (line 2)"),
+        ("adt set\ncall x add 5 1\n", "bad operation id 'x' (line 2)"),
+        ("adt set\ncall 0 add 5 1\nret 0x 2 ok\n", "bad operation id '0x' (line 3)"),
+        ("adt set\ncall 0 add 5 t\n", "bad timestamp 't' (line 2)"),
+        ("adt set\ncall 0 add 5 1\nret 0 2.0 ok\n", "bad timestamp '2.0' (line 3)"),
+        ("adt set\ncall 0 add 5 -1\n", "negative timestamp '-1' (line 2)"),
+        ("adt set\ncall 0 add 5 1\ncall 0 add 5 2\n", "duplicate call for id 0 (line 3)"),
+        ("adt set\ncall 0 add 5 1\nret 0 2 ok\ncall 0 add 5 3\n", "duplicate call for id 0 (line 4)"),
+        ("adt set\ncall 0 add 5 1\nret 0 2 ok\nret 0 3 ok\n", "duplicate return for id 0 (line 4)"),
+        ("adt stack\ncall 0 push 5 1\nret 0 2 7\n",
+         "return '7' contradicts its push call (id 0) (line 3)"),
+        ("adt stack\ncall 0 pop 5 1\nret 0 2 empty\n",
+         "return 'empty' contradicts its pop call (id 0) (line 3)"),
+        ("adt stack\ncall 0 pop 1\nret 0 2 ok\n", "pop id 0 carries no value (call or ret) (line 3)"),
+        ("adt set\ncall 0 contains 5 1\nret 0 2\n", "contains return needs a result (line 3)"),
+        ("adt set\ncall 0 contains 5 1\nret 0 2 ok\n",
+         "contains answer must be true/false, got 'ok' (line 3)"),
+        ("adt set\ncall 0 add 5 1\nret 0 2 yes\n", "add outcome must be ok/fail, got 'yes' (line 3)"),
+        ("adt multiset\ncall 0 add 5 1\nret 0 2 fail\n",
+         "failing operations are not defined for multisets (line 2)"),
+        ("adt multiset\ncall 0 contains 5 1\n", "event kind 'contains' illegal for adt 'multiset' (line 2)"),
+        ("adt queue\ncall 0 pop 1\nret 0 2 empty\n", "event kind 'popempty' illegal for adt 'queue' (line 2)"),
+        # The kind of a call is checked at the call, not when its operation completes.
+        ("adt set\ncall 0 push 5 1\ncall 1 add 5 2\nret 1 3 ok\n",
+         "event kind 'push' illegal for adt 'set' (line 2)"),
+        ("adt set\ncall 0 push 5 1\nfoo\n", "event kind 'push' illegal for adt 'set' (line 2)"),
+    ])
+    def test_record_faults_read_alike(self, text, message):
+        from_file = parse_error(text)
+        from_stream = self.stream_error(text)
+        assert str(from_file) == str(from_stream) == message
+        assert from_file.line == from_stream.line
+
+    def test_faults_only_a_stream_refuses(self):
+        # A return before its call, a failing set add or remove and
+        # timestamps out of order are legal in a file.
+        for text, message in [
+            ("adt set\nret 0 2 ok\ncall 0 add 5 1\n", "return without call for id 0 (line 2)"),
+            ("adt set\ncall 0 add 5 1\nret 0 2 fail\n",
+             "failing operations need offline checking (normalization) (line 3)"),
+            ("adt set\ncall 0 remove 5 1\nret 0 2 fail\n",
+             "failing operations need offline checking (normalization) (line 3)"),
+            ("adt set\ncall 0 add 5 3\ncall 1 add 6 1\nret 0 4 ok\nret 1 5 ok\n",
+             "stream timestamps must increase (1) (line 3)"),
+        ]:
+            assert len(parse_history(text)) in (1, 2)
+            assert str(self.stream_error(text)) == message
+
+    def test_unreturned_calls_are_named_differently(self):
+        text = "adt set\ncall 0 add 5 1\ncall 1 add 6 2\nret 1 3 ok\n"
+        assert str(parse_error(text)) == "operation id 0 has no matching return"
+        assert str(self.stream_error(text)) == "stream ended with 1 unreturned calls (line 2)"
+
+    def test_a_return_at_its_calls_timestamp(self):
+        # A stream refuses it as out of order; a file names the operation.
+        text = "adt set\ncall 0 add 5 1\nret 0 1 ok\n"
+        assert str(parse_error(text)) == "call 1 not before return 1 (id 0) (line 3)"
+        assert str(self.stream_error(text)) == "stream timestamps must increase (1) (line 3)"
+
 
 class TestOutOfCallOrder:
     """Records in any order parse to the rows of the file in call order."""
@@ -580,7 +671,10 @@ class TestOutOfCallOrder:
                 shuffled = rng.sample(records, len(records))
                 got = parse_history("\n".join([header, *shuffled]) + "\n")
                 assert check_history(got) == verdict, (adt, seed)
-                assert got.columns == parse_history(serialize_history(h, "events")).columns
+                in_order = parse_history(serialize_history(h, "events"))
+                assert got.columns[:5] == in_order.columns[:5], (adt, seed)
+                # In order, every id is its row number, so the id column is a range.
+                assert list(got.columns.id) == list(in_order.columns.id), (adt, seed)
         assert moved > 250, moved
 
 
