@@ -25,12 +25,10 @@ from .history import (
     Operation,
     ParseError,
     Verdict,
-    Violation,
     WorkCounter,
     parse_event_stream,
     parse_history,
     serialize_history,
-    validate,
 )
 from .stacks import stack_linearizable
 from .queues import ContainmentIndex, queue_linearizable

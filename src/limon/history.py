@@ -1,4 +1,4 @@
-"""History data model, file formats, validation and shared preprocessing.
+"""History data model, file formats and shared preprocessing.
 
 A history is a finite set of timed operations recorded from a concurrent
 execution.  Every timestamp in a history is globally unique, so the
@@ -44,13 +44,6 @@ _KIND_ALIASES = {
     "popempty": POP_EMPTY,
     "add": ADD, "remove": REMOVE, "contains": CONTAINS,
 }
-
-# Codes that make an input unusable, as opposed to semantically unlinearizable.
-STRUCTURAL_VIOLATIONS = frozenset(
-    {"duplicate-timestamp", "duplicate-operation-id", "call-not-before-return",
-     "illegal-event"}
-)
-
 
 class HistoryError(ValueError):
     """Raised for malformed histories or illegal programmatic use."""
@@ -131,12 +124,7 @@ Event.__doc__ = """An untimed operation payload.
     """
 
 
-class Operation(namedtuple("Operation", "id event call ret")):
-    __slots__ = ()
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.call, self.ret)
+Operation = namedtuple("Operation", "id event call ret")
 
 
 # One call or return event of a set or multiset history, the shape that
@@ -162,7 +150,7 @@ class History(_FrozenRecord):
     Operations (`ops`) and as parallel columns (`columns`); either view is
     built from the other on first use."""
 
-    __slots__ = ("adt", "_ops", "_cols", "_checked")  # _checked: see _check_timestamps
+    __slots__ = ("adt", "_ops", "_cols", "_checked")  # _checked: see _check_structure
     _fields = ("adt", "ops")
 
     def __init__(self, adt: str, ops: Iterable[Operation]) -> None:
@@ -242,14 +230,6 @@ class Verdict(_FrozenRecord):
 
     def __bool__(self) -> bool:
         return self.linearizable
-
-
-class Violation(namedtuple("Violation", "code detail", defaults=(None,))):
-    __slots__ = ()
-
-    @property
-    def structural(self) -> bool:
-        return self.code in STRUCTURAL_VIOLATIONS
 
 
 class WorkCounter:
@@ -378,17 +358,9 @@ def _read_header(lines: Iterator[str], adt_override: str | None) -> tuple[str, i
     return adt_override or parts[1], no
 
 
-def parse_history(source: str | bytes | Iterable[str], fmt: str = "auto",
-                  adt_override: str | None = None) -> History:
-    """Parse a history in the operation or event file format.
-
-    The source is the whole text, or its lines, such as an open text file
-    yields them; lines are read one at a time, and only once.
-    The first non-comment line must be ``adt <stack|queue|set|multiset>``.
-    With fmt="auto" the format is inferred from the first record line.
-    An adt_override replaces the declared data type (the header is still
-    required); record legality is checked against the effective type.
-    """
+def _lines(source: str | bytes | Iterable[str]) -> Iterable[str]:
+    """The lines of a whole text, as a list, or the source itself if it is
+    not a str or bytes, such as an open text file."""
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")
@@ -400,7 +372,21 @@ def parse_history(source: str | bytes | Iterable[str], fmt: str = "auto",
         if "\r" in source:
             source = source.replace("\r\n", "\n").replace("\r", "\n")
         source = source.split("\n")
-    lines = iter(source)
+    return source
+
+
+def parse_history(source: str | bytes | Iterable[str], fmt: str = "auto",
+                  adt_override: str | None = None) -> History:
+    """Parse a history in the operation or event file format.
+
+    The source is the whole text, or its lines, such as an open text file
+    yields them; lines are read one at a time, and only once.
+    The first non-comment line must be ``adt <stack|queue|set|multiset>``.
+    With fmt="auto" the format is inferred from the first record line.
+    An adt_override replaces the declared data type (the header is still
+    required); record legality is checked against the effective type.
+    """
+    lines = iter(_lines(source))
     adt, no = _read_header(lines, adt_override)
     if fmt == "auto":
         first, first_no = _first_line(lines, no)
@@ -432,9 +418,10 @@ def _duplicate_stamp(h: History) -> int | None:
     return next(compress(stamps, map(eq, stamps, islice(stamps, 1, None))), None)
 
 
-def _check_timestamps(h: History) -> None:
+def _check_structure(h: History) -> None:
     """Raise HistoryError unless every call precedes its return and all
-    timestamps are distinct, as the monitors assume; parsed histories pass."""
+    timestamps and ids are distinct, as the monitors assume (the set
+    monitor keys pending queries by id); parsed histories pass."""
     if not h._checked:
         cols = h.columns
         for call, ret, op_id in zip(cols.call, cols.ret, cols.id):
@@ -442,6 +429,8 @@ def _check_timestamps(h: History) -> None:
                 raise HistoryError(f"operation {op_id}: call {call} not before return {ret}")
         if _duplicate_stamp(h) is not None:
             raise HistoryError("timestamps are not distinct")
+        if len(set(cols.id)) < len(cols.id):
+            raise HistoryError("operation ids are not distinct")
 
 
 def _parse_ops_format(adt: str, lines: Iterable[str], first: int) -> Columns:
@@ -627,7 +616,7 @@ def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] 
             raise ParseError(f"stream ended with {len(pending)} unreturned calls", first_open)
         which = min(pending)
         side = "return" if pending[which][1] is not None else "call"
-        raise ParseError(f"operation id {which} has no matching {side}")
+        raise ParseError(f"operation id {which} has no matching {side}", pending[which][0])
 
 
 def _parse_events_format(adt: str, lines: Iterable[str], first: int) -> Columns:
@@ -658,9 +647,11 @@ def _parse_events_format(adt: str, lines: Iterable[str], first: int) -> Columns:
     return _in_call_order(cols + [range(len(calls)) if ids is None else ids], symbols)
 
 
-def parse_event_stream(lines: Iterable[str], adt_override: str | None = None
+def parse_event_stream(source: str | bytes | Iterable[str], adt_override: str | None = None
                        ) -> tuple[str, Iterator[StreamEvent]]:
     """Read the header of an event-format stream; give its adt and its events.
+
+    The source is the whole text or its lines, as for parse_history.
 
     The events come lazily, one StreamEvent per record, from the record
     loop that event files go through (_events), so a record is checked, and
@@ -672,7 +663,7 @@ def parse_event_stream(lines: Iterable[str], adt_override: str | None = None
     outcome and its call's timestamp.  Symbolic value tokens stay strings,
     because a stream cannot know its largest integer literal ahead of time.
     """
-    lines = iter(lines)
+    lines = iter(_lines(source))
     adt, no = _read_header(lines, adt_override)
     return adt, _events(adt, lines, no + 1, None, True)
 
@@ -683,7 +674,7 @@ def parse_event_stream(lines: Iterable[str], adt_override: str | None = None
 
 def _surface_kind(adt: str, kind: str) -> str:
     if adt == "queue":
-        return {"push": "enq", "pop": "deq"}[kind]
+        return {"push": "enq", "pop": "deq"}.get(kind, kind)
     return kind
 
 
@@ -737,58 +728,6 @@ def serialize_history(h: History, fmt: str = "ops") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-def validate(h: History) -> list[Violation]:
-    """Report invariant violations; an empty list means the history is valid.
-
-    Structural violations (duplicate timestamps or ids, call >= return,
-    kinds illegal for the adt) make the input unusable.  For stack and
-    queue histories, value-matching problems (a value popped more often
-    than pushed) are also reported; monitors treat those as semantic
-    unlinearizability rather than as malformed input.  A value pushed
-    more than once is legal: its pushes and pops pair by rank.
-    """
-    out = _structural_violations(h)
-    if h.adt in ("stack", "queue"):
-        out.extend(Violation("unmatched-pop", value) for value in unmatched_pops(h))
-    return out
-
-
-def _structural_violations(h: History) -> list[Violation]:
-    out: list[Violation] = []
-    seen_ts: dict[int, int] = {}
-    seen_ids: set[int] = set()
-    for call, ret, kind, _, outcome, op_id in zip(*h.columns):
-        if call >= ret:
-            out.append(Violation("call-not-before-return", op_id))
-        for ts in (call, ret):
-            if ts in seen_ts:
-                out.append(Violation("duplicate-timestamp", ts))
-            seen_ts[ts] = op_id
-        if op_id in seen_ids:
-            out.append(Violation("duplicate-operation-id", op_id))
-        seen_ids.add(op_id)
-        if kind not in _KINDS_BY_ADT[h.adt]:
-            out.append(Violation("illegal-event", kind))
-        elif h.adt == "multiset" and outcome is False:
-            out.append(Violation("illegal-event", f"{kind} fail"))
-    return out
-
-
-def unmatched_pops(h: History) -> list[int]:
-    """The values popped more often than pushed, sorted."""
-    balance: dict[int, int] = {}
-    for op in h.ops:
-        if op.event.kind == PUSH:
-            balance[op.event.value] = balance.get(op.event.value, 0) + 1
-        elif op.event.kind == POP:
-            balance[op.event.value] = balance.get(op.event.value, 0) - 1
-    return sorted(v for v, n in balance.items() if n < 0)
-
-
-# ---------------------------------------------------------------------------
 # Preprocessing
 # ---------------------------------------------------------------------------
 
@@ -815,12 +754,12 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
     other and follow the history: the i-th spans [M+i, M+k+i], with M the
     greatest timestamp.  Gives the rows, or the verdict for the least value
     popped more often than pushed, else for the first row popped before it
-    was pushed.  Raises HistoryError as _check_timestamps does.  Charges
+    was pushed.  Raises HistoryError as _check_structure does.  Charges
     one unit per operation.
     """
     if h.adt not in ("stack", "queue"):
         raise HistoryError("value tables are defined for stack and queue histories")
-    _check_timestamps(h)
+    _check_structure(h)
     value, push_call, push_ret, pop_call, pop_ret, pop_empties = [], [], [], [], [], []
     # value -> [head, ...]: a FIFO, read from index head, of the value's
     # unpaired pushes (rows) or of its early pops ((call, return)), never

@@ -33,14 +33,12 @@ from .history import (
     CONTAINS,
     REMOVE,
     Columns,
-    Event,
     History,
     HistoryError,
-    Operation,
     StreamEvent,
     Verdict,
     WorkCounter,
-    _check_timestamps,
+    _check_structure,
     _Record,
 )
 
@@ -89,8 +87,8 @@ def history_events(h: History) -> Iterator[StreamEvent]:
     events of an operation carry its outcome.  In a set history a failing
     add or remove becomes the membership query it implies, as
     normalize_failing_ops rewrites it.  Raises HistoryError unless every
-    call precedes its return and all timestamps are distinct."""
-    _check_timestamps(h)
+    call precedes its return and all timestamps and ids are distinct."""
+    _check_structure(h)
     return chain.from_iterable(_event_blocks(h.columns, h.adt == "set"))
 
 
@@ -128,23 +126,15 @@ def _as_queries(kinds: Sequence[str], outcomes: Sequence[bool | None]) -> tuple[
 
 
 def normalize_failing_ops(h: History) -> History:
-    """Replace failing adds/removes by the membership query they imply.
-
-    A failing add means the element was already present: contains(v, true).
-    A failing remove means it was absent: contains(v, false).
-    """
+    """Replace failing adds/removes by the membership query they imply, as
+    history_events does: a failing add means the element was already
+    present, contains(v, true); a failing remove that it was absent,
+    contains(v, false)."""
     if h.adt != "set":
         raise HistoryError("failing-operation normalization applies to sets")
-    ops = []
-    for op in h.ops:
-        kind, value, outcome = op.event
-        if kind == ADD and outcome is False:
-            ops.append(Operation(op.id, Event(CONTAINS, value, True), op.call, op.ret))
-        elif kind == REMOVE and outcome is False:
-            ops.append(Operation(op.id, Event(CONTAINS, value, False), op.call, op.ret))
-        else:
-            ops.append(op)
-    return History(h.adt, tuple(ops))
+    cols = h.columns
+    kind, outcome = _as_queries(cols.kind, cols.outcome)
+    return History._from_columns("set", cols._replace(kind=kind, outcome=outcome))
 
 
 def _assign_state(st: SetValueState, q: bool) -> None:

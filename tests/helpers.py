@@ -18,7 +18,6 @@ from limon.history import (
     PUSH,
     REMOVE,
     _max_timestamp,
-    unmatched_pops,
 )
 from limon.oracle import sequential_check
 from limon.stacks import _FRESH_BASE, _gaps_d, _prepare, _sweep_p
@@ -141,6 +140,17 @@ def find_critical_pair_naive(vals) -> CriticalPair | None:
     return None
 
 
+def unmatched_pops(h: History) -> list[int]:
+    """The values popped more often than pushed, sorted."""
+    balance: dict[int, int] = {}
+    for op in h.ops:
+        if op.event.kind == PUSH:
+            balance[op.event.value] = balance.get(op.event.value, 0) + 1
+        elif op.event.kind == POP:
+            balance[op.event.value] = balance.get(op.event.value, 0) - 1
+    return sorted(v for v, n in balance.items() if n < 0)
+
+
 def matched(h: History) -> bool:
     """True when every pushed value has exactly as many pops as pushes."""
     return not unmatched_pops(h) and complete_history(h) is h
@@ -158,7 +168,7 @@ def check_pop_empty(h: History, d_segs: list[Interval]) -> History | Verdict:
         if op.event.kind != POP_EMPTY:
             kept.append(op)
             continue
-        iv = op.interval
+        iv = Interval(op.call, op.ret)
         if not any(iv.intersects(d) for d in d_segs):
             return Verdict(False, {"kind": "pop-empty", "interval": iv.as_pair()})
     return History(h.adt, tuple(kept))
@@ -244,7 +254,7 @@ def complete_history(h: History) -> History:
                 counts[v] = 0
             counts[v] += 1
         elif op.event.kind == POP:
-            # Unmatched pops go negative here; validate/monitors flag them.
+            # Unmatched pops go negative here; value_table flags them.
             counts[v] = counts.get(v, 0) - 1
     missing = [v for v in order for _ in range(max(counts.get(v, 0), 0))]
     if not missing:
@@ -282,7 +292,7 @@ def remove_overlapping_pairs(h: History) -> tuple[History, tuple[int, ...]]:
             continue
         if pop_op.ret < push_op.call:
             popped_first.append(v)
-        elif push_op.interval.intersects(pop_op.interval):
+        elif Interval(push_op.call, push_op.ret).intersects(Interval(pop_op.call, pop_op.ret)):
             drop.add(v)
     if drop:
         kept = tuple(op for op in h.ops

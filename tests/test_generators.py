@@ -15,7 +15,6 @@ from limon import (
     sequential_check,
     serialize_history,
     stack_linearizable,
-    validate,
 )
 
 from helpers import project
@@ -69,7 +68,8 @@ class TestSmallModelFamily:
 
     def test_structurally_valid(self):
         for n in (2, 3, 10, 33):
-            assert validate(gen_small_model_family(n)) == []
+            h = gen_small_model_family(n)
+            assert parse_history(serialize_history(h, fmt="events")) == h
 
     def test_rejects_small_n(self):
         with pytest.raises(HistoryError):
@@ -118,14 +118,14 @@ class TestRecorder:
     def test_stack_recordings_linearizable(self, impl):
         for seed in range(3):
             h = record_execution(impl, GenConfig(ops=400, threads=8, seed=seed))
-            assert validate(h) == []
+            assert parse_history(serialize_history(h, fmt="events")) == h
             assert check_history(h).linearizable, (impl, seed)
 
     @pytest.mark.parametrize("impl", ["coarse-queue", "ms-queue"])
     def test_queue_recordings_linearizable(self, impl):
         for seed in range(3):
             h = record_execution(impl, GenConfig(ops=400, threads=8, seed=seed))
-            assert validate(h) == []
+            assert parse_history(serialize_history(h, fmt="events")) == h
             assert check_history(h).linearizable, (impl, seed)
 
     def test_buggy_stack_caught(self):

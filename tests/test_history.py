@@ -13,6 +13,7 @@ from limon import (
     Operation,
     ParseError,
     HistoryError,
+    Interval,
     Verdict,
     WorkCounter,
     brute_force_linearizable,
@@ -24,9 +25,8 @@ from limon import (
     queue_linearizable,
     serialize_history,
     stack_linearizable,
-    validate,
 )
-from limon.history import _duplicate_stamp, unmatched_pops, value_table
+from limon.history import _duplicate_stamp, value_table
 
 from helpers import (
     EMPTY,
@@ -37,6 +37,7 @@ from helpers import (
     op_to_val,
     project,
     remove_overlapping_pairs,
+    unmatched_pops,
 )
 
 H1_TEXT = "adt stack\npush 0 0 2\npush 1 1 3\npop 1 4 6\npop 0 5 7\n"
@@ -118,39 +119,57 @@ class TestParse:
 
 class TestInterval:
     def test_closed_endpoint_intersection(self):
-        from limon import Interval
         assert Interval(4, 8).intersects(Interval(7, 9))
         assert Interval(0, 5).intersects(Interval(5, 9))  # shared endpoint counts
         assert not Interval(0, 4).intersects(Interval(5, 9))
         assert Interval(3, 3).intersects(Interval(0, 3))  # zero-length is legal
 
     def test_rejects_inverted(self):
-        from limon import Interval
         with pytest.raises(HistoryError):
             Interval(5, 4)
 
 
 class TestValidate:
+    """The faults of a library history, as the monitors and the parser see them."""
+
     def test_clean(self):
-        assert validate(h1()) == []
+        h = h1()
+        assert parse_history(serialize_history(h, fmt="events")) == h
+        assert check_history(h).linearizable
 
     def test_duplicate_timestamp(self):
         h = History("stack", (Operation(0, Event("push", 1), 0, 5),
                               Operation(1, Event("push", 2), 5, 7)))
-        assert any(v.code == "duplicate-timestamp" and v.detail == 5 for v in validate(h))
+        with pytest.raises(HistoryError, match="timestamps are not distinct"):
+            check_history(h)
+        with pytest.raises(ParseError, match=r"duplicate-timestamp \(5\)"):
+            parse_history(serialize_history(h, fmt="events"))
+
+    def test_reused_id(self):
+        # The set monitor keys pending queries by id: sharing one, the
+        # contains(5) true that nothing justifies would go unchecked.
+        h = History("set", (Operation(0, Event("contains", 5, True), 0, 10),
+                            Operation(0, Event("contains", 5, False), 1, 2)))
+        with pytest.raises(HistoryError, match="ids are not distinct"):
+            check_history(h)
+        with pytest.raises(ParseError, match=r"duplicate call for id 0 \(line 3\)"):
+            parse_history(serialize_history(h, fmt="events"))
+        assert not check_history(parse_history(serialize_history(h))).linearizable
 
     def test_unmatched_pop(self):
-        h = History("stack", (Operation(0, Event("pop", 9), 0, 1),))
-        assert any(v.code == "unmatched-pop" and v.detail == 9 for v in validate(h))
+        for adt in ("stack", "queue"):
+            h = History(adt, (Operation(0, Event("pop", 9), 0, 1),))
+            witness = {"kind": "unmatched-pop", "value": 9}
+            assert check_history(h).witness == witness
+            assert check_history(parse_history(serialize_history(h))).witness == witness
 
-    def test_unmatched_pops_shared_by_validate_and_monitors(self):
+    def test_unmatched_pops_shared_by_reference_and_monitors(self):
         # 1 is pushed once and popped twice, 3 never pushed, 2 balanced.
         rows = [("pop", 3), ("push", 1), ("push", 2), ("pop", 1), ("pop", 2), ("pop", 1)]
         for adt, monitor in (("stack", stack_linearizable), ("queue", queue_linearizable)):
             h = History(adt, tuple(Operation(i, Event(kind, v), 2 * i, 2 * i + 1)
                                    for i, (kind, v) in enumerate(rows)))
             assert unmatched_pops(h) == [1, 3]
-            assert [v.detail for v in validate(h) if v.code == "unmatched-pop"] == [1, 3]
             assert monitor(h).witness == {"kind": "unmatched-pop", "value": 1}
 
 
@@ -168,7 +187,8 @@ class TestCompletion:
         done = complete_history(h)
         pops = sorted((o.call, o.ret) for o in done.ops if o.event.kind == "pop")
         assert pops == [(10, 12), (11, 13)]
-        assert done.ops[0].interval.intersects(done.ops[1].interval) is False
+        first, second = ((o.call, o.ret) for o in done.ops[:2])
+        assert Interval(*first).intersects(Interval(*second)) is False
 
     def test_contains_original(self):
         h = parse_history("adt stack\npush 1 0 1\npush 2 2 3\n")
@@ -538,9 +558,9 @@ class TestEventFilePairing:
             assert parse_history(backwards) == parse_history(serialize_history(h, "events")) == h
 
     @pytest.mark.parametrize("records, message", [
-        ("call 3 push 1 0\nret 3 1\ncall 4 push 2 2\n", "operation id 4 has no matching return"),
-        ("call 7 push 1 0\nret 2 5\n", "operation id 2 has no matching call"),
-        ("ret 2 5\ncall 7 push 1 0\n", "operation id 2 has no matching call"),
+        ("call 3 push 1 0\nret 3 1\ncall 4 push 2 2\n", "operation id 4 has no matching return (line 4)"),
+        ("call 7 push 1 0\nret 2 5\n", "operation id 2 has no matching call (line 3)"),
+        ("ret 2 5\ncall 7 push 1 0\n", "operation id 2 has no matching call (line 2)"),
     ])
     def test_unpaired_ids(self, records, message):
         assert str(parse_error("adt stack\n" + records)) == message
@@ -634,7 +654,7 @@ class TestFileAndStreamParity:
 
     def test_unreturned_calls_are_named_differently(self):
         text = "adt set\ncall 0 add 5 1\ncall 1 add 6 2\nret 1 3 ok\n"
-        assert str(parse_error(text)) == "operation id 0 has no matching return"
+        assert str(parse_error(text)) == "operation id 0 has no matching return (line 2)"
         assert str(self.stream_error(text)) == "stream ended with 1 unreturned calls (line 2)"
 
     def test_a_return_at_its_calls_timestamp(self):
@@ -642,6 +662,17 @@ class TestFileAndStreamParity:
         text = "adt set\ncall 0 add 5 1\nret 0 1 ok\n"
         assert str(parse_error(text)) == "call 1 not before return 1 (id 0) (line 3)"
         assert str(self.stream_error(text)) == "stream timestamps must increase (1) (line 3)"
+
+    def test_text_bytes_and_lines_stream_alike(self):
+        # parse_event_stream takes the whole text, as parse_history does.
+        text = "# log\nadt set\ncall 0 add 5 1\ncall 1 contains x 2\nret 0 3 ok\nret 1 4 false\n"
+        read = [parse_event_stream(source) for source in (text, text.encode(), io.StringIO(text))]
+        assert [adt for adt, _ in read] == ["set"] * 3
+        events = [list(stream) for _, stream in read]
+        assert events[0] == events[1] == events[2]
+        assert [e[:2] for e in events[0]] == [(1, True), (2, True), (3, False), (4, False)]
+        with pytest.raises(ParseError, match=r"not UTF-8 \(line 3\)"):
+            parse_event_stream(b"adt set\ncall 0 add 5 1\n\xffret 0 2 ok\n")
 
 
 class TestOutOfCallOrder:

@@ -20,7 +20,6 @@ from limon import (
     Operation,
     SetValueState,
     Verdict,
-    Violation,
     parse_history,
 )
 from limon.history import ValueTable, value_table
@@ -68,22 +67,12 @@ class TestValueRecords:
         with pytest.raises(AttributeError):
             av.value = 8
 
-    def test_violation(self):
-        assert Violation("unmatched-pop") == Violation("unmatched-pop", None)
-        assert repr(Violation("duplicate-timestamp", 4)) == (
-            "Violation(code='duplicate-timestamp', detail=4)")
-        assert Violation("duplicate-timestamp", 4).structural
-        assert not Violation("unmatched-pop", 4).structural
-        with pytest.raises(AttributeError):
-            Violation("x").code = "y"
-
     def test_event_and_operation(self):
         assert Event("push", 1) == Event("push", 1, None)
         assert repr(Event("popempty")) == "Event(kind='popempty', value=None, outcome=None)"
         o = op(0, "push", 1, 2, 5)
         assert repr(o) == ("Operation(id=0, event=Event(kind='push', value=1, outcome=None), "
                            "call=2, ret=5)")
-        assert o.interval == Interval(2, 5)
         with pytest.raises(AttributeError):
             o.call = 3
 
@@ -180,14 +169,14 @@ class TestSetValueState:
 EXPORTED = (
     "ADTS", "AttributedValue", "BoundExceeded", "ContainmentIndex", "Event", "GenConfig",
     "History", "HistoryError", "Interval", "Operation", "ParseError", "SetValueState",
-    "Verdict", "Violation", "WorkCounter", "brute_force_linearizable", "check_history",
+    "Verdict", "WorkCounter", "brute_force_linearizable", "check_history",
     "ensure_state", "gen_linearizable", "gen_linearizable_with_witness", "gen_random",
     "gen_small_model_family", "generators", "history", "history_events", "impls",
     "multiset_linearizable", "multiset_linearizable_events", "mutate",
     "normalize_failing_ops", "oracle", "parse_event_stream", "parse_history",
     "queue_linearizable", "queues", "record_execution", "sequential_check",
     "serialize_history", "set_linearizable", "set_linearizable_events", "sets",
-    "stack_linearizable", "stacks", "validate",
+    "stack_linearizable", "stacks",
 )
 
 
