@@ -1,8 +1,8 @@
 """limon: linearizability monitoring for stacks, queues, sets and multisets.
 
 Decides whether a recorded concurrent history is linearizable with respect
-to its abstract data type: in O(n log n) for stacks between splits (O(n^2)
-in the worst case, through chains of splits only), for queues (a
+to its abstract data type: in O(n log n) for stacks (plus, at worst,
+O(n log^2 n) comparisons to sort the parts split off), for queues (a
 containment query over I-segments sorted by left end, with a running
 maximum of right ends) and for set and multiset histories (their returns
 are sorted), in O(n) for set and multiset streams.  Also file formats,

@@ -192,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--threads", type=_at_least(1), default=4)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--stretch", type=_at_least(0.0, float), default=1.0)
-    p_gen.add_argument("--n", type=int, default=5, help="family size for --kind small-model")
+    p_gen.add_argument("--n", type=_at_least(2), default=5,
+                       help="family size for --kind small-model")
     p_gen.add_argument("--format", default="ops", choices=("ops", "events"))
     p_gen.add_argument("--out", default="-")
     p_gen.set_defaults(func=cmd_gen)

@@ -8,17 +8,21 @@ stack cannot be empty there); the gaps between them, plus the two ends of
 the history, form D-segments (the stack may be empty there).  The
 recursion strips extreme values while they exist, fails when no extreme
 value exists and at most two D-segments remain, and otherwise splits the
-history around the first internal D-segment and decides both halves
+history around an internal D-segment and decides both halves
 independently.
 
 Extreme values are peeled with monotone pointers over four sorted orders,
-so peeling costs O(n log n) between splits.  A split sweeps the first
-P-segment and sorts the smaller part afresh; the sweeps keep the worst
-case quadratic, through chains of splits only.
+so peeling costs O(n log n) between splits.  A split searches for its
+D-segment from both ends of the group at once, so it steps over the
+smaller part only, and sorts that part afresh.  A value is in the smaller
+part of at most log2 n splits (Hopcroft's smaller-half argument), so the
+searches cost O(n log n) in all, and the sorts O(n log^2 n) comparisons
+at worst.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Callable
 from itertools import islice
 
@@ -139,10 +143,15 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
     value is extreme once it holds both marks.  Two more pointers, over
     push-return order and pop-call-descending order, track m1 and M2.  All
     four skip values that are no longer in the group.  A round without
-    extremes sweeps the first P-segment only; it fails if that segment
-    covers the group and otherwise splits the group at its right end.  The
-    larger part keeps the group's sorted orders and pointers; the smaller
-    part gets its own orders, sorted afresh.  Both keep the marks.
+    extremes sweeps the first P-segment forward in push-return order and
+    the last P-segment backward in pop-call-descending order, one value
+    each in turn.  It fails if a sweep covers the group; otherwise it splits
+    the group at the D-segment the first sweep to reach one found: at the
+    right end of the first P-segment, or at the left end of the last.  The
+    part that sweep covered, never the larger, gets its own orders, sorted
+    afresh; the other part keeps the group's sorted orders and pointers,
+    and drops the dead entries a sweep stepped over once they outnumber
+    the values it stepped.  Both parts keep the marks.
 
     The optional counter accumulates every step taken, sorts included (as
     n log n); the optional observer is called with (values, P-segments,
@@ -170,6 +179,18 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
                 sorted([x for x in members if not in_a[x]], key=pc.__getitem__), 0,
                 sorted([x for x in members if not in_b[x]], key=qr.__getitem__,
                        reverse=True), 0)
+
+    def compact(order: list[int], lo: int, hi: int, n_live: int, gid: int) -> int:
+        # Drop the dead entries of order[lo:hi], a stretch a search stepped
+        # over that keeps n_live live rows, once they outnumber those rows;
+        # until then the live steps pay for skipping them.  So each dead
+        # entry costs O(1) over all searches.  Returns the stretch's new start.
+        nonlocal work
+        if hi - lo <= 2 * n_live:
+            return lo
+        work += hi - lo
+        order[hi - n_live:hi] = [x for x in order[lo:hi] if owner[x] == gid]
+        return hi - n_live
 
     pending = [group(0, rows)] if rows else []
     groups = 1
@@ -213,32 +234,58 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
                 if live:
                     continue
                 break
-            reach = qc[by_pr[i]]  # right end of the first P-segment so far
-            n_left = 1
-            k = i + 1
-            while k < end:
+            # Search for an internal D-segment from both ends in lockstep,
+            # one live row per side per turn: forward in push-return order,
+            # tracking the right end of the first P-segment, and backward in
+            # pop-call-descending order, tracking the left end of the last.
+            # The side that finds one has stepped over the smaller part only.
+            reach, low = qc[by_pr[i]], pr[by_qc[j]]
+            k, y = i + 1, j + 1
+            n_left = n_right = 1
+            forward = True
+            while n_left < live:
                 x = by_pr[k]
-                if owner[x] == gid:
-                    if pr[x] > reach:
-                        break
-                    n_left += 1
-                    if qc[x] > reach:
-                        reach = qc[x]
+                while owner[x] != gid:
+                    k += 1
+                    x = by_pr[k]
+                if pr[x] > reach:
+                    break
+                n_left += 1
+                if qc[x] > reach:
+                    reach = qc[x]
                 k += 1
-            work += k - i
-            if k == end:
+                x = by_qc[y]
+                while owner[x] != gid:
+                    y += 1
+                    x = by_qc[y]
+                if qc[x] < low:
+                    forward = False
+                    break
+                n_right += 1
+                if pr[x] < low:
+                    low = pr[x]
+                y += 1
+            work += k - i + y - j
+            if n_left == live:
                 failed = [t.value[x] for x in by_pr[i:end] if owner[x] == gid]
                 pending.clear()
                 break
-            if n_left <= live - n_left:
+            if forward:
+                # The first P-segment is the left part; by_pr[k] starts the
+                # right part, which keeps the group's orders.
                 small = [x for x in by_pr[i:k] if owner[x] == gid]
                 work += k - i
                 left = group(groups, small)
+                j = compact(by_qc, j, y, n_right, gid)
                 right = (gid, live - n_left, by_pr, k, end, by_qc, j, by_pc, a, by_qr, b)
             else:
-                small = [x for x in by_pr[k:end] if owner[x] == gid]
-                work += end - k
-                left = (gid, n_left, by_pr, i, k, by_qc, j, by_pc, a, by_qr, b)
+                # The last P-segment is the right part: the rows pushed after
+                # qc[by_qc[y]], which starts the left part.
+                cut = bisect_right(by_pr, qc[by_qc[y]], k, end, key=pr.__getitem__)
+                small = [x for x in by_pr[cut:end] if owner[x] == gid]
+                work += end - cut + (end - k).bit_length()
+                i = compact(by_pr, i, k, n_left, gid)
+                left = (gid, live - n_right, by_pr, i, cut, by_qc, y, by_pc, a, by_qr, b)
                 right = group(groups, small)
             for x in small:
                 owner[x] = groups

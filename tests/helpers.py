@@ -55,6 +55,31 @@ def nested_stack(n: int) -> History:
     return History("stack", tuple(ops))
 
 
+def split_chain(k: int) -> History:
+    """The family S_k = push e_k, S_{k-1}, push t_k, pop t_k, pop e_k, every
+    operation sequential (e_v = 2v - 1, t_v = 2v): each round peels e_k and
+    splits the one-value tail t_k off the 4(k - 1) operations of S_{k-1}."""
+    seq = [(PUSH, 2 * v - 1) for v in range(k, 0, -1)]
+    for v in range(1, k + 1):
+        seq += [(PUSH, 2 * v), (POP, 2 * v), (POP, 2 * v - 1)]
+    return History("stack", tuple(Operation(n, Event(kind, value), 2 * n, 2 * n + 1)
+                                  for n, (kind, value) in enumerate(seq)))
+
+
+def buried_peels(k: int) -> History:
+    """Values 1..k are pushed under value 0, whose push returns first, and
+    popped before it; their pops return one by one among k sequential tail
+    values k+1..2k.  Each round splits off the last tail value and then
+    peels the lowest of 1..k, so a sweep from the front steps over every
+    value peeled so far unless peeled entries are dropped."""
+    t = 40 * k
+    rows = [(0, 0, 10 * k + 5, 30 * k, 30 * k + 1)]
+    for r in range(1, k + 1):
+        rows.append((r, r, 10 * k + 5 + r, 20 * k + r, t + 8 * (k - r) + 12))
+        rows.append((k + r, t + 8 * r, t + 8 * r + 1, t + 8 * r + 2, t + 8 * r + 3))
+    return value_history("stack", rows)
+
+
 def fold_values(h: History, pool: int) -> History:
     """Rename every value v to v % pool, so values repeat (gen_random always
     draws fresh stack values)."""

@@ -499,6 +499,7 @@ class TestExitCodeContract:
         ["gen", "--stretch", "-1"],
         ["oracle", "h.txt", "--max-ops", "-1"],
         ["bench", "--max-n", "-5"],
+        ["gen", "--kind", "small-model", "--n", "1"],
     ])
     def test_bad_size_argument_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

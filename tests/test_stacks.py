@@ -25,6 +25,7 @@ from limon import (
 from helpers import (
     STAGGERED_ROWS,
     StackTally,
+    buried_peels,
     check_pop_empty,
     complete_history,
     d_segments,
@@ -37,6 +38,7 @@ from helpers import (
     partition,
     reference_stack_linearizable,
     remove_overlapping_pairs,
+    split_chain,
     value_history,
 )
 
@@ -263,10 +265,27 @@ class TestStackLinearizable:
         assert stack_linearizable(h).witness == {"kind": "pop-empty", "interval": (3, 4)}
 
     def test_oracle_equivalence_sweep(self):
-        for seed in range(1500):
-            h = gen_random("stack", 2 + seed % 7, 4000 + seed)
+        histories = [gen_random("stack", 2 + seed % 7, 4000 + seed) for seed in range(1500)]
+        histories += [split_chain(k) for k in (1, 2, 3)] + [buried_peels(k) for k in (1, 2)]
+        for k, h in enumerate(histories):
             assert (stack_linearizable(h).linearizable
-                    == brute_force_linearizable(h, max_ops=12).linearizable), seed
+                    == brute_force_linearizable(h, max_ops=12).linearizable), k
+
+    def test_rightmost_failing_group_is_named(self):
+        # Groups are decided right part first, so of several failing groups
+        # the witness names the one latest in time, whichever end a split
+        # is found from.
+        for sizes in ((3, 5, 8), (8, 5, 3), (5, 8, 3), (3, 8, 5)):
+            ops, shift = [], 0
+            for f, n in enumerate(sizes):
+                family = gen_small_model_family(n)
+                for op in family.ops:
+                    ops.append(Operation(len(ops), Event(op.event.kind, 100 * f + op.event.value),
+                                         shift + op.call, shift + op.ret))
+                shift += max(op.ret for op in family.ops) + 10
+            verdict = stack_linearizable(History("stack", tuple(ops)))
+            assert verdict.witness == {"kind": "no-separation",
+                                       "values": list(range(201, 201 + sizes[-1]))}, sizes
 
     def test_segment_invariants_during_recursion(self):
         steps = []
@@ -298,11 +317,13 @@ class TestStackLinearizable:
         steps = []
 
         def observer(vals, p, d, extremes):
-            left = sum(v.push_ret <= d[1].left for v in vals) if len(d) > 2 else 0
-            steps.append((len(vals), len(extremes), len(d), left))
+            # How many values lie left of the first and of the last internal
+            # D-segment: the two places a split may cut.
+            cuts = {sum(v.push_ret <= d[i].left for v in vals) for i in (1, -2)}
+            steps.append((len(vals), len(extremes), len(d), cuts))
 
-        reached = 0
-        for h in _recursion_inputs(6000):
+        reached = splits = 0
+        for h in list(_recursion_inputs(6000)) + [split_chain(k) for k in range(2, 30)]:
             steps.clear()
             verdict = stack_linearizable(h, observer=observer)
             if not steps:
@@ -310,9 +331,10 @@ class TestStackLinearizable:
             reached += 1
             # Replay the depth-first order of the groups: each step either
             # peels extremes off its group or splits it into two nonempty
-            # smaller groups (left pushed first); a failing step is the last.
+            # smaller groups (left pushed first, so the right part is the
+            # next step's group); a failing step is the last.
             pending = [steps[0][0]]
-            for k, (n, n_ex, n_d, left) in enumerate(steps):
+            for k, (n, n_ex, n_d, cuts) in enumerate(steps):
                 while pending[-1] == 0:
                     pending.pop()
                 assert n == pending.pop()
@@ -320,13 +342,20 @@ class TestStackLinearizable:
                     assert n_ex <= n
                     pending.append(n - n_ex)
                 elif n_d > 2:
+                    left = n - steps[k + 1][0]
                     assert 0 < left < n
+                    # The cut is at the first or the last internal D-segment,
+                    # and the part split off there is never the larger.
+                    assert left in cuts
+                    assert (left == min(cuts) and left <= n - left
+                            or left == max(cuts) and n - left <= left), (n, left, cuts)
                     pending += [left, n - left]
+                    splits += 1
                 else:
                     assert k == len(steps) - 1 and not verdict.linearizable
             if verdict.linearizable:
                 assert not any(pending)
-        assert reached >= 150
+        assert reached >= 150 and splits >= 300, (reached, splits)
 
     def test_pinned_tallies(self):
         for n in (1, 2, 7, 64, 300):
@@ -344,14 +373,25 @@ class TestStackLinearizable:
         # Machine-independent: the counted work may grow at most 2.5x per
         # doubling (exponent <= 1.3); the quadratic loop grows 4x.  Every
         # step is charged, the sorts as n log n, so the count cannot vanish.
-        work = []
-        for n in (1000, 2000, 4000):
-            counter = WorkCounter()
-            assert stack_linearizable(nested_stack(n), counter=counter).linearizable
-            assert counter.count >= n * math.log2(n), n
-            work.append(counter.count)
+        work = _work_ladder(nested_stack, (1000, 2000, 4000))
         for small, big in zip(work, work[1:]):
             assert big <= 2.5 * small, work
+
+    def test_split_chain_work_is_quasilinear(self):
+        # Each round splits one value off a group of thousands: a split
+        # searched from the front only re-sweeps the group and grows about
+        # 4x per doubling; searched from both ends it may grow at most 2.3x
+        # (exponent <= 1.2).
+        work = _work_ladder(split_chain, (1000, 2000, 4000))
+        for small, big in zip(work, work[1:]):
+            assert big <= 2.3 * small, work
+
+    def test_peeled_rows_are_skipped_once(self):
+        # Each round peels a value the front search steps over; without
+        # dropping those dead entries the search grows about 4x per doubling.
+        work = _work_ladder(buried_peels, (1000, 2000, 4000))
+        for small, big in zip(work, work[1:]):
+            assert big <= 2.3 * small, work
 
     def test_work_bound_quadratic(self):
         c = 40
@@ -365,6 +405,17 @@ class TestStackLinearizable:
     def test_adt_guard(self):
         with pytest.raises(HistoryError):
             stack_linearizable(History("queue", ()))
+
+
+def _work_ladder(family, sizes):
+    """The counted work of a linearizable family at each size."""
+    work = []
+    for n in sizes:
+        counter = WorkCounter()
+        assert stack_linearizable(family(n), counter=counter).linearizable
+        assert counter.count >= n * math.log2(n), n
+        work.append(counter.count)
+    return work
 
 
 def _recursion_inputs(base):
@@ -389,7 +440,9 @@ def _outcome(check, h):
 
 class TestReferenceDifferential:
     """The monitor against the quadratic round loop it replaced: same
-    verdict, same witness, same rounds, extremes peeled and splits."""
+    verdict, same witness and as many extreme values peeled.  Rounds and
+    splits may differ: the reference always splits at the first internal
+    D-segment, the monitor at the first or the last."""
 
     def test_against_quadratic_reference(self):
         histories = []
@@ -402,12 +455,15 @@ class TestReferenceDifferential:
                           fold_values(lin, 3 + seed % 6)]
         histories += [nested_stack(n) for n in range(1, 41)]
         histories += [gen_small_model_family(n) for n in range(2, 42)]
+        histories += [split_chain(k) for k in range(1, 41)]
+        histories += [buried_peels(k) for k in range(1, 41)]
         kinds = Counter()
         splits = 0
         for k, h in enumerate(histories):
-            got = _outcome(stack_linearizable, h)
-            assert got == _outcome(reference_stack_linearizable, h), k
-            verdict, tally = got
+            verdict, tally = _outcome(stack_linearizable, h)
+            ref_verdict, ref_tally = _outcome(reference_stack_linearizable, h)
+            assert verdict == ref_verdict, k
+            assert tally[1] == ref_tally[1], k
             kinds[verdict.witness and verdict.witness["kind"]] += 1
             splits += tally[2]
         assert len(histories) >= 3000
