@@ -4,9 +4,12 @@ A history is a finite set of timed operations recorded from a concurrent
 execution.  Every timestamp in a history is globally unique, so the
 real-time precedence order between operations is unambiguous.  Parsed
 histories hold six parallel columns, one row per operation in call order,
-and build `Operation`s only if asked.  The parser reads its input one line
-at a time and holds, besides the columns, only the operations whose call
-or return it has not read yet.  Event files and event streams share one
+and build `Operation`s only if asked.  The parser reads its input once
+and holds, besides the columns, only the operations whose call or return
+it has not read yet.  Operation-format files are read in blocks, each
+line split once: a block of plain records is checked and converted a
+column at a time, and any other block goes through the line loop, the one
+reader of symbolic or signed values and of faults.  Event files and event streams share one
 record loop, `_events`: it checks each record, pairs it by id with the
 half of its operation already read and yields it as a `StreamEvent`, which
 the set and multiset monitors read from a stream and the file parser turns
@@ -19,8 +22,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import chain, compress, islice
-from operator import attrgetter, eq, le
+from itertools import chain, compress, count, islice, repeat
+from operator import attrgetter, eq, le, lt
 
 ADTS = ("stack", "queue", "set", "multiset")
 
@@ -140,8 +143,9 @@ Columns = namedtuple("Columns", "call ret kind value outcome id")
 Columns.__doc__ = """A history's operations as six parallel columns, in call order.
 
     Row r is one operation: call[r], ret[r], kind[r], value[r], outcome[r]
-    and id[r].  The id column of an operation-format file is its line
-    order, and a `range` when the file was in call order already.
+    and id[r].  In an operation-format file an operation's id is its
+    record's position, from 0, among the records, so the id column is a
+    `range` when the file was in call order already.
     """
 
 
@@ -256,6 +260,7 @@ _OUTCOMES = {(CONTAINS, "true"): True, (CONTAINS, "false"): False,
              (ADD, "ok"): True, (ADD, "fail"): False,
              (REMOVE, "ok"): True, (REMOVE, "fail"): False}
 _RESULT_WORDS = frozenset(("ok", "fail", "true", "false", "empty"))
+_BLOCK = 1024  # lines per block of an operation-format file; larger blocks cost memory
 
 
 def _strip(line: str) -> str:
@@ -380,7 +385,7 @@ def parse_history(source: str | bytes | Iterable[str], fmt: str = "auto",
     """Parse a history in the operation or event file format.
 
     The source is the whole text, or its lines, such as an open text file
-    yields them; lines are read one at a time, and only once.
+    yields them; lines are read in order, and only once.
     The first non-comment line must be ``adt <stack|queue|set|multiset>``.
     With fmt="auto" the format is inferred from the first record line.
     An adt_override replaces the declared data type (the header is still
@@ -433,53 +438,147 @@ def _check_structure(h: History) -> None:
             raise HistoryError("operation ids are not distinct")
 
 
-def _parse_ops_format(adt: str, lines: Iterable[str], first: int) -> Columns:
-    legal = _KINDS_BY_ADT[adt]
+def _parse_ops_format(adt: str, lines: Iterator[str], first: int) -> Columns:
+    """Read the lines a block at a time: a block of plain records goes into
+    the columns in bulk, any other block through the line loop, as if the
+    line loop had read the whole input.  Each line is split once.  A block
+    tried in bulk is split into a list of rows, which the line loop reads if
+    the block is not plain; a block not tried is split a line at a time, as
+    rows held at once cost the cyclic collector passes over them."""
     symbols: dict[str, int] = {}
-    calls, rets, kinds, values, outcomes = cols = [[], [], [], [], []]
-    no = first - 1
-    try:
-        for no, line in enumerate(lines, first):
-            if "#" in line:
-                line = line[:line.find("#")]
-            toks = line.split()
-            if not toks:
-                continue
-            kind = _KIND_ALIASES.get(toks[0])
-            if kind is None:
-                raise ParseError(f"unknown operation {toks[0]!r}", no)
-            n = len(toks)
-            value = outcome = None
-            if kind == POP_EMPTY:
-                if n != 3:
-                    raise ParseError("expected: popempty <call> <ret>", no)
-                call, ret = toks[1], toks[2]
+    cols: list = [[], [], [], [], []]
+    block: list[str] = []
+    no = first  # the number of the block's first line
+    bulk = True  # whether to try the next block in bulk
+    while True:
+        try:
+            block.extend(islice(lines, _BLOCK))
+        except UnicodeDecodeError as exc:
+            # A fault in the lines read before the byte's chunk comes first.
+            _ops_lines(adt, _tokens(block), no, cols, symbols)
+            raise _not_utf8(exc, no - 1 + len(block)) from None
+        rows = _tokens(block)
+        if bulk:
+            rows = list(rows)
+            bulk = _ops_block(adt, rows, cols)
+        if not bulk:
+            # A block after one with symbolic or signed values likely holds
+            # some too, so it goes straight to the line loop.
+            bulk = not _ops_lines(adt, rows, no, cols, symbols)
+        if len(block) < _BLOCK:
+            return _in_call_order(cols + [range(len(cols[0]))], symbols)  # ids: record order
+        no += _BLOCK
+        block.clear()
+
+
+def _tokens(lines: list[str]) -> Iterator[list[str]]:
+    """Each line's tokens, without its comment, split as they are read."""
+    if "#" in "".join(lines):
+        return (line[:line.find("#")].split() if "#" in line else line.split()
+                for line in lines)
+    return map(str.split, lines)
+
+
+def _ops_block(adt: str, rows: list[list[str]], cols: list) -> bool:
+    """Append the records of a block of plain lines, given as their tokens,
+    to cols, column by column, and give True; give False, with cols and rows
+    untouched, if any line is not plain.
+
+    A plain line holds no record, or one legal record with ASCII-digit
+    values and timestamps.  Split tokens are never empty, so a numeric
+    column is all ASCII digits if its concatenation is."""
+    widths = set(map(len, rows))
+    if 0 in widths:  # blank and comment lines hold no record
+        rows = list(filter(None, rows))
+        widths.discard(0)
+    width = 4 if adt in ("stack", "queue") else 5
+    empties: list[int] = []
+    if widths != {width}:
+        if adt != "stack" or widths != {3, 4}:
+            return False
+        empties = list(compress(count(), map(eq, map(len, rows), repeat(3))))
+        rows = rows.copy()  # the block's rows stay as split, for the line loop
+        for r in empties:  # a pop-empty: a stand-in value, set to None below
+            op, call, ret = rows[r]
+            rows[r] = [op, "0", call, ret]
+    ops, values, calls, rets, *results = zip(*rows)
+    for col in values, calls, rets:  # values first: a symbol or sign ends it soonest
+        digits = "".join(col)
+        if not (digits.isascii() and digits.isdigit()):
+            return False
+    kinds = list(map(_KIND_ALIASES.get, ops))
+    kind_set = set(kinds)
+    if not kind_set.issubset(_KINDS_BY_ADT[adt]):
+        return False
+    if (empties or POP_EMPTY in kind_set) and empties != list(
+            compress(count(), map(eq, kinds, repeat(POP_EMPTY)))):
+        return False
+    calls, rets = list(map(int, calls)), list(map(int, rets))
+    if not all(map(lt, calls, rets)):
+        return False
+    if results:
+        outcomes = list(map(_OUTCOMES.get, zip(kinds, results[0])))
+        if None in outcomes or (adt == "multiset" and False in outcomes):
+            return False
+    else:
+        outcomes = [None] * len(rows)
+    values = list(map(int, values))
+    for r in empties:
+        values[r] = None
+    for col, new in zip(cols, (calls, rets, kinds, values, outcomes)):
+        col.extend(new)
+    return True
+
+
+def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
+               symbols: dict[str, int]) -> bool:
+    """The line loop: append the records of rows, the tokens of lines
+    numbered from first, to cols, and tell whether a value was symbolic or
+    signed.  It is the one reader of such values, and it names the first
+    fault."""
+    legal = _KINDS_BY_ADT[adt]
+    calls, rets, kinds, values, outcomes = cols
+    odd = False
+    for no, toks in enumerate(rows, first):
+        if not toks:
+            continue
+        kind = _KIND_ALIASES.get(toks[0])
+        if kind is None:
+            raise ParseError(f"unknown operation {toks[0]!r}", no)
+        n = len(toks)
+        value = outcome = None
+        if kind == POP_EMPTY:
+            if n != 3:
+                raise ParseError("expected: popempty <call> <ret>", no)
+            call, ret = toks[1], toks[2]
+        else:
+            if kind == PUSH or kind == POP:
+                if n != 4:
+                    raise ParseError(f"expected: {toks[0]} <value> <call> <ret>", no)
+            elif n != 5:
+                raise ParseError(f"expected: {toks[0]} <value> <call> <ret> <result>", no)
+            value, call, ret = toks[1], toks[2], toks[3]
+            if value.isdigit() and value.isascii():
+                value = int(value)
             else:
-                if kind == PUSH or kind == POP:
-                    if n != 4:
-                        raise ParseError(f"expected: {toks[0]} <value> <call> <ret>", no)
-                elif n != 5:
-                    raise ParseError(f"expected: {toks[0]} <value> <call> <ret> <result>", no)
-                value, call, ret = toks[1], toks[2], toks[3]
-                value = int(value) if value.isdigit() and value.isascii() else _value(value, symbols)
-            call = int(call) if call.isdigit() and call.isascii() else _parse_ts(call, no)
-            ret = int(ret) if ret.isdigit() and ret.isascii() else _parse_ts(ret, no)
-            if n == 5:
-                outcome = _OUTCOMES.get((kind, toks[4]))
-                if outcome is None:
-                    _bad_outcome(kind, toks[4], no)
-            if kind not in legal or outcome is False:
-                _check_kind(adt, kind, outcome, no)
-            if call >= ret:
-                raise ParseError(f"call {call} not before return {ret}", no)
-            calls.append(call)
-            rets.append(ret)
-            kinds.append(kind)
-            values.append(value)
-            outcomes.append(outcome)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, no) from None
-    return _in_call_order(cols + [range(len(calls))], symbols)  # ids are line order
+                value = _value(value, symbols)
+                odd = True
+        call = int(call) if call.isdigit() and call.isascii() else _parse_ts(call, no)
+        ret = int(ret) if ret.isdigit() and ret.isascii() else _parse_ts(ret, no)
+        if n == 5:
+            outcome = _OUTCOMES.get((kind, toks[4]))
+            if outcome is None:
+                _bad_outcome(kind, toks[4], no)
+        if kind not in legal or outcome is False:
+            _check_kind(adt, kind, outcome, no)
+        if call >= ret:
+            raise ParseError(f"call {call} not before return {ret}", no)
+        calls.append(call)
+        rets.append(ret)
+        kinds.append(kind)
+        values.append(value)
+        outcomes.append(outcome)
+    return odd
 
 
 def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] | None,
@@ -687,9 +786,10 @@ def _outcome_token(kind: str, outcome: bool) -> str:
 def serialize_history(h: History, fmt: str = "ops") -> str:
     """Render a history in either file format.
 
-    The operation format is positional: ids are re-derived from line order
-    on parse, so round-trips are exact for call-ordered ids (all histories
-    this toolkit produces).  The event format preserves ids verbatim.
+    The operation format is positional: ids are re-derived from record
+    order on parse, so round-trips are exact for call-ordered ids (all
+    histories this toolkit produces).  The event format preserves ids
+    verbatim.
     """
     lines = [f"adt {h.adt}"]
     if fmt == "ops":

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 from limon import AttributedValue, Event, History, HistoryError, Interval, Operation, Verdict
@@ -86,6 +86,36 @@ def fold_values(h: History, pool: int) -> History:
     return History(h.adt, tuple(
         Operation(op.id, Event(op.event.kind, op.event.value % pool), op.call, op.ret)
         if op.event.value is not None else op for op in h.ops))
+
+
+def endpoint_orders(k: int) -> Iterator[list[tuple[int, int]]]:
+    """Every order of the 2k call and return endpoints of k operations in
+    which the calls come in operation order, as the (call, return)
+    timestamps 0..2k-1 of each operation: (2k-1)!! orders."""
+    calls, rets = [0] * k, [0] * k
+
+    def place(t: int, called: int, pending: tuple[int, ...]):
+        if t == 2 * k:
+            yield list(zip(calls, rets))
+            return
+        if called < k:
+            calls[called] = t
+            yield from place(t + 1, called + 1, pending + (called,))
+        for op in pending:
+            rets[op] = t
+            yield from place(t + 1, called, tuple(o for o in pending if o != op))
+
+    return place(0, 0, ())
+
+
+def small_histories(adt: str, labels: list[Event], max_k: int) -> Iterator[History]:
+    """Every history of 1..max_k operations: each endpoint order (see
+    endpoint_orders) with each labelling of its operations from labels."""
+    for k in range(1, max_k + 1):
+        for order in endpoint_orders(k):
+            for events in product(labels, repeat=k):
+                yield History(adt, [Operation(i, ev, call, ret)
+                                    for i, (ev, (call, ret)) in enumerate(zip(events, order))])
 
 
 # Staggered walkthrough history (values 2..8): four P-segments, no extreme

@@ -26,6 +26,7 @@ from limon import (
     serialize_history,
     stack_linearizable,
 )
+from limon import history
 from limon.history import _duplicate_stamp, value_table
 
 from helpers import (
@@ -688,7 +689,7 @@ class TestOutOfCallOrder:
                                              seed=80_000 + seed))
             for h in (raw, lin):
                 verdict = check_history(h)
-                # Operation format: ids are line numbers, so they give the shuffle back.
+                # Operation format: ids are record positions, so they give the shuffle back.
                 header, *lines = serialize_history(h, "ops").splitlines()
                 shuffled = rng.sample(lines, len(lines))
                 moved += shuffled != lines
@@ -707,6 +708,136 @@ class TestOutOfCallOrder:
                 # In order, every id is its row number, so the id column is a range.
                 assert list(got.columns.id) == list(in_order.columns.id), (adt, seed)
         assert moved > 250, moved
+
+
+def plain_records(adt: str, n: int) -> list[str]:
+    """n operation-format records that the block path takes in bulk, at
+    timestamps below 2n; a stack's include a pop-empty every 50 records."""
+    records = []
+    for i in range(n):
+        call, ret = 2 * i, 2 * i + 1
+        if adt == "stack" and i % 50 == 7:
+            records.append(f"popempty {call} {ret}")
+        elif adt in ("stack", "queue"):
+            kind = ("push", "pop") if adt == "stack" else ("enq", "deq")
+            records.append(f"{kind[i % 2]} {i} {call} {ret}")
+        else:
+            kind, result = [("add", "ok"), ("remove", "ok"), ("contains", "true"),
+                            ("add", "fail"), ("contains", "false")][i % (5 if adt == "set" else 2)]
+            records.append(f"{kind} {i} {call} {ret} {result}")
+    return records
+
+
+def line_loop_parse(adt: str, lines: list[str]):
+    """The line loop alone over the tokens of the record lines, numbered
+    from 2, as parse_history finishes them; the columns, or the ParseError."""
+    cols, symbols = [[], [], [], [], []], {}
+    try:
+        history._ops_lines(adt, history._tokens(lines), 2, cols, symbols)
+    except ParseError as exc:
+        return exc
+    return history._in_call_order(cols + [range(len(cols[0]))], symbols)
+
+
+class TestOpsBlocks:
+    """An operation-format file is read in blocks of history._BLOCK lines.
+    Each line is split once, its comment dropped.  A block of plain lines
+    (no record, or one without symbols, signed values or faults) is taken
+    in bulk; any other goes to the line loop, so the result is the line
+    loop's over the whole input.  A block after one with a symbolic or
+    signed value goes to the line loop without a bulk try."""
+
+    @pytest.mark.parametrize("where", [0, history._BLOCK // 2, history._BLOCK - 1],
+                             ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("adt, line, looped_blocks", [
+        # 0: a plain line; 1: a fault, named by the line loop; 2: a symbolic
+        # or signed value, after which the next block skips the bulk try.
+        ("stack", "# a comment", 0),
+        ("stack", "push 5 1000000 1000001 # a comment", 0),
+        ("stack", "", 0),
+        ("stack", " \t", 0),
+        ("stack", "push\t5\t1000000\t1000001", 0),
+        ("stack", "push x 1000000 1000001", 2),
+        ("stack", "push -3 1000000 1000001", 2),
+        ("queue", "enq +3 1000000 1000001", 2),
+        ("stack", "push 1 ² 1000001", 1),
+        ("stack", "push ٥ 1000000 1000001", 2),
+        ("queue", "popempty 1000000 1000001", 1),
+        ("stack", "push 1 1000000 1000001 ok", 1),
+        ("stack", "popempty 1 1000000 1000001", 1),
+        ("set", "put 1 1000000 1000001 ok", 1),
+        ("multiset", "add 1 1000000 1000001 fail", 1),
+        ("multiset", "contains 1 1000000 1000001 true", 1),
+        ("set", "add 1 1000001 1000000 ok", 1),
+    ])
+    def test_blocks_read_as_the_line_loop(self, adt, line, looped_blocks, where, monkeypatch):
+        lines = plain_records(adt, 4 * history._BLOCK)
+        lines.insert(2 * history._BLOCK + where, line)
+        expected = line_loop_parse(adt, lines)
+        looped = self.spy_line_loop(monkeypatch)
+        text = "\n".join([f"adt {adt}", *lines])  # no trailing blank line
+        if isinstance(expected, ParseError):
+            err = parse_error(text)
+            assert (str(err), err.line) == (str(expected), expected.line)
+        else:
+            assert list(map(list, parse_history(text).columns)) == list(map(list, expected))
+        assert looped == [2 + b * history._BLOCK for b in range(2, 2 + looped_blocks)]
+
+    @staticmethod
+    def spy_line_loop(monkeypatch) -> list[int]:
+        """The first line number of each block the line loop will read."""
+        looped = []
+        line_loop = history._ops_lines
+
+        def spy(adt, rows, first, *rest):
+            looped.append(first)
+            return line_loop(adt, rows, first, *rest)
+        monkeypatch.setattr(history, "_ops_lines", spy)
+        return looped
+
+    def test_symbolic_blocks_skip_the_bulk_try(self, monkeypatch):
+        # Blocks 0 and 1 hold symbolic values: block 0 fails the bulk try,
+        # block 1 skips it, block 2 is plain but follows a symbolic block,
+        # and blocks 3 and 4 are taken in bulk again.
+        lines = plain_records("stack", 5 * history._BLOCK - 1)
+        for i in (10, history._BLOCK + 10):  # record i is called at 2i and returns at 2i + 1
+            lines[i] = f"push v{i} {2 * i} {2 * i + 1}"
+        tried = []
+        bulk = history._ops_block
+
+        def spy(adt, rows, cols):
+            tried.append(len(cols[0]))
+            return bulk(adt, rows, cols)
+        expected = line_loop_parse("stack", lines)
+        monkeypatch.setattr(history, "_ops_block", spy)
+        looped = self.spy_line_loop(monkeypatch)
+        got = parse_history("\n".join(["adt stack", *lines]))
+        assert list(map(list, got.columns)) == list(map(list, expected))
+        assert looped == [2, 2 + history._BLOCK, 2 + 2 * history._BLOCK]
+        assert tried == [0, 3 * history._BLOCK, 4 * history._BLOCK]
+
+    @pytest.mark.parametrize("bad, fault, message", [
+        (history._BLOCK + 2, None, "input is not UTF-8 (line {bad})"),
+        (history._BLOCK + 500, None, "input is not UTF-8 (line {bad})"),
+        (2 * history._BLOCK + 1, None, "input is not UTF-8 (line {bad})"),
+        # A fault read before the bad byte's chunk is named first, as the
+        # line loop names it; one after the bad byte is never read.
+        (history._BLOCK + 950, history._BLOCK + 50,
+         "call 5000001 not before return 5000000 (line {fault})"),
+        (history._BLOCK + 50, history._BLOCK + 950, "input is not UTF-8 (line {bad})"),
+    ])
+    def test_non_utf8_inside_a_block(self, bad, fault, message, tmp_path):
+        # A text file decodes a chunk of 8192 bytes at a time; records here
+        # are about 20 bytes, so the bad byte lies chunks past the fault.
+        lines = [line.encode() for line in plain_records("stack", 3 * history._BLOCK)]
+        lines[bad - 2] = b"push \xff 4000000 4000001"
+        if fault is not None:
+            lines[fault - 2] = b"push 7 5000001 5000000"
+        path = tmp_path / "h.txt"
+        path.write_bytes(b"\n".join([b"adt stack", *lines]) + b"\n")
+        with open(path, encoding="utf-8") as fh, pytest.raises(ParseError) as info:
+            parse_history(fh)
+        assert str(info.value) == message.format(bad=bad, fault=fault)
 
 
 class TestParsedHistorySize:

@@ -8,12 +8,14 @@ from limon import (
     History,
     Operation,
     brute_force_linearizable,
+    check_history,
     gen_random,
     parse_history,
     sequential_check,
+    serialize_history,
 )
 
-from helpers import naive_linearizable, saturation_baseline
+from helpers import naive_linearizable, saturation_baseline, small_histories
 
 H1_TEXT = "adt stack\npush 0 0 2\npush 1 1 3\npop 1 4 6\npop 0 5 7\n"
 LIFO_BAD = "adt stack\npush 1 0 1\npush 2 2 3\npop 1 4 5\npop 2 6 7\n"
@@ -135,3 +137,22 @@ class TestSaturation:
         assert total > 400
         print(f"saturation baseline disagreed with the oracle on "
               f"{disagreements}/{total} random histories")
+
+
+class TestExhaustiveSmallHistories:
+    """Every history of a small class, through the file format and the
+    monitor, against the oracle (small-scope hypothesis)."""
+
+    @pytest.mark.parametrize("adt, labels, max_k, count", [
+        ("multiset", [Event(kind, v, True) for kind in ("add", "remove") for v in (0, 1)],
+         4, 27_892),
+        ("set", [Event(kind, v, outcome) for kind in ("add", "remove", "contains")
+                 for v in (0, 1) for outcome in (True, False)], 3, 26_364),
+    ], ids=["multiset", "set-two-names"])
+    def test_monitor_agrees_with_the_oracle(self, adt, labels, max_k, count):
+        seen = wrong = 0
+        for h in small_histories(adt, labels, max_k):
+            verdict = check_history(parse_history(serialize_history(h)))
+            wrong += verdict.linearizable != brute_force_linearizable(h).linearizable
+            seen += 1
+        assert (seen, wrong) == (count, 0)
