@@ -16,12 +16,10 @@ names, as in `limon.gen_random` or `from limon import sequential_check`.
 
 from .history import (
     ADTS,
-    AttributedValue,
     BoundExceeded,
     Event,
     History,
     HistoryError,
-    Interval,
     Operation,
     ParseError,
     Verdict,

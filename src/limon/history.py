@@ -97,27 +97,6 @@ class _FrozenRecord(_Record):
     __delattr__ = __setattr__
 
 
-class Interval(namedtuple("Interval", "left right")):
-    """Closed interval [left, right]; zero-length intervals are legal."""
-
-    __slots__ = ()
-
-    def __new__(cls, left: int, right: int):
-        if left > right:
-            raise HistoryError(f"interval [{left},{right}] has left > right")
-        return tuple.__new__(cls, (left, right))
-
-    def intersects(self, other: Interval) -> bool:
-        # Closed endpoints: [a,b] meets [c,d] iff a <= d and c <= b.
-        return self.left <= other.right and other.left <= self.right
-
-    def contains(self, other: Interval) -> bool:
-        return self.left <= other.left and other.right <= self.right
-
-    def as_pair(self) -> tuple[int, int]:
-        return (self.left, self.right)
-
-
 Event = namedtuple("Event", "kind value outcome", defaults=(None, None))
 Event.__doc__ = """An untimed operation payload.
 
@@ -201,28 +180,6 @@ class History(_FrozenRecord):
         return iter(self.ops)
 
 
-class AttributedValue(namedtuple("AttributedValue",
-                                 "value push_call push_ret pop_call pop_ret")):
-    """A value together with the four timestamps of its push and pop."""
-
-    __slots__ = ()
-
-    @property
-    def i_segment(self) -> Interval | None:
-        """[push-return, pop-call]: the window the value is certainly inside.
-
-        None when push and pop overlap (no certainty window exists).
-        """
-        if self.push_ret > self.pop_call:
-            return None
-        return Interval(self.push_ret, self.pop_call)
-
-    @property
-    def t_segment(self) -> Interval:
-        """[push-call, pop-return]: the total window of both operations."""
-        return Interval(self.push_call, self.pop_ret)
-
-
 class Verdict(_FrozenRecord):
     """Monitor answer; witness is a JSON-ready diagnostic when unlinearizable."""
 
@@ -237,12 +194,17 @@ class Verdict(_FrozenRecord):
 
 
 class WorkCounter:
-    """Instrumentation counter for complexity-envelope measurements."""
+    """Instrumentation counter for complexity-envelope measurements.
 
-    __slots__ = ("count",)
+    `count` is the work of every step a monitor takes.  The stack monitor
+    also adds its recursion's `rounds`, the `extremes` (extreme values) it
+    peels and its `splits` at an internal D-segment.
+    """
+
+    __slots__ = ("count", "rounds", "extremes", "splits")
 
     def __init__(self) -> None:
-        self.count = 0
+        self.count = self.rounds = self.extremes = self.splits = 0
 
     def add(self, n: int = 1) -> None:
         self.count += n

@@ -186,8 +186,7 @@ def _fail(value: int, ts: int, reason: str) -> Verdict:
 
 
 def set_linearizable_events(events: Iterable[StreamEvent],
-                            counter: WorkCounter | None = None,
-                            observer=None) -> Verdict:
+                            counter: WorkCounter | None = None) -> Verdict:
     """Run the online set checker over an ordered event stream."""
     states: dict[int, SetValueState] = {}
     for ts, is_call, kind, value, outcome, op_id, call in events:
@@ -239,8 +238,6 @@ def set_linearizable_events(events: Iterable[StreamEvent],
                     st.pending.pop(op_id, None)
                     if counter is not None:
                         counter.add(1)
-        if observer is not None:
-            observer(ts, value, st)
     return Verdict(True)
 
 
@@ -268,13 +265,12 @@ def multiset_linearizable_events(events: Iterable[StreamEvent],
     return Verdict(True)
 
 
-def set_linearizable(h: History, *, counter: WorkCounter | None = None,
-                     observer=None) -> Verdict:
+def set_linearizable(h: History, *, counter: WorkCounter | None = None) -> Verdict:
     """Decide whether a set history (add/remove/contains) is linearizable;
     history_events rewrites its failing adds and removes."""
     if h.adt != "set":
         raise HistoryError(f"set monitor got adt {h.adt!r}")
-    return set_linearizable_events(history_events(h), counter, observer)
+    return set_linearizable_events(history_events(h), counter)
 
 
 def multiset_linearizable(h: History, *, counter: WorkCounter | None = None) -> Verdict:

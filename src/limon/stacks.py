@@ -17,30 +17,16 @@ D-segment from both ends of the group at once, so it steps over the
 smaller part only, and sorts that part afresh.  A value is in the smaller
 part of at most log2 n splits (Hopcroft's smaller-half argument), so the
 searches cost O(n log n) in all, and the sorts O(n log^2 n) comparisons
-at worst.
+at worst.  Pop-empties are placed in one pass over the top-level
+D-segments, in call order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable
 from itertools import islice
 
-from .history import (
-    AttributedValue,
-    History,
-    HistoryError,
-    Interval,
-    ValueTable,
-    Verdict,
-    WorkCounter,
-    value_table,
-)
-
-Observer = Callable[[tuple, list, list, set], None]
-
-# The observer names row x of the value table _FRESH_BASE + x.
-_FRESH_BASE = 10
+from .history import History, HistoryError, ValueTable, Verdict, WorkCounter, value_table
 
 
 def _sweep_p(rows: list[int], push_ret: list[int], pop_call: list[int],
@@ -99,32 +85,26 @@ def _prepare(h: History, counter: WorkCounter | None
 
     # Pop-empty placement is a one-time check against the top-level
     # D-segments, spanning the entire history (pop-empty intervals may
-    # stick out past the first push or the last pop).
+    # stick out past the first push or the last pop).  Both are sorted, so
+    # one pointer finds, for each pop-empty in call order, the first
+    # D-segment ending at or after its call (the last ends after every
+    # call); the pop-empty is placeable iff that one starts by its return.
     if t.pop_empties:
         lo = min([t.push_call[x] for x in rows] + [a for a, _ in t.pop_empties])
         hi = max([t.pop_ret[x] for x in rows] + [b for _, b in t.pop_empties])
         d = _gaps_d(lo, hi, _sweep_p(rows, pr, qc, counter) if rows else [], counter)
+        if counter is not None:
+            counter.add(len(t.pop_empties) + len(d))
+        k = 0
         for left, right in t.pop_empties:
-            if counter is not None:
-                counter.add(len(d))
-            if not any(left <= b and a <= right for a, b in d):
+            while d[k][1] < left:
+                k += 1
+            if d[k][0] > right:
                 return Verdict(False, {"kind": "pop-empty", "interval": (left, right)})
     return t, rows
 
 
-def _observe(observer: Observer, t: ValueTable, members: list[int], ex: list[int]) -> None:
-    vs = tuple(AttributedValue(_FRESH_BASE + x, t.push_call[x], t.push_ret[x],
-                               t.pop_call[x], t.pop_ret[x]) for x in members)
-    lo = min(v.push_call for v in vs)
-    hi = max(v.pop_ret for v in vs)
-    p = _sweep_p(members, t.push_ret, t.pop_call, None)
-    observer(vs, [Interval(a, b) for a, b in p],
-             [Interval(a, b) for a, b in _gaps_d(lo, hi, p, None)],
-             {_FRESH_BASE + x for x in ex})
-
-
-def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
-                       observer: Observer | None = None) -> Verdict:
+def stack_linearizable(h: History, *, counter: WorkCounter | None = None) -> Verdict:
     """Decide whether a stack history is linearizable.
 
     Preprocessing: value occurrences are differentiated, unmatched pushes
@@ -154,8 +134,7 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
     the values it stepped.  Both parts keep the marks.
 
     The optional counter accumulates every step taken, sorts included (as
-    n log n); the optional observer is called with (values, P-segments,
-    D-segments, extremes) once per round.
+    n log n), and the rounds, the extreme values peeled and the splits.
     """
     prepared = _prepare(h, counter)
     if isinstance(prepared, Verdict):
@@ -166,7 +145,7 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
     owner = [0] * n  # the group a row belongs to, -1 once peeled
     in_a = bytearray(n)
     in_b = bytearray(n)
-    work = 0
+    work = rounds = extremes = 0
 
     def group(gid: int, members: list[int]) -> tuple:
         # (id, live count, push-return order and its pointer and end,
@@ -224,10 +203,10 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
                     if in_a[x]:
                         ex.append(x)
                 b += 1
+            rounds += 1
             work += 1 + len(ex)
-            if observer is not None:
-                _observe(observer, t, [x for x in by_pr[i:end] if owner[x] == gid], ex)
             if ex:
+                extremes += len(ex)
                 for x in ex:
                     owner[x] = -1
                 live -= len(ex)
@@ -296,6 +275,9 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None,
         work += i + j + a + b - start
     if counter is not None:
         counter.add(work)
+        counter.rounds += rounds
+        counter.extremes += extremes
+        counter.splits += groups - 1
     if failed is not None:
         return Verdict(False, {"kind": "no-separation", "values": sorted(failed)})
     return Verdict(True)

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import permutations, product
 from pathlib import Path
 
-from limon import AttributedValue, Event, History, HistoryError, Interval, Operation, Verdict
+from limon import Event, History, HistoryError, Operation, Verdict
 from limon.history import (
     ADD,
     CONTAINS,
@@ -20,7 +20,54 @@ from limon.history import (
     _max_timestamp,
 )
 from limon.oracle import sequential_check
-from limon.stacks import _FRESH_BASE, _gaps_d, _prepare, _sweep_p
+from limon.stacks import _gaps_d, _prepare, _sweep_p
+
+# The reference steps name row x of the monitor's value table _FRESH_BASE + x,
+# and differentiate numbers its fresh values from _FRESH_BASE.
+_FRESH_BASE = 10
+
+
+class Interval(namedtuple("Interval", "left right")):
+    """Closed interval [left, right]; zero-length intervals are legal."""
+
+    __slots__ = ()
+
+    def __new__(cls, left: int, right: int):
+        if left > right:
+            raise HistoryError(f"interval [{left},{right}] has left > right")
+        return tuple.__new__(cls, (left, right))
+
+    def intersects(self, other: Interval) -> bool:
+        # Closed endpoints: [a,b] meets [c,d] iff a <= d and c <= b.
+        return self.left <= other.right and other.left <= self.right
+
+    def contains(self, other: Interval) -> bool:
+        return self.left <= other.left and other.right <= self.right
+
+    def as_pair(self) -> tuple[int, int]:
+        return (self.left, self.right)
+
+
+class AttributedValue(namedtuple("AttributedValue",
+                                 "value push_call push_ret pop_call pop_ret")):
+    """A value together with the four timestamps of its push and pop."""
+
+    __slots__ = ()
+
+    @property
+    def i_segment(self) -> Interval | None:
+        """[push-return, pop-call]: the window the value is certainly inside.
+
+        None when push and pop overlap (no certainty window exists).
+        """
+        if self.push_ret > self.pop_call:
+            return None
+        return Interval(self.push_ret, self.pop_call)
+
+    @property
+    def t_segment(self) -> Interval:
+        """[push-call, pop-return]: the total window of both operations."""
+        return Interval(self.push_call, self.pop_ret)
 
 
 def limon_env(**overrides: str) -> dict:
@@ -78,6 +125,14 @@ def buried_peels(k: int) -> History:
         rows.append((r, r, 10 * k + 5 + r, 20 * k + r, t + 8 * (k - r) + 12))
         rows.append((k + r, t + 8 * r, t + 8 * r + 1, t + 8 * r + 2, t + 8 * r + 3))
     return value_history("stack", rows)
+
+
+def pop_empty_triples(n: int) -> History:
+    """n sequential triples push v, pop v, popempty: n + 1 D-segments, and
+    each pop-empty meets only the one after its own value's pop."""
+    seq = [ev for v in range(n) for ev in (Event(PUSH, v), Event(POP, v), Event(POP_EMPTY))]
+    return History("stack", tuple(Operation(i, ev, 2 * i, 2 * i + 1)
+                                  for i, ev in enumerate(seq)))
 
 
 def fold_values(h: History, pool: int) -> History:

@@ -9,10 +9,8 @@ import random
 import time
 
 from limon import (
-    AttributedValue,
     ContainmentIndex,
     GenConfig,
-    Interval,
     brute_force_linearizable,
     check_history,
     gen_random,
@@ -28,6 +26,8 @@ from helpers import (
     STAGGERED_ROWS,
     QUEUE_BAD_ROWS,
     QUEUE_OK_ROWS,
+    AttributedValue,
+    Interval,
     complete_history,
     d_segments,
     extreme_values,

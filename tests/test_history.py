@@ -13,7 +13,6 @@ from limon import (
     Operation,
     ParseError,
     HistoryError,
-    Interval,
     Verdict,
     WorkCounter,
     brute_force_linearizable,
@@ -31,6 +30,7 @@ from limon.history import _duplicate_stamp, value_table
 
 from helpers import (
     EMPTY,
+    Interval,
     complete_history,
     differentiate,
     fold_values,

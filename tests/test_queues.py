@@ -8,7 +8,6 @@ from limon import (
     Event,
     History,
     HistoryError,
-    Interval,
     Operation,
     WorkCounter,
     brute_force_linearizable,
@@ -21,6 +20,7 @@ from helpers import (
     QUEUE_BAD_ROWS,
     QUEUE_OK_ROWS,
     CriticalPair,
+    Interval,
     complete_history,
     differentiate,
     find_critical_pair_naive,

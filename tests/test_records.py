@@ -2,7 +2,8 @@
 
 The records are compared, printed and hashed by callers and tests alike,
 so equality, repr, immutability and construction checks are pinned here
-independently of how the types are declared.
+independently of how the types are declared.  `Interval` and
+`AttributedValue` are the reference steps' records, in tests/helpers.py.
 """
 
 import subprocess
@@ -12,11 +13,9 @@ import pytest
 
 import limon
 from limon import (
-    AttributedValue,
     Event,
     History,
     HistoryError,
-    Interval,
     Operation,
     SetValueState,
     Verdict,
@@ -24,7 +23,7 @@ from limon import (
 )
 from limon.history import ValueTable, value_table
 
-from helpers import limon_env
+from helpers import AttributedValue, Interval, limon_env
 
 
 def op(i, kind, value, call, ret):
@@ -167,9 +166,9 @@ class TestSetValueState:
 # Every public name the package exports, no more; the oracle, the
 # generators and the recorder resolve on first use.
 EXPORTED = (
-    "ADTS", "AttributedValue", "BoundExceeded", "ContainmentIndex", "Event", "GenConfig",
-    "History", "HistoryError", "Interval", "Operation", "ParseError", "SetValueState",
-    "Verdict", "WorkCounter", "brute_force_linearizable", "check_history",
+    "ADTS", "BoundExceeded", "ContainmentIndex", "Event", "GenConfig", "History",
+    "HistoryError", "Operation", "ParseError", "SetValueState", "Verdict", "WorkCounter",
+    "brute_force_linearizable", "check_history",
     "ensure_state", "gen_linearizable", "gen_linearizable_with_witness", "gen_random",
     "gen_small_model_family", "generators", "history", "history_events", "impls",
     "multiset_linearizable", "multiset_linearizable_events", "mutate",

@@ -183,37 +183,56 @@ class TestSetLinearizable:
             set_linearizable(h, counter=counter)
             assert counter.count <= 4 * 2 * n
 
-    def test_pending_bounded_by_contains_count(self):
+    def test_pending_bounded_by_contains_count(self, monkeypatch):
+        peak = 0
+
+        class Pending(dict):
+            # Pending queries only grow here, so the peak follows an insert.
+            def __setitem__(self, key, value):
+                nonlocal peak
+                super().__setitem__(key, value)
+                peak = max(peak, sum(len(st.pending) for st in states))
+
+        states = _record_states(monkeypatch, Pending)
         for seed in range(200):
             h = gen_random("set", 2 + seed % 12, 24_000 + seed)
             n_contains = sum(1 for o in normalize_failing_ops(h).ops
                              if o.event.kind == "contains")
+            states.clear()
             peak = 0
-            states = {}
-
-            def observer(ts, value, st):
-                nonlocal peak
-                states[value] = st
-                peak = max(peak, sum(len(s.pending) for s in states.values()))
-
-            set_linearizable(h, observer=observer)
+            set_linearizable(h)
             assert peak <= n_contains, seed
 
-    def test_state_never_flips_to_itself(self):
-        transitions = []
-        last = {}
-
-        def observer(ts, value, st):
-            prev = last.get(value, "unset")
-            if prev != "unset" and prev is not st.state:
-                transitions.append((prev, st.state))
-            last[value] = st.state
-
+    def test_state_never_flips_to_itself(self, monkeypatch):
+        states = _record_states(monkeypatch)
         for seed in range(200):
-            last.clear()
-            h = gen_random("set", 2 + seed % 10, 25_000 + seed)
-            set_linearizable(h, observer=observer)
-        assert all(a is not b for a, b in transitions)
+            set_linearizable(gen_random("set", 2 + seed % 10, 25_000 + seed))
+        flips = [flip for st in states for flip in st.flips]
+        assert flips and all(old is not new for old, new in flips)
+
+
+def _record_states(monkeypatch, pending=dict):
+    """Make the set monitor build its per-value states with `pending` of
+    the given type, logging every change of `state` as an (old, new) flip;
+    gives the list the states built are appended to."""
+    states = []
+
+    class Recording(sets.SetValueState):
+        __slots__ = ("flips",)
+
+        def __init__(self):
+            self.flips = []
+            super().__init__()
+            self.pending = pending()
+            states.append(self)
+
+        def __setattr__(self, name, value):
+            if name == "state" and hasattr(self, "state"):
+                self.flips.append((self.state, value))
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(sets, "SetValueState", Recording)
+    return states
 
 
 class TestNormalize:

@@ -4,12 +4,10 @@ from collections import Counter
 import pytest
 
 from limon import (
-    AttributedValue,
     Event,
     GenConfig,
     History,
     HistoryError,
-    Interval,
     Operation,
     Verdict,
     WorkCounter,
@@ -21,9 +19,12 @@ from limon import (
     parse_history,
     stack_linearizable,
 )
+from limon.stacks import _prepare
 
 from helpers import (
     STAGGERED_ROWS,
+    AttributedValue,
+    Interval,
     StackTally,
     buried_peels,
     check_pop_empty,
@@ -36,6 +37,7 @@ from helpers import (
     op_to_val,
     p_segments,
     partition,
+    pop_empty_triples,
     reference_stack_linearizable,
     remove_overlapping_pairs,
     split_chain,
@@ -295,10 +297,12 @@ class TestStackLinearizable:
 
         reached = 0
         for h in _recursion_inputs(5000):
+            counter = WorkCounter()
+            verdict = stack_linearizable(h, counter=counter)
+            assert (counter.rounds > 0) == _reaches_recursion(h, verdict)
+            reached += counter.rounds > 0
             steps.clear()
-            verdict = stack_linearizable(h, observer=observer)
-            assert bool(steps) == _reaches_recursion(h, verdict)
-            reached += bool(steps)
+            assert reference_stack_linearizable(h, observer=observer) == verdict
             for vals, p, d, extremes in steps:
                 assert vals
                 # P-segments sorted, pairwise disjoint; alternation D,P,...,P,D
@@ -314,60 +318,35 @@ class TestStackLinearizable:
         assert reached >= 150
 
     def test_recursion_strictly_decreases(self):
-        steps = []
-
-        def observer(vals, p, d, extremes):
-            # How many values lie left of the first and of the last internal
-            # D-segment: the two places a split may cut.
-            cuts = {sum(v.push_ret <= d[i].left for v in vals) for i in (1, -2)}
-            steps.append((len(vals), len(extremes), len(d), cuts))
-
+        # Every round but a failing last one peels extremes or splits, and a
+        # linearizable history has each of its rows peeled exactly once.
+        # (That the smaller part is the one split off is guarded by
+        # test_split_chain_work_is_quasilinear.)
         reached = splits = 0
         for h in list(_recursion_inputs(6000)) + [split_chain(k) for k in range(2, 30)]:
-            steps.clear()
-            verdict = stack_linearizable(h, observer=observer)
-            if not steps:
+            counter = WorkCounter()
+            verdict = stack_linearizable(h, counter=counter)
+            if not counter.rounds:
                 continue
             reached += 1
-            # Replay the depth-first order of the groups: each step either
-            # peels extremes off its group or splits it into two nonempty
-            # smaller groups (left pushed first, so the right part is the
-            # next step's group); a failing step is the last.
-            pending = [steps[0][0]]
-            for k, (n, n_ex, n_d, cuts) in enumerate(steps):
-                while pending[-1] == 0:
-                    pending.pop()
-                assert n == pending.pop()
-                if n_ex:
-                    assert n_ex <= n
-                    pending.append(n - n_ex)
-                elif n_d > 2:
-                    left = n - steps[k + 1][0]
-                    assert 0 < left < n
-                    # The cut is at the first or the last internal D-segment,
-                    # and the part split off there is never the larger.
-                    assert left in cuts
-                    assert (left == min(cuts) and left <= n - left
-                            or left == max(cuts) and n - left <= left), (n, left, cuts)
-                    pending += [left, n - left]
-                    splits += 1
-                else:
-                    assert k == len(steps) - 1 and not verdict.linearizable
+            assert counter.rounds <= counter.extremes + counter.splits + 1
             if verdict.linearizable:
-                assert not any(pending)
+                _, rows = _prepare(h, None)
+                assert counter.extremes == len(rows)
+            splits += counter.splits
         assert reached >= 150 and splits >= 300, (reached, splits)
 
     def test_pinned_tallies(self):
         for n in (1, 2, 7, 64, 300):
-            tally = StackTally()
-            assert stack_linearizable(nested_stack(n), observer=tally).linearizable
-            assert tally.as_tuple() == (n, n, 0), n
+            counter = WorkCounter()
+            assert stack_linearizable(nested_stack(n), counter=counter).linearizable
+            assert _tally(counter) == _reference_tally(nested_stack(n)) == (n, n, 0), n
         for n in (2, 3, 10, 50):
-            tally = StackTally()
-            verdict = stack_linearizable(gen_small_model_family(n), observer=tally)
+            counter = WorkCounter()
+            verdict = stack_linearizable(gen_small_model_family(n), counter=counter)
             assert verdict.witness == {"kind": "no-separation",
                                        "values": list(range(1, n + 1))}
-            assert tally.as_tuple() == (1, 0, 0), n
+            assert _tally(counter) == _reference_tally(gen_small_model_family(n)) == (1, 0, 0), n
 
     def test_nested_work_is_quasilinear(self):
         # Machine-independent: the counted work may grow at most 2.5x per
@@ -390,6 +369,13 @@ class TestStackLinearizable:
         # Each round peels a value the front search steps over; without
         # dropping those dead entries the search grows about 4x per doubling.
         work = _work_ladder(buried_peels, (1000, 2000, 4000))
+        for small, big in zip(work, work[1:]):
+            assert big <= 2.3 * small, work
+
+    def test_pop_empties_placed_in_one_pass(self):
+        # Each pop-empty meets one D-segment of thousands: testing it
+        # against them all grows the work 4x per doubling.
+        work = _work_ladder(pop_empty_triples, (1000, 2000, 4000))
         for small, big in zip(work, work[1:]):
             assert big <= 2.3 * small, work
 
@@ -433,9 +419,14 @@ def _reaches_recursion(h, verdict):
     return any(op.event.kind == "push" for op in dh.ops)
 
 
-def _outcome(check, h):
+def _tally(counter):
+    return counter.rounds, counter.extremes, counter.splits
+
+
+def _reference_tally(h):
     tally = StackTally()
-    return check(h, observer=tally), tally.as_tuple()
+    reference_stack_linearizable(h, observer=tally)
+    return tally.as_tuple()
 
 
 class TestReferenceDifferential:
@@ -460,12 +451,12 @@ class TestReferenceDifferential:
         kinds = Counter()
         splits = 0
         for k, h in enumerate(histories):
-            verdict, tally = _outcome(stack_linearizable, h)
-            ref_verdict, ref_tally = _outcome(reference_stack_linearizable, h)
-            assert verdict == ref_verdict, k
-            assert tally[1] == ref_tally[1], k
+            counter, tally = WorkCounter(), StackTally()
+            verdict = stack_linearizable(h, counter=counter)
+            assert verdict == reference_stack_linearizable(h, observer=tally), k
+            assert counter.extremes == tally.extremes, k
             kinds[verdict.witness and verdict.witness["kind"]] += 1
-            splits += tally[2]
+            splits += counter.splits
         assert len(histories) >= 3000
         # The corpus reaches both verdicts of the recursion, the pop-empty
         # check, and many splits.
