@@ -57,23 +57,23 @@ def _emit_verdict(verdict, verbose: bool) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    with _open_input(args.file) as fh:
-        if args.stream:
-            adt, events = parse_event_stream(fh, args.adt)
-            if adt not in ("set", "multiset"):
-                raise ParseError("streaming mode monitors set/multiset event streams")
-            runner = set_linearizable_events if adt == "set" else multiset_linearizable_events
-            return _emit_verdict(runner(events), args.verbose)
-        # Parsing and checking build no reference cycles, so the cyclic
-        # collector would only rescan the objects they keep alive.  A stream
-        # keeps it, since a live stream may run without bound.
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            verdict = check_history(parse_history(fh, fmt=args.format, adt_override=args.adt))
-        finally:
-            if enabled:
-                gc.enable()
+    # Parsing and checking build no reference cycles, so the cyclic collector is off:
+    # reference counting frees each event of a stream, however long, once it is read.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with _open_input(args.file) as fh:
+            if args.stream:
+                adt, events = parse_event_stream(fh, args.adt)
+                if adt not in ("set", "multiset"):
+                    raise ParseError("streaming mode monitors set/multiset event streams")
+                runner = set_linearizable_events if adt == "set" else multiset_linearizable_events
+                verdict = runner(events)
+            else:
+                verdict = check_history(parse_history(fh, fmt=args.format, adt_override=args.adt))
+    finally:
+        if enabled:
+            gc.enable()
     return _emit_verdict(verdict, args.verbose)
 
 

@@ -214,22 +214,14 @@ class WorkCounter:
 # Parsing
 # ---------------------------------------------------------------------------
 #
-# The record loops test a token with `tok.isdigit() and tok.isascii()` and
-# call int() on it; only a token that fails goes to a helper.  isascii must
-# stay: '²' passes isdigit but int() rejects it, and int('٥') is 5.
+# The record loops call int() on a token of ASCII digits ('²' passes
+# isdigit, and int('٥') is 5), and the event loop on any ASCII id or
+# timestamp without '_', which int() refuses exactly when _parse_int does.
 
-_OUTCOMES = {(CONTAINS, "true"): True, (CONTAINS, "false"): False,
-             (ADD, "ok"): True, (ADD, "fail"): False,
-             (REMOVE, "ok"): True, (REMOVE, "fail"): False}
+_UPDATES = {"ok": True, "fail": False}  # result word -> outcome, for add and remove
+_OUTCOMES = {ADD: _UPDATES, REMOVE: _UPDATES, CONTAINS: {"true": True, "false": False}}  # by kind
 _RESULT_WORDS = frozenset(("ok", "fail", "true", "false", "empty"))
 _BLOCK = 1024  # lines per block of an operation-format file; larger blocks cost memory
-
-
-def _strip(line: str) -> str:
-    hash_at = line.find("#")
-    if hash_at >= 0:
-        line = line[:hash_at]
-    return line.strip()
 
 
 def _is_int(token: str) -> bool:
@@ -304,7 +296,7 @@ def _first_line(lines: Iterator[str], no: int) -> tuple[str | None, int]:
     stripped, and its number; None if the input ends first."""
     try:
         for no, raw in enumerate(lines, no + 1):
-            line = _strip(raw)
+            line = raw.partition("#")[0].strip()
             if line:
                 return line, no
     except UnicodeDecodeError as exc:
@@ -479,7 +471,7 @@ def _ops_block(adt: str, rows: list[list[str]], cols: list) -> bool:
     if not all(map(lt, calls, rets)):
         return False
     if results:
-        outcomes = list(map(_OUTCOMES.get, zip(kinds, results[0])))
+        outcomes = list(map(dict.get, map(_OUTCOMES.__getitem__, kinds), results[0]))
         if None in outcomes or (adt == "multiset" and False in outcomes):
             return False
     else:
@@ -528,7 +520,7 @@ def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
         call = int(call) if call.isdigit() and call.isascii() else _parse_ts(call, no)
         ret = int(ret) if ret.isdigit() and ret.isascii() else _parse_ts(ret, no)
         if n == 5:
-            outcome = _OUTCOMES.get((kind, toks[4]))
+            outcome = _OUTCOMES[kind].get(toks[4])
             if outcome is None:
                 _bad_outcome(kind, toks[4], no)
         if kind not in legal or outcome is False:
@@ -548,20 +540,21 @@ def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] 
     """Check event-format records one at a time, pair them by id and yield a
     StreamEvent per record, for the file and the stream parser alike.
 
-    A call's kind is checked against the adt at the call's line.  A call
-    read first yields its call event, with outcome None.  The record that
-    completes an operation, its return or, in a file, a call read after its
-    return, is checked against the other half and yields the operation's
-    return event: kind, value and outcome as the two records give them, and
-    the call's timestamp as `call`.  A return read first yields
-    (ts, False, None, value, None, id, None).  A pop's value may come with
-    its return: a return's result token, unless it is a result word, is
-    read as a value.  Symbolic values are numbered in symbols (see _value).
-    A second call or return of an id is refused; the ids seen so far are
-    kept as the run [low, high) from the first one plus a set of the
-    others, so that ids that count up take constant memory.  With stream
-    set, timestamps must increase, a return must follow its call, failing
-    adds and removes are refused and every call must return.
+    A record's shape, from its first token and width, is read once; its
+    faults are found in the order width, id, kind and value, timestamp,
+    pairing.  A call's kind is checked at the call's line.  A call read
+    first yields its call event, outcome None.  The record that completes
+    an operation, its return or, in a file, a call read after its return,
+    is checked against the other half and yields the operation's return
+    event, with the call's timestamp as `call`.  A return read first yields
+    (ts, False, None, value, None, id, None).  A return's result token,
+    unless a result word, is read as a pop's value.  Symbolic values are
+    numbered in symbols (see _value).  A second call or return of an id is
+    refused; the ids seen are the run [low, high) from the first one plus a
+    set of the others, so ids that count up cost constant memory and one
+    comparison each.  With stream set, timestamps must increase, a return
+    must follow its call, failing adds and removes are refused and every
+    call must return.
     """
     legal = _KINDS_BY_ADT[adt]
     pending: dict[int, tuple] = {}  # by id, (line, kind, value, ts, result) of a half read
@@ -576,58 +569,60 @@ def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] 
             toks = line.split()
             if not toks:
                 continue
-            n = len(toks)
-            is_call = toks[0] == "call"
-            if is_call:
-                if n not in (4, 5):
+            ascii_line = line.isascii()  # then so is every token (see Parsing above)
+            head, n = toks[0], len(toks)
+            if head == "call":
+                if n == 5:
+                    _, op_id, kind, value, ts = toks
+                elif n == 4:
+                    _, op_id, kind, ts = toks
+                    value = None
+                else:
                     raise ParseError("expected: call <id> <kind> [<value>] <ts>", no)
-            elif toks[0] != "ret":
-                raise ParseError(f"expected call/ret record, got {toks[0]!r}", no)
-            elif n not in (3, 4):
-                raise ParseError("expected: ret <id> <ts> [<result>]", no)
-            op_id = toks[1]
-            op_id = int(op_id) if op_id.isdigit() and op_id.isascii() else _parse_int(
-                op_id, "operation id", no)
-            if is_call:
-                kind = _KIND_ALIASES.get(toks[2])
+                op_id = (int(op_id) if (ascii_line or op_id.isascii()) and "_" not in op_id
+                         else _parse_int(op_id, "operation id", no))
+                kind = _KIND_ALIASES.get(kind)
                 if kind is None:
                     raise ParseError(f"unknown event kind {toks[2]!r}", no)
-                value = None
-                if n == 5:
+                if value is not None:
                     if kind == POP_EMPTY:
                         raise ParseError("popempty call takes no value", no)
-                    value = toks[3]
-                    value = int(value) if value.isdigit() and value.isascii() else _value(value, symbols)
+                    value = int(value) if ascii_line and value.isdigit() else _value(value, symbols)
                 elif kind != POP and kind != POP_EMPTY:
                     raise ParseError(f"{kind} call needs a value", no)
-                ts = toks[-1]
+            elif head != "ret":
+                raise ParseError(f"expected call/ret record, got {head!r}", no)
             else:
-                result = ret_value = None
                 if n == 4:
-                    result = toks[3]
-                    if result not in _RESULT_WORDS:
-                        ret_value = int(result) if result.isdigit() and result.isascii() else _value(
-                            result, symbols)
-                ts = toks[2]
-            ts = int(ts) if ts.isdigit() and ts.isascii() else _parse_ts(ts, no)
-            partner = pending.pop(op_id, None)
-            if partner is None and not (low <= op_id < high or op_id in seen):
-                if low == high:
-                    low = high = op_id
-                if op_id == high:
-                    high += 1
+                    _, op_id, ts, result = toks
+                elif n == 3:
+                    _, op_id, ts = toks
+                    result = None
                 else:
-                    seen.add(op_id)
+                    raise ParseError("expected: ret <id> <ts> [<result>]", no)
+                op_id = (int(op_id) if (ascii_line or op_id.isascii()) and "_" not in op_id
+                         else _parse_int(op_id, "operation id", no))
+                ret_value = None if result is None or result in _RESULT_WORDS else (
+                    int(result) if ascii_line and result.isdigit() else _value(result, symbols))
+            ts = int(ts) if (ascii_line or ts.isascii()) and "_" not in ts else _parse_ts(ts, no)
+            if ts < 0:
+                raise ValueError  # a negative timestamp
+            partner = pending.pop(op_id, None)
+            if partner is None and op_id == high:  # a fresh id: the drain keeps high out of seen
+                high += 1
                 while seen and high in seen:
                     seen.remove(high)
                     high += 1
-            elif partner is None or (partner[1] is not None) == is_call:
-                raise ParseError(f"duplicate {'call' if is_call else 'return'} for id {op_id}", no)
-            if stream:
-                if ts <= last_ts:
-                    raise ParseError(f"stream timestamps must increase ({ts})", no)
-                last_ts = ts
-            if is_call:
+            elif partner is None and low == high:  # the first id
+                low, high = op_id, op_id + 1
+            elif partner is None and not (low <= op_id < high or op_id in seen):
+                seen.add(op_id)
+            elif partner is None or (partner[1] is None) is (head == "ret"):
+                raise ParseError(f"duplicate {'call' if head == 'call' else 'return'} for id {op_id}", no)
+            if stream and ts <= last_ts:
+                raise ParseError(f"stream timestamps must increase ({ts})", no)
+            last_ts = ts
+            if head == "call":
                 if kind not in legal:
                     _check_kind(adt, kind, None, no)
                 if partner is None:
@@ -646,23 +641,22 @@ def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] 
                 cno, kind, value, call_ts, _ = partner
                 rno, ret_ts = no, ts
             # The operation is complete: check its call against its return.
-            outcome = None
-            if kind == POP and value is None:
+            outcome = _OUTCOMES.get(kind)  # add, remove or contains: its result words
+            if outcome is not None:
+                outcome = outcome.get(result)
+                if outcome is None:
+                    if result is None:
+                        raise ParseError(f"{kind} return needs a result", rno)
+                    _bad_outcome(kind, result, rno)
+            elif kind == POP and value is None:
                 if result == "empty":
                     kind = POP_EMPTY
                 elif ret_value is None:
                     raise ParseError(f"pop id {op_id} carries no value (call or ret)", rno)
                 value = ret_value
-            elif kind == PUSH or kind == POP or kind == POP_EMPTY:
-                if result is not None and (kind != POP or ret_value != value):
-                    raise ParseError(f"return {result!r} contradicts its {kind} call (id {op_id})", rno)
-            else:
-                if result is None:
-                    raise ParseError(f"{kind} return needs a result", rno)
-                outcome = _OUTCOMES.get((kind, result))
-                if outcome is None:
-                    _bad_outcome(kind, result, rno)
-            if kind not in legal or outcome is False:
+            elif result is not None and (kind != POP or ret_value != value):
+                raise ParseError(f"return {result!r} contradicts its {kind} call (id {op_id})", rno)
+            if kind not in legal or (outcome is False and adt == "multiset"):
                 _check_kind(adt, kind, outcome, cno)
             if call_ts >= ret_ts:
                 raise ParseError(f"call {call_ts} not before return {ret_ts} (id {op_id})", rno)
@@ -671,6 +665,12 @@ def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] 
             yield ret_ts, False, kind, value, outcome, op_id, call_ts
     except UnicodeDecodeError as exc:
         raise _not_utf8(exc, no) from None
+    except ParseError:
+        raise
+    except ValueError:  # int() refused an id or timestamp, or read a negative one
+        _parse_int(toks[1], "operation id", no)
+        _parse_ts(toks[-1] if head == "call" else toks[2], no)
+        raise
     if pending:
         if stream:
             first_open = next(iter(pending.values()))[0]

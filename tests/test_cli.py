@@ -14,15 +14,19 @@ from limon import (
     Event,
     GenConfig,
     Operation,
+    ParseError,
     check_history,
     gen_linearizable,
     gen_random,
     gen_small_model_family,
+    multiset_linearizable_events,
     normalize_failing_ops,
     parse_event_stream,
     parse_history,
     serialize_history,
+    set_linearizable_events,
 )
+import limon.cli
 from limon.cli import build_parser, main
 
 from helpers import limon_env, nested_stack
@@ -339,7 +343,8 @@ class TestFileCheckBuildsNoRecords:
 
 
 class TestCyclicCollector:
-    """A file check runs with the cyclic collector off and restores its state."""
+    """A check, of a file or a stream, runs with the cyclic collector off
+    and restores its state."""
 
     @pytest.mark.parametrize("text, code", [
         (H1, 0),
@@ -358,20 +363,65 @@ class TestCyclicCollector:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("text, code", [
+        ("adt set\ncall 0 add 5 0\ncall 1 contains 5 1\nret 0 2 ok\nret 1 3 true\n", 0),
+        ("adt set\ncall 0 contains 5 0\nret 0 1 true\n", 1),
+        ("adt multiset\ncall 0 remove 5 0\nret 0 1 ok\n", 1),
+        # A fault after some events: the monitor has read them when it comes.
+        ("adt set\ncall 0 add 5 0\nret 0 1 ok\ncall 1 add 6 2\nret 1 3 yes\n", 2),
+    ])
+    def test_stream_state_is_restored(self, monkeypatch, text, code):
+        name = f"{text.split()[1]}_linearizable_events"
+        check = getattr(limon.cli, name)
+        read_with_collector = []
+
+        def runner(events):
+            read_with_collector.append(gc.isenabled())
+            return check(events)
+
+        monkeypatch.setattr(limon.cli, name, runner)
+        assert gc.isenabled()
+        feed_stdin(monkeypatch, text)
+        assert main(["check", "-", "--stream"]) == code
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            feed_stdin(monkeypatch, text)
+            assert main(["check", "-", "--stream"]) == code
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert read_with_collector == [False, False]
+
     def test_parse_and_check_leave_no_cyclic_garbage(self):
-        texts = [serialize_history(gen_linearizable(GenConfig(
-            adt=adt, ops=2000, values=250, threads=4, seed=5, stretch=2.0)), fmt)
-            for adt in ADTS for fmt in ("ops", "events")]
+        def config(adt):
+            return GenConfig(adt=adt, ops=2000, values=250, threads=4, seed=5, stretch=2.0)
+
+        texts = [serialize_history(gen_linearizable(config(adt)), fmt)
+                 for adt in ADTS for fmt in ("ops", "events")]
         texts += [serialize_history(nested_stack(500)),
                   serialize_history(gen_small_model_family(200))]
+        streams = [serialize_history(normalize_failing_ops(gen_linearizable(config("set"))),
+                                     "events"),
+                   serialize_history(gen_linearizable(config("multiset")), "events")]
+        # A stream that ends in a fault, after the monitor has read its events.
+        streams.append(streams[0] + "ret 99999 1000000 ok\n")
+        runners = {"set": set_linearizable_events, "multiset": multiset_linearizable_events}
         gc.collect()
         gc.disable()
         try:
             verdicts = [check_history(parse_history(text)).linearizable for text in texts]
+            for text in streams:
+                adt, events = parse_event_stream(text)
+                try:
+                    verdicts.append(runners[adt](events).linearizable)
+                except ParseError as exc:
+                    verdicts.append(str(exc))
             garbage = gc.collect()
         finally:
             gc.enable()
-        assert verdicts == [True] * (len(texts) - 1) + [False]
+        fault = f"return without call for id 99999 (line {streams[0].count(chr(10)) + 1})"
+        assert verdicts == [True] * (len(texts) - 1) + [False, True, True, fault]
         assert garbage == 0
 
 
@@ -468,7 +518,6 @@ class TestExitCodeContract:
         assert capsys.readouterr().err == "limon: internal error: RuntimeError: boom\n"
 
     def test_check_looks_up_its_layers_when_it_runs(self, tmp_path, capsys, monkeypatch):
-        import limon.cli
         calls = []
 
         def wrap(name):

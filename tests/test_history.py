@@ -571,6 +571,14 @@ class TestEventFilePairing:
         ("ret 0 3\ncall 0 push 1 0\nret 0 4\n", "duplicate return for id 0 (line 4)"),
         ("ret 0 3\ncall 0 push 1 0\ncall 0 push 1 1\n", "duplicate call for id 0 (line 4)"),
         ("call 0 push 1 0\ncall 0 push 1 1\nret 0 3\n", "duplicate call for id 0 (line 3)"),
+        # Returns first, ids counting down: 3 starts the run and 2 joins the set.
+        ("ret 3 5\ncall 3 push 1 0\nret 2 7\ncall 2 push 2 6\nret 2 8\n",
+         "duplicate return for id 2 (line 6)"),
+        ("ret 3 5\ncall 3 push 1 0\nret 2 7\ncall 2 push 2 6\ncall 3 push 3 9\n",
+         "duplicate call for id 3 (line 6)"),
+        # Returns first, then the gap at 1 filled, which drains 2 into the run.
+        ("ret 0 1\ncall 0 push 1 0\nret 2 4\ncall 2 push 2 3\nret 1 6\ncall 1 push 3 5\n"
+         "ret 2 7\n", "duplicate return for id 2 (line 8)"),
     ])
     def test_duplicates_with_early_returns(self, records, message):
         assert str(parse_error("adt stack\n" + records)) == message
@@ -611,6 +619,15 @@ class TestFileAndStreamParity:
         ("adt set\ncall 0 add 5 t\n", "bad timestamp 't' (line 2)"),
         ("adt set\ncall 0 add 5 1\nret 0 2.0 ok\n", "bad timestamp '2.0' (line 3)"),
         ("adt set\ncall 0 add 5 -1\n", "negative timestamp '-1' (line 2)"),
+        # int() would read these: an underscore, a non-ASCII digit.
+        ("adt set\ncall 1_0 add 5 1\n", "bad operation id '1_0' (line 2)"),
+        ("adt set\ncall 0 add 5 1_0\n", "bad timestamp '1_0' (line 2)"),
+        ("adt set\ncall 0 add 5 \u0661\n", "bad timestamp '\u0661' (line 2)"),
+        ("adt set\ncall 0 add 5 1\nret \u0661 2 ok\n", "bad operation id '\u0661' (line 3)"),
+        # Of a record's faults, the id's comes first, then the kind's, then the timestamp's.
+        ("adt set\ncall x add 5 t\n", "bad operation id 'x' (line 2)"),
+        ("adt set\ncall 0 put 5 t\n", "unknown event kind 'put' (line 2)"),
+        ("adt set\ncall 0 add 5 1\nret x 2.0 ok\n", "bad operation id 'x' (line 3)"),
         ("adt set\ncall 0 add 5 1\ncall 0 add 5 2\n", "duplicate call for id 0 (line 3)"),
         ("adt set\ncall 0 add 5 1\nret 0 2 ok\ncall 0 add 5 3\n", "duplicate call for id 0 (line 4)"),
         ("adt set\ncall 0 add 5 1\nret 0 2 ok\nret 0 3 ok\n", "duplicate return for id 0 (line 4)"),
@@ -637,6 +654,44 @@ class TestFileAndStreamParity:
         from_stream = self.stream_error(text)
         assert str(from_file) == str(from_stream) == message
         assert from_file.line == from_stream.line
+
+    @pytest.mark.parametrize("records, message", [
+        # A first id other than 0 starts the run of ids; the next counts up.
+        ("call 5 add 1 1\nret 5 2 ok\ncall 6 add 2 3\nret 6 4 ok\ncall 5 add 1 5\n",
+         "duplicate call for id 5 (line 6)"),
+        ("call 5 add 1 1\nret 5 2 ok\ncall 6 add 2 3\nret 6 4 ok\nret 6 5 ok\n",
+         "duplicate return for id 6 (line 6)"),
+        # Ids that count down are kept in the set beside the run.
+        ("call 2 add 1 1\nret 2 2 ok\ncall 1 add 2 3\nret 1 4 ok\ncall 0 add 3 5\n"
+         "ret 0 6 ok\ncall 1 add 2 7\n", "duplicate call for id 1 (line 8)"),
+        ("call 2 add 1 1\nret 2 2 ok\ncall 0 add 3 3\nret 0 4 ok\nret 0 5 ok\n",
+         "duplicate return for id 0 (line 6)"),
+        # A gap filled later drains the set into the run: 2 and 3 join it
+        # when 1 comes, and 4 counts up from there.
+        ("call 0 add 1 1\nret 0 2 ok\ncall 2 add 2 3\nret 2 4 ok\ncall 3 add 3 5\n"
+         "ret 3 6 ok\ncall 1 add 4 7\nret 1 8 ok\ncall 4 add 5 9\nret 4 10 ok\n"
+         "call 2 add 2 11\n", "duplicate call for id 2 (line 12)"),
+        ("call 0 add 1 1\nret 0 2 ok\ncall 2 add 2 3\ncall 1 add 4 4\nret 1 5 ok\n"
+         "ret 2 6 ok\ncall 3 add 3 7\nret 3 8 ok\ncall 3 add 3 9\n",
+         "duplicate call for id 3 (line 10)"),
+        # Negative and signed ids are integers too.
+        ("call -3 add 1 1\nret -3 2 ok\ncall -2 add 2 3\nret -2 4 ok\ncall -3 add 1 5\n",
+         "duplicate call for id -3 (line 6)"),
+        ("call -3 add 1 1\nret -3 2 ok\ncall +4 add 2 3\nret 4 4 ok\ncall 4 add 1 5\n",
+         "duplicate call for id 4 (line 6)"),
+    ])
+    def test_id_bookkeeping_reads_alike(self, records, message):
+        text = "adt set\n" + records
+        from_file = parse_error(text)
+        from_stream = self.stream_error(text)
+        assert str(from_file) == str(from_stream) == message
+        assert from_file.line == from_stream.line
+        # Without its last record the text is accepted, with its ids as written.
+        accepted = text[:text.rstrip("\n").rfind("\n") + 1]
+        ids = [int(line.split()[1]) for line in accepted.splitlines() if line.startswith("call")]
+        assert list(parse_history(accepted).columns.id) == ids
+        _, events = parse_event_stream(accepted)
+        assert [event[5] for event in events if event[1]] == ids
 
     def test_faults_only_a_stream_refuses(self):
         # A return before its call, a failing set add or remove and

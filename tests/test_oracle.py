@@ -10,6 +10,8 @@ from limon import (
     brute_force_linearizable,
     check_history,
     gen_random,
+    multiset_linearizable_events,
+    parse_event_stream,
     parse_history,
     sequential_check,
     serialize_history,
@@ -140,8 +142,9 @@ class TestSaturation:
 
 
 class TestExhaustiveSmallHistories:
-    """Every history of a small class, through the file format and the
-    monitor, against the oracle (small-scope hypothesis)."""
+    """Every history of a small class, through both file formats and the
+    monitor, and a multiset's also as a stream, against the oracle
+    (small-scope hypothesis)."""
 
     @pytest.mark.parametrize("adt, labels, max_k, count, unique", [
         ("multiset", [Event(kind, v, True) for kind in ("add", "remove") for v in (0, 1)],
@@ -163,7 +166,13 @@ class TestExhaustiveSmallHistories:
                 named = [op.event[:2] for op in h.ops if op.event.value is not None]
                 if len(set(named)) < len(named):
                     continue
-            verdict = check_history(parse_history(serialize_history(h)))
-            wrong += verdict.linearizable != brute_force_linearizable(h).linearizable
+            expected = brute_force_linearizable(h).linearizable
+            events = serialize_history(h, "events")
+            verdicts = [check_history(parse_history(text)).linearizable
+                        for text in (serialize_history(h), events)]
+            if adt == "multiset":  # also read online, as a stream
+                _, stream = parse_event_stream(events)
+                verdicts.append(multiset_linearizable_events(stream).linearizable)
+            wrong += any(verdict != expected for verdict in verdicts)
             checked += 1
         assert (seen, checked, wrong) == (*count, 0)
