@@ -49,8 +49,7 @@ def _write_output(path: str | None, text: str) -> None:
 def _emit_verdict(verdict, verbose: bool) -> int:
     if verbose:
         import json
-        witness = verdict.witness
-        print(json.dumps({"linearizable": verdict.linearizable, "witness": witness}))
+        print(json.dumps({"linearizable": verdict.linearizable, "witness": verdict.witness}))
     else:
         print("linearizable" if verdict.linearizable else "unlinearizable")
     return EXIT_LINEARIZABLE if verdict.linearizable else EXIT_UNLINEARIZABLE
@@ -70,7 +69,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 runner = set_linearizable_events if adt == "set" else multiset_linearizable_events
                 verdict = runner(events)
             else:
-                verdict = check_history(parse_history(fh, fmt=args.format, adt_override=args.adt))
+                verdict = check_history(parse_history(fh, adt_override=args.adt))
     finally:
         if enabled:
             gc.enable()
@@ -80,9 +79,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import brute_force_linearizable
     with _open_input(args.file) as fh:
-        h = parse_history(fh, fmt=args.format, adt_override=args.adt)
-    verdict = brute_force_linearizable(h, max_ops=args.max_ops)
-    return _emit_verdict(verdict, args.verbose)
+        h = parse_history(fh, adt_override=args.adt)
+    return _emit_verdict(brute_force_linearizable(h, max_ops=args.max_ops), args.verbose)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -101,9 +99,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_record(args: argparse.Namespace) -> int:
     from .generators import GenConfig, record_execution
-    impl = "buggy-stack" if args.bug else args.impl
-    cfg = GenConfig(ops=args.ops, threads=args.threads, seed=args.seed, bug=args.bug)
-    h = record_execution(impl, cfg)
+    h = record_execution(args.impl, GenConfig(ops=args.ops, threads=args.threads, seed=args.seed))
     _write_output(args.out, serialize_history(h, fmt=args.format))
     return EXIT_LINEARIZABLE
 
@@ -166,18 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide linearizability of a history file")
     p_check.add_argument("file", help="history file, or - for standard input")
     p_check.add_argument("--adt", choices=ADTS, help="override the declared data type")
-    p_check.add_argument("--format", default="auto", choices=("auto", "ops", "events"))
     p_check.add_argument("--verbose", action="store_true",
                          help="print the verdict and witness as one JSON object")
     p_check.add_argument("--stream", action="store_true",
                          help="read set/multiset events incrementally "
-                              "(events format; --format ops is refused)")
+                              "(the event format only)")
     p_check.set_defaults(func=cmd_check)
 
     p_oracle = sub.add_parser("oracle", help="exact brute-force ground truth (small inputs)")
     p_oracle.add_argument("file")
     p_oracle.add_argument("--adt", choices=ADTS)
-    p_oracle.add_argument("--format", default="auto", choices=("auto", "ops", "events"))
     p_oracle.add_argument("--max-ops", type=_at_least(0), default=10,
                           help="refuse histories larger than this (default 10)")
     p_oracle.add_argument("--verbose", action="store_true")
@@ -205,8 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--threads", type=_at_least(1), default=8)
     p_rec.add_argument("--ops", type=_at_least(0), default=1000)
     p_rec.add_argument("--seed", type=int, default=0)
-    p_rec.add_argument("--bug", action="store_true",
-                       help="shorthand for the buggy time-window stack")
     p_rec.add_argument("--format", default="events", choices=("ops", "events"))
     p_rec.add_argument("--out", default="-")
     p_rec.set_defaults(func=cmd_record)
@@ -225,10 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "check" and args.stream and args.format == "ops":
-        parser.error("check --stream reads the events format, not --format ops")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BoundExceeded as exc:

@@ -35,7 +35,6 @@ class GenConfig:
     threads: int = 4
     seed: int = 0
     stretch: float = 1.0
-    bug: bool = False
 
 
 def _rank_ops(raw: list[tuple[object, object, Event]], adt: str) -> History:
@@ -273,10 +272,7 @@ def record_execution(impl: str, cfg: GenConfig) -> History:
         raise HistoryError(f"unknown implementation {impl!r}; "
                            f"one of {sorted(impls.REFERENCE_IMPLS)}")
     cls, adt, is_buggy = impls.REFERENCE_IMPLS[impl]
-    if is_buggy:
-        structure = cls(rng=random.Random(cfg.seed * 7919 + 13))
-    else:
-        structure = cls()
+    structure = cls(random.Random(cfg.seed * 7919 + 13)) if is_buggy else cls()
     push_fn = structure.push if adt == "stack" else structure.enqueue
     pop_fn = structure.pop if adt == "stack" else structure.dequeue
 

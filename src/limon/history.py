@@ -20,6 +20,7 @@ pass, holding besides its rows only the pushes and pops still unpaired.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain, compress, count, islice, repeat
@@ -217,6 +218,8 @@ class WorkCounter:
 # The record loops call int() on a token of ASCII digits ('²' passes
 # isdigit, and int('٥') is 5), and the event loop on any ASCII id or
 # timestamp without '_', which int() refuses exactly when _parse_int does.
+# int() also refuses more digits than sys.get_int_max_str_digits() allows;
+# each reader names such a token in its fault path, through _parse_int.
 
 _UPDATES = {"ok": True, "fail": False}  # result word -> outcome, for add and remove
 _OUTCOMES = {ADD: _UPDATES, REMOVE: _UPDATES, CONTAINS: {"true": True, "false": False}}  # by kind
@@ -262,7 +265,11 @@ def _in_call_order(cols: list, symbols: dict[str, int]) -> Columns:
 def _parse_int(token: str, what: str, lineno: int) -> int:
     if not _is_int(token):
         raise ParseError(f"bad {what} {token!r}", lineno)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # too many digits
+        raise ParseError(f"{what} '{token[:20]}...' has {len(token.lstrip('+-'))} digits, "
+                         f"more than {sys.get_int_max_str_digits()}", lineno) from None
 
 
 def _parse_ts(token: str, lineno: int) -> int:
@@ -334,30 +341,24 @@ def _lines(source: str | bytes | Iterable[str]) -> Iterable[str]:
     return source
 
 
-def parse_history(source: str | bytes | Iterable[str], fmt: str = "auto",
+def parse_history(source: str | bytes | Iterable[str], *,
                   adt_override: str | None = None) -> History:
     """Parse a history in the operation or event file format.
 
     The source is the whole text, or its lines, such as an open text file
     yields them; lines are read in order, and only once.
     The first non-comment line must be ``adt <stack|queue|set|multiset>``.
-    With fmt="auto" the format is inferred from the first record line.
+    The first record names the format: a ``call`` or ``ret`` record starts
+    an event-format file, any other record an operation-format file.
     An adt_override replaces the declared data type (the header is still
     required); record legality is checked against the effective type.
     """
     lines = iter(_lines(source))
     adt, no = _read_header(lines, adt_override)
-    if fmt == "auto":
-        first, first_no = _first_line(lines, no)
-        fmt = "events" if first and first.split()[0] in ("call", "ret") else "ops"
-        if first:
-            lines, no = chain((first,), lines), first_no - 1
-    if fmt == "ops":
-        cols = _parse_ops_format(adt, lines, no + 1)
-    elif fmt == "events":
-        cols = _parse_events_format(adt, lines, no + 1)
-    else:
-        raise ParseError(f"unknown format {fmt!r}")
+    first, no = _first_line(lines, no)
+    events = first is not None and first.split()[0] in ("call", "ret")
+    cols = (_parse_events_format if events else _parse_ops_format)(
+        adt, lines if first is None else chain((first,), lines), no)
 
     # The record parsers refuse every other structural fault: calls not
     # before their returns, reused ids and kinds illegal for the adt.
@@ -467,7 +468,10 @@ def _ops_block(adt: str, rows: list[list[str]], cols: list) -> bool:
     if (empties or POP_EMPTY in kind_set) and empties != list(
             compress(count(), map(eq, kinds, repeat(POP_EMPTY)))):
         return False
-    calls, rets = list(map(int, calls)), list(map(int, rets))
+    try:
+        calls, rets, values = list(map(int, calls)), list(map(int, rets)), list(map(int, values))
+    except ValueError:  # too many digits: the line loop names the token
+        return False
     if not all(map(lt, calls, rets)):
         return False
     if results:
@@ -476,7 +480,6 @@ def _ops_block(adt: str, rows: list[list[str]], cols: list) -> bool:
             return False
     else:
         outcomes = [None] * len(rows)
-    values = list(map(int, values))
     for r in empties:
         values[r] = None
     for col, new in zip(cols, (calls, rets, kinds, values, outcomes)):
@@ -493,45 +496,53 @@ def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
     legal = _KINDS_BY_ADT[adt]
     calls, rets, kinds, values, outcomes = cols
     odd = False
-    for no, toks in enumerate(rows, first):
-        if not toks:
-            continue
-        kind = _KIND_ALIASES.get(toks[0])
-        if kind is None:
-            raise ParseError(f"unknown operation {toks[0]!r}", no)
-        n = len(toks)
-        value = outcome = None
-        if kind == POP_EMPTY:
-            if n != 3:
-                raise ParseError("expected: popempty <call> <ret>", no)
-            call, ret = toks[1], toks[2]
-        else:
-            if kind == PUSH or kind == POP:
-                if n != 4:
-                    raise ParseError(f"expected: {toks[0]} <value> <call> <ret>", no)
-            elif n != 5:
-                raise ParseError(f"expected: {toks[0]} <value> <call> <ret> <result>", no)
-            value, call, ret = toks[1], toks[2], toks[3]
-            if value.isdigit() and value.isascii():
-                value = int(value)
+    try:
+        for no, toks in enumerate(rows, first):
+            if not toks:
+                continue
+            kind = _KIND_ALIASES.get(toks[0])
+            if kind is None:
+                raise ParseError(f"unknown operation {toks[0]!r}", no)
+            n = len(toks)
+            value = outcome = None
+            if kind == POP_EMPTY:
+                if n != 3:
+                    raise ParseError("expected: popempty <call> <ret>", no)
+                call, ret = toks[1], toks[2]
             else:
-                value = _value(value, symbols)
-                odd = True
-        call = int(call) if call.isdigit() and call.isascii() else _parse_ts(call, no)
-        ret = int(ret) if ret.isdigit() and ret.isascii() else _parse_ts(ret, no)
-        if n == 5:
-            outcome = _OUTCOMES[kind].get(toks[4])
-            if outcome is None:
-                _bad_outcome(kind, toks[4], no)
-        if kind not in legal or outcome is False:
-            _check_kind(adt, kind, outcome, no)
-        if call >= ret:
-            raise ParseError(f"call {call} not before return {ret}", no)
-        calls.append(call)
-        rets.append(ret)
-        kinds.append(kind)
-        values.append(value)
-        outcomes.append(outcome)
+                if kind == PUSH or kind == POP:
+                    if n != 4:
+                        raise ParseError(f"expected: {toks[0]} <value> <call> <ret>", no)
+                elif n != 5:
+                    raise ParseError(f"expected: {toks[0]} <value> <call> <ret> <result>", no)
+                value, call, ret = toks[1], toks[2], toks[3]
+                if value.isdigit() and value.isascii():
+                    value = int(value)
+                else:
+                    value = _value(value, symbols)
+                    odd = True
+            call = int(call) if call.isdigit() and call.isascii() else _parse_ts(call, no)
+            ret = int(ret) if ret.isdigit() and ret.isascii() else _parse_ts(ret, no)
+            if n == 5:
+                outcome = _OUTCOMES[kind].get(toks[4])
+                if outcome is None:
+                    _bad_outcome(kind, toks[4], no)
+            if kind not in legal or outcome is False:
+                _check_kind(adt, kind, outcome, no)
+            if call >= ret:
+                raise ParseError(f"call {call} not before return {ret}", no)
+            calls.append(call)
+            rets.append(ret)
+            kinds.append(kind)
+            values.append(value)
+            outcomes.append(outcome)
+    except ParseError:
+        raise
+    except ValueError:  # int() refused a value or timestamp of too many digits
+        for what, token in zip(("value", "timestamp", "timestamp")[kind == POP_EMPTY:], toks[1:]):
+            if _is_int(token):
+                _parse_int(token, what, no)
+        raise
     return odd
 
 
@@ -667,8 +678,10 @@ def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] 
         raise _not_utf8(exc, no) from None
     except ParseError:
         raise
-    except ValueError:  # int() refused an id or timestamp, or read a negative one
+    except ValueError:  # int() refused an id, value or timestamp, or read a negative one
         _parse_int(toks[1], "operation id", no)
+        if (n == 5 or n == 4 and head == "ret") and _is_int(toks[3]):
+            _parse_int(toks[3], "value", no)
         _parse_ts(toks[-1] if head == "call" else toks[2], no)
         raise
     if pending:

@@ -87,28 +87,19 @@ class TreiberStack:
                 return top.value
 
 
-class BuggyTimeWindowStack:
-    """Treiber push, broken pop: sleeps after reading the top, then blindly
-    installs top.next without revalidating, losing any concurrent update."""
+class BuggyTimeWindowStack(TreiberStack):
+    """Treiber push, broken pop: sleeps up to 0.5 ms after reading the top, then
+    blindly installs top.next without revalidating, losing any concurrent update."""
 
-    def __init__(self, rng: random.Random | None = None, max_window: float = 0.0005):
-        self._head = AtomicRef(None)
-        self._rng = rng or random.Random()
-        self._max_window = max_window
-
-    def push(self, value) -> None:
-        node = _Node(value)
-        while True:
-            top = self._head.get()
-            node.next = top
-            if self._head.compare_and_set(top, node):
-                return
+    def __init__(self, rng: random.Random):
+        super().__init__()
+        self._rng = rng
 
     def pop(self):
         top = self._head.get()
         if top is None:
             return EMPTY
-        time.sleep(self._rng.random() * self._max_window)
+        time.sleep(self._rng.random() * 0.0005)
         self._head.set(top.next)
         return top.value
 

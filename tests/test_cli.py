@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -6,6 +7,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -286,16 +289,32 @@ class TestStream:
             assert parse_history(text.replace("\n", newline)) == parse_history(text)
 
     def test_stream_refuses_the_ops_format(self, tmp_path, capsys):
-        path = write(tmp_path, "s.txt", "adt set\ncall 0 add 5 1\nret 0 2 ok\n")
-        assert main(["check", path, "--format", "ops"]) == 2
-        capsys.readouterr()
+        path = write(tmp_path, "s.txt", "adt set\nadd 5 1 2 ok\n")
+        assert main(["check", path]) == 0
+        assert main(["check", path, "--stream"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "limon: expected call/ret record, got 'add' (line 2)\n"
+
+    @pytest.mark.parametrize("argv", [["check", "--format", "ops", "h.txt"],
+                                      ["oracle", "--format", "events", "h.txt"],
+                                      ["record", "--bug"]])
+    def test_the_input_names_its_format(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["check", path, "--stream", "--format", "ops"])
+            main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "--format ops" in captured.err
-        for fmt in ("auto", "events"):
-            assert main(["check", path, "--stream", "--format", fmt]) == 0
+        assert captured.out == "" and "unrecognized arguments: " + argv[1] in captured.err
+
+
+def test_readme_usage_lines_match_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    usage = re.findall(r"^- `limon (\w+)([^`]*)`", readme, re.M)
+    assert sorted(name for name, _ in usage) == sorted(subcommands)
+    for name, line in usage:
+        flags = set(re.findall(r"--[\w-]+", line))
+        assert flags <= set(subcommands[name]._option_string_actions), (name, flags)
 
 
 class TestFileCheckBuildsNoRecords:
@@ -425,6 +444,17 @@ class TestCyclicCollector:
         assert garbage == 0
 
 
+PLAIN_OPS = "".join(f"push {i} {2 * i} {2 * i + 1}\n" for i in range(2100))  # two blocks
+
+
+@pytest.fixture
+def int_digits():
+    """sys.set_int_max_str_digits, with the interpreter's limit restored after the test."""
+    limit = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
 class TestExitCodeContract:
     """Exit 1 means unlinearizable: malformed input exits 2 and any crash 3."""
 
@@ -476,6 +506,37 @@ class TestExitCodeContract:
         assert main(["check", "-", "--stream"]) == 2
         assert "(line 2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stream, text, line, field", [
+        # The operation format: the record is in the file's third block.
+        ([], "adt stack\n" + PLAIN_OPS + "push L 4200 4201\n", 2102, "value"),
+        ([], "adt stack\n" + PLAIN_OPS + "push 1 L 1L\n", 2102, "timestamp"),
+        ([], "adt stack\n" + PLAIN_OPS + "push 1 4200 L\n", 2102, "timestamp"),
+        ([], "adt stack\ncall L push 1 0\nret L 1\n", 2, "operation id"),
+        ([], "adt stack\ncall 0 push L 0\nret 0 1\n", 2, "value"),
+        ([], "adt stack\ncall 0 pop 2\nret 0 3 L\ncall 1 push L 0\nret 1 1\n", 3, "value"),
+        ([], "adt stack\ncall 0 push 1 L\nret 0 1L\n", 2, "timestamp"),
+        ([], "adt stack\ncall 0 push 1 0\nret 0 L\n", 3, "timestamp"),
+        (["--stream"], "adt set\ncall L add 1 0\nret L 1 ok\n", 2, "operation id"),
+        (["--stream"], "adt set\ncall 0 add L 0\nret 0 1 ok\n", 2, "value"),
+        (["--stream"], "adt set\ncall 0 add 1 L\nret 0 1L ok\n", 2, "timestamp"),
+        (["--stream"], "adt set\ncall 0 add 1 0\nret 0 L ok\n", 3, "timestamp"),
+    ])
+    def test_integer_too_long_for_int_exit_2(self, stream, text, line, field, tmp_path,
+                                             capsys, int_digits):
+        # L stands for a 5,000-digit integer, which int() reads only when
+        # the interpreter's digit limit is off (0).
+        path = write(tmp_path, "long.txt", text.replace("L", "9" * 5000))
+        commands = [["check", path, *stream]] + ([] if stream else [["oracle", path]])
+        int_digits(4300)
+        for argv in commands:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"limon: {field} '99999") and err.endswith(f" (line {line})\n")
+            assert len(err.encode()) < 200, err
+        int_digits(0)
+        assert main(["check", path, *stream]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_non_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ff.txt"
         path.write_bytes(b"adt stack\npush 1 0 1\xff\npop 1 2 3\n")
@@ -506,7 +567,7 @@ class TestExitCodeContract:
         assert data.count(b"\n") == 10002
         path = tmp_path / "ff.txt"
         path.write_bytes(data)
-        assert main(["check", str(path), "--format", fmt, *stream]) == 2
+        assert main(["check", str(path), *stream]) == 2
         assert capsys.readouterr().err == "limon: input is not UTF-8 (line 10002)\n"
 
     def test_unexpected_exception_exit_3(self, tmp_path, capsys, monkeypatch):
@@ -609,3 +670,50 @@ class TestFuzz:
         path.write_text(text.replace("enq 1 2 3", "enq 2 1 3"))
         assert main(["check", str(path)]) == 2
         assert "duplicate-timestamp" in capsys.readouterr().err
+
+
+TOKEN_POOL = ("-1", "+2", "-0", "x", "y7", "ok", "fail", "true", "false", "empty",
+              "²", "1_0", "9" * 5000)
+
+
+def mutate_tokens(rng: random.Random, text: str) -> str:
+    """Replace, insert or delete a token of a record, once to three times,
+    with a token from TOKEN_POOL."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(rng.randint(1, 3)):
+        toks = rng.choice(lines[1:])
+        edit = rng.randrange(3) if toks else 1
+        at = rng.randrange(len(toks) + (edit == 1))
+        if edit == 0:
+            toks[at] = rng.choice(TOKEN_POOL)
+        elif edit == 1:
+            toks.insert(at, rng.choice(TOKEN_POOL))
+        else:
+            del toks[at]
+    return "\n".join(map(" ".join, lines)) + "\n"
+
+
+class TestTokenFuzz:
+    """Histories with edited tokens exit 0, 1 or 2 on every reader, never
+    with a crash: 3 only when the oracle's bound refuses them."""
+
+    @pytest.mark.parametrize("adt", ADTS)
+    def test_edited_tokens_keep_the_exit_contract(self, adt, tmp_path, capsys):
+        rng = random.Random(4242 + ADTS.index(adt))
+        path = str(tmp_path / "fuzz.txt")
+        commands = (["check", path], ["check", path, "--stream"],
+                    ["oracle", path, "--max-ops", "12"])
+        codes = Counter()
+        for fmt in ("ops", "events"):
+            for k in range(75):
+                text = mutate_tokens(rng, serialize_history(gen_random(adt, 2 + k % 12, k), fmt))
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                for argv in commands:
+                    code = main(argv)
+                    err = capsys.readouterr().err
+                    bound = code == 3 and argv[0] == "oracle" and "oracle bound" in err
+                    assert code in (0, 1, 2) or bound, (argv, fmt, k, err[:300])
+                    assert "internal error" not in err, (argv, fmt, k, err[:300])
+                    codes[code] += 1
+        assert codes[0] + codes[1] and codes[2], codes

@@ -392,7 +392,7 @@ class TestRoundTrip:
         for adt in ("stack", "queue", "set", "multiset"):
             for seed in range(150):
                 h = gen_random(adt, 1 + seed % 8, 70_000 + seed)
-                assert parse_history(serialize_history(h, fmt), fmt) == h
+                assert parse_history(serialize_history(h, fmt)) == h
 
     def test_queue_surface_spelling(self):
         h = parse_history("adt queue\nenq 1 0 1\ndeq 1 2 3\n")
@@ -409,7 +409,7 @@ class TestRoundTrip:
                             stretch=1.0 + seed % 3)
             for h in (gen_random(adt, 1 + seed % 20, 80_000 + seed, values=1 + seed % 5),
                       gen_linearizable(cfg)):
-                back = parse_history(serialize_history(h, fmt), fmt)
+                back = parse_history(serialize_history(h, fmt))
                 assert back == h, (adt, fmt, seed)
                 assert all(type(op.event.value) in (int, type(None)) for op in back.ops)
 
@@ -468,9 +468,9 @@ class TestParsedRecords:
             assert seen["popempty"] > 200, seen
 
 
-def parse_error(text: str, fmt: str = "auto") -> ParseError:
+def parse_error(text: str) -> ParseError:
     with pytest.raises(ParseError) as info:
-        parse_history(text, fmt)
+        parse_history(text)
     return info.value
 
 
