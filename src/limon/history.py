@@ -262,27 +262,35 @@ def _in_call_order(cols: list, symbols: dict[str, int]) -> Columns:
     return Columns(*cols)
 
 
+def _shown(token: str) -> str:
+    """A token as an error message quotes it: its repr, of the first 20
+    characters and '...' if it is longer, so that no input makes a long
+    message."""
+    shown = repr(token[:20])
+    return shown if len(token) <= 20 else f"{shown[:-1]}...{shown[-1]}"
+
+
 def _parse_int(token: str, what: str, lineno: int) -> int:
     if not _is_int(token):
-        raise ParseError(f"bad {what} {token!r}", lineno)
+        raise ParseError(f"bad {what} {_shown(token)}", lineno)
     try:
         return int(token)
     except ValueError:  # too many digits
-        raise ParseError(f"{what} '{token[:20]}...' has {len(token.lstrip('+-'))} digits, "
+        raise ParseError(f"{what} {_shown(token)} has {len(token.lstrip('+-'))} digits, "
                          f"more than {sys.get_int_max_str_digits()}", lineno) from None
 
 
 def _parse_ts(token: str, lineno: int) -> int:
     ts = _parse_int(token, "timestamp", lineno)
     if ts < 0:
-        raise ParseError(f"negative timestamp {token!r}", lineno)
+        raise ParseError(f"negative timestamp {_shown(token)}", lineno)
     return ts
 
 
 def _bad_outcome(kind: str, token: str, lineno: int) -> None:
     if kind == CONTAINS:
-        raise ParseError(f"contains answer must be true/false, got {token!r}", lineno)
-    raise ParseError(f"{kind} outcome must be ok/fail, got {token!r}", lineno)
+        raise ParseError(f"contains answer must be true/false, got {_shown(token)}", lineno)
+    raise ParseError(f"{kind} outcome must be ok/fail, got {_shown(token)}", lineno)
 
 
 def _check_kind(adt: str, kind: str, outcome: bool | None, lineno: int | None) -> None:
@@ -318,7 +326,8 @@ def _read_header(lines: Iterator[str], adt_override: str | None) -> tuple[str, i
         raise ParseError("empty input: missing adt header")
     parts = header.split()
     if len(parts) != 2 or parts[0] != "adt" or parts[1] not in ADTS:
-        raise ParseError(f"bad header {header!r}; expected 'adt <stack|queue|set|multiset>'", no)
+        raise ParseError(f"bad header {_shown(header)}; "
+                         "expected 'adt <stack|queue|set|multiset>'", no)
     if adt_override is not None and adt_override not in ADTS:
         raise ParseError(f"unknown adt override {adt_override!r}")
     return adt_override or parts[1], no
@@ -380,8 +389,9 @@ def _duplicate_stamp(h: History) -> int | None:
 
 def _check_structure(h: History) -> None:
     """Raise HistoryError unless every call precedes its return and all
-    timestamps and ids are distinct, as the monitors assume (the set
-    monitor keys pending queries by id); parsed histories pass."""
+    timestamps and ids are distinct, as the monitors assume timestamps to
+    be and the parser makes ids (a reused id cannot be written in the
+    event format); parsed histories pass."""
     if not h._checked:
         cols = h.columns
         for call, ret, op_id in zip(cols.call, cols.ret, cols.id):
@@ -502,7 +512,7 @@ def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
                 continue
             kind = _KIND_ALIASES.get(toks[0])
             if kind is None:
-                raise ParseError(f"unknown operation {toks[0]!r}", no)
+                raise ParseError(f"unknown operation {_shown(toks[0])}", no)
             n = len(toks)
             value = outcome = None
             if kind == POP_EMPTY:
@@ -594,7 +604,7 @@ def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] 
                          else _parse_int(op_id, "operation id", no))
                 kind = _KIND_ALIASES.get(kind)
                 if kind is None:
-                    raise ParseError(f"unknown event kind {toks[2]!r}", no)
+                    raise ParseError(f"unknown event kind {_shown(toks[2])}", no)
                 if value is not None:
                     if kind == POP_EMPTY:
                         raise ParseError("popempty call takes no value", no)
@@ -602,7 +612,7 @@ def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] 
                 elif kind != POP and kind != POP_EMPTY:
                     raise ParseError(f"{kind} call needs a value", no)
             elif head != "ret":
-                raise ParseError(f"expected call/ret record, got {head!r}", no)
+                raise ParseError(f"expected call/ret record, got {_shown(head)}", no)
             else:
                 if n == 4:
                     _, op_id, ts, result = toks
@@ -666,7 +676,8 @@ def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] 
                     raise ParseError(f"pop id {op_id} carries no value (call or ret)", rno)
                 value = ret_value
             elif result is not None and (kind != POP or ret_value != value):
-                raise ParseError(f"return {result!r} contradicts its {kind} call (id {op_id})", rno)
+                raise ParseError(f"return {_shown(result)} contradicts its {kind} call "
+                                 f"(id {op_id})", rno)
             if kind not in legal or (outcome is False and adt == "multiset"):
                 _check_kind(adt, kind, outcome, cno)
             if call_ts >= ret_ts:

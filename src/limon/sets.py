@@ -9,15 +9,16 @@ multisets (add/remove only) the whole criterion is a per-value count: a
 prefix in which returned removes outnumber called adds is exactly a
 violation.
 
-The set checker additionally tracks membership queries and a per-value
-state in {present, absent, unknown}.  Calls bank "active" credits for
-adds and removes; a return that needs the opposite state first linearizes
-one banked credit of the other kind (ensure_state), and failing that, the
-history is unlinearizable.  A returning add or remove stands in for a
-linearized one of its kind only if it was called before that credit was
-consumed; otherwise it linearizes at its return.  Pending membership
-queries are satisfied by any state flip that matches their expected
-answer.
+The set checker keeps, per value, its membership (the set starts empty),
+the time of its last change, and credits: calls bank "active" adds and
+removes; a return that needs the other state first linearizes one banked
+credit of the other kind (ensure_state), and failing that, the history is
+unlinearizable.  A returning add or remove stands in for a linearized one
+of its kind only if it was called before that credit was consumed;
+otherwise it linearizes at its return.  A membership query is checked at
+its return alone: it linearizes where its answer holds, which is anywhere
+in its window if the value's state changed after its call, and otherwise
+only where the state has been since its call.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ class _OpCounters(_Record):
         self.active = 0
         self.credits: list[int] = []  # ascending
 
-    @property
-    def linearized(self) -> int:
-        return len(self.credits)
-
     def claim(self, call: int) -> bool:
         """Let an operation called at `call` return as the one linearized at
         the earliest credit it was active for; False if there is none."""
@@ -68,15 +65,16 @@ class _OpCounters(_Record):
 
 
 class SetValueState(_Record):
-    """Per-value checker state: add/remove credits, pending queries, state."""
+    """Per-value checker state: membership, the time it last changed, and
+    the add/remove credits."""
 
-    __slots__ = ("adds", "removes", "pending", "state")
+    __slots__ = ("state", "flipped", "adds", "removes")
 
     def __init__(self) -> None:
+        self.state = False  # the set starts empty
+        self.flipped = float("-inf")  # below every timestamp, negative ones too
         self.adds = _OpCounters()
         self.removes = _OpCounters()
-        self.pending: dict[int, bool | None] = {}
-        self.state: bool | None = None  # None is the unknown initial state
 
 
 _BLOCK = 4096  # operations per block of history_events: rare resumes, small blocks
@@ -137,46 +135,18 @@ def normalize_failing_ops(h: History) -> History:
     return History._from_columns("set", cols._replace(kind=kind, outcome=outcome))
 
 
-def _assign_state(st: SetValueState, q: bool) -> None:
-    """Flip the per-value state, releasing the pending queries this satisfies.
-
-    A flip between the two real states satisfies every pending query (each
-    expects the opposite of the state at its call, and both phases now
-    exist).  Establishing the state from unknown only releases queries
-    matching the established value, except that reaching present consumes
-    an add and therefore passes through absent first, satisfying both.
-    """
-    old = st.state
-    if old is q:
-        return
-    if old is None and q is False:
-        drop = [i for i, exp in st.pending.items() if exp is False]
-        for i in drop:
-            del st.pending[i]
-    else:
-        st.pending.clear()
-    st.state = q
-
-
-def ensure_state(st: SetValueState, q: bool, ts: int = 0) -> bool:
-    """Force the per-value state to q, consuming a banked credit if needed.
-
-    Returns False when no active operation can justify the change; the
-    caller then declares the history unlinearizable.  From the unknown
-    initial state, absence is free (the set starts empty) while presence
-    requires linearizing an active add.  The credit consumed records ts,
-    the time of the event being processed.
-    """
+def ensure_state(st: SetValueState, q: bool, ts: int) -> bool:
+    """Force the per-value state to q at ts, the time of the event being
+    processed, by linearizing an active operation there, whose credit
+    records ts.  Returns False when no active operation can justify the
+    change; the caller then declares the history unlinearizable."""
     if st.state is q:
         return True
-    if st.state is None and q is False:
-        _assign_state(st, False)
-        return True
     counters = st.adds if q else st.removes
-    if counters.active <= counters.linearized:
+    if counters.active <= len(counters.credits):
         return False
     counters.credits.append(ts)
-    _assign_state(st, q)
+    st.state, st.flipped = q, ts
     return True
 
 
@@ -197,47 +167,29 @@ def set_linearizable_events(events: Iterable[StreamEvent],
         st = states.get(value)
         if st is None:
             st = states[value] = SetValueState()
-        if is_call:
+        if is_call:  # a query's call leaves nothing to do
             if kind == ADD:
                 st.adds.active += 1
             elif kind == REMOVE:
                 st.removes.active += 1
-            else:
-                # Queries whose answer already matches the state linearize
-                # at the call; with the answer unknown (live stream) the
-                # query is parked and resolved at its return.
-                if outcome is None or outcome is not st.state:
-                    st.pending[op_id] = outcome
-                    if counter is not None:
-                        counter.add(1)
+        elif kind == CONTAINS:
+            # Unless the state changed inside its window, a query's answer
+            # must be the state, which it has been since the call.
+            if st.flipped < call and outcome is not st.state:
+                if outcome is None:
+                    raise HistoryError(f"contains id {op_id} returned no answer")
+                if not ensure_state(st, outcome, ts):
+                    return _fail(value, ts, "ensure-state-failure")
         else:
-            if kind == ADD:
-                if outcome is False:
-                    raise HistoryError("failing add reached the set checker; "
-                                       "normalize_failing_ops first")
-                if not st.adds.claim(call):
-                    if not ensure_state(st, False, ts):
-                        return _fail(value, ts, "ensure-state-failure")
-                    _assign_state(st, True)
-                st.adds.active -= 1
-            elif kind == REMOVE:
-                if outcome is False:
-                    raise HistoryError("failing remove reached the set checker; "
-                                       "normalize_failing_ops first")
-                if not st.removes.claim(call):
-                    if not ensure_state(st, True, ts):
-                        return _fail(value, ts, "ensure-state-failure")
-                    _assign_state(st, False)
-                st.removes.active -= 1
-            else:
-                if op_id in st.pending:
-                    if outcome is None:
-                        raise HistoryError(f"contains id {op_id} returned no answer")
-                    if not ensure_state(st, outcome, ts):
-                        return _fail(value, ts, "ensure-state-failure")
-                    st.pending.pop(op_id, None)
-                    if counter is not None:
-                        counter.add(1)
+            if outcome is False:
+                raise HistoryError(f"failing {kind} reached the set checker; "
+                                   "normalize_failing_ops first")
+            ops, q = (st.adds, True) if kind == ADD else (st.removes, False)
+            if not ops.claim(call):
+                if not ensure_state(st, not q, ts):
+                    return _fail(value, ts, "ensure-state-failure")
+                st.state, st.flipped = q, ts
+            ops.active -= 1
     return Verdict(True)
 
 

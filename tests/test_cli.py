@@ -537,6 +537,29 @@ class TestExitCodeContract:
         assert main(["check", path, *stream]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("text, line", [
+        ("adt set\nX 1 0 1 ok\n", 2),  # an operation's kind
+        ("adt set\nadd 1 0 1 X\n", 2),  # a set operation's result
+        ("adt X\n", 1),  # the header
+        ("adt set\nadd 1 X 1 ok\n", 2),  # a timestamp
+        ("adt set\nadd 1 N 1 ok\n", 2),  # a negative timestamp
+        ("adt set\ncall 0 X 1 0\n", 2),  # an event's kind
+        ("adt set\ncall 0 add 1 0\nX 0 1 ok\n", 3),  # a record's head
+        ("adt stack\ncall 0 push 1 0\nret 0 1 X\n", 3),  # a result its call contradicts
+        ("adt set\ncall 0 add 1 0\nret 0 1 X\n", 3),  # a set return's result
+    ])
+    def test_long_token_is_clipped_exit_2(self, text, line, tmp_path, capsys):
+        # X stands for a 5,000-character token, N for a 4,002-character
+        # negative integer.
+        path = write(tmp_path, "long.txt",
+                     text.replace("X", "x" * 5000).replace("N", "-" + "0" * 4000 + "1"))
+        commands = [["check", path]] + ([["check", path, "--stream"]]
+                                        if text.startswith("adt set\ncall") else [])
+        for argv in commands:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.endswith(f" (line {line})\n") and len(err.encode()) < 200, err
+
     def test_non_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ff.txt"
         path.write_bytes(b"adt stack\npush 1 0 1\xff\npop 1 2 3\n")

@@ -16,6 +16,7 @@ from limon import (
     sequential_check,
     serialize_history,
 )
+from limon.sets import set_linearizable_events
 
 from helpers import naive_linearizable, saturation_baseline, small_histories
 
@@ -143,23 +144,27 @@ class TestSaturation:
 
 class TestExhaustiveSmallHistories:
     """Every history of a small class, through both file formats and the
-    monitor, and a multiset's also as a stream, against the oracle
-    (small-scope hypothesis)."""
+    monitor, and a set's or multiset's with no failing add or remove also
+    as a stream, against the oracle (small-scope hypothesis)."""
 
     @pytest.mark.parametrize("adt, labels, max_k, count, unique", [
         ("multiset", [Event(kind, v, True) for kind in ("add", "remove") for v in (0, 1)],
-         4, (27_892, 27_892), False),
+         4, (27_892, 27_892, 27_892), False),
+        ("set", [Event(kind, 0, outcome) for kind in ("add", "remove", "contains")
+                 for outcome in (True, False)], 4, (139_434, 139_434, 27_892), False),
         ("set", [Event(kind, v, outcome) for kind in ("add", "remove", "contains")
-                 for v in (0, 1) for outcome in (True, False)], 3, (26_364, 26_364), False),
+                 for v in (0, 1) for outcome in (True, False)], 3, (26_364, 26_364, 7_880), False),
         ("stack", [Event(kind, v) for kind in ("push", "pop") for v in (0, 1)]
-         + [Event("popempty")], 4, (67_580, 23_108), True),
+         + [Event("popempty")], 4, (67_580, 23_108, 0), True),
         ("queue", [Event(kind, v) for kind in ("push", "pop") for v in (0, 1)],
-         4, (27_892, 2_920), True),
-    ], ids=["multiset", "set-two-names", "stack-unique-names", "queue-unique-names"])
+         4, (27_892, 2_920, 0), True),
+    ], ids=["multiset", "set-one-name", "set-two-names", "stack-unique-names",
+            "queue-unique-names"])
     def test_monitor_agrees_with_the_oracle(self, adt, labels, max_k, count, unique):
-        # count: (histories enumerated, histories checked).  With unique,
-        # only those in which no value is pushed or popped twice are checked.
-        seen = checked = wrong = 0
+        # count: (histories enumerated, checked, also streamed).  With
+        # unique, only those in which no value is pushed or popped twice are
+        # checked.
+        seen = checked = streamed = wrong = 0
         for h in small_histories(adt, labels, max_k):
             seen += 1
             if unique:
@@ -170,9 +175,12 @@ class TestExhaustiveSmallHistories:
             events = serialize_history(h, "events")
             verdicts = [check_history(parse_history(text)).linearizable
                         for text in (serialize_history(h), events)]
-            if adt == "multiset":  # also read online, as a stream
+            if adt in ("set", "multiset") and not any(
+                    op.event.outcome is False and op.event.kind != "contains" for op in h.ops):
                 _, stream = parse_event_stream(events)
-                verdicts.append(multiset_linearizable_events(stream).linearizable)
+                monitor = set_linearizable_events if adt == "set" else multiset_linearizable_events
+                verdicts.append(monitor(stream).linearizable)
+                streamed += 1
             wrong += any(verdict != expected for verdict in verdicts)
             checked += 1
-        assert (seen, checked, wrong) == (*count, 0)
+        assert (seen, checked, streamed, wrong) == (*count, 0)

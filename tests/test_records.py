@@ -153,14 +153,14 @@ class TestSetValueState:
         st.state = True
         assert st != SetValueState()
         assert repr(SetValueState()) == (
-            "SetValueState(adds=_OpCounters(active=0, credits=[]), "
-            "removes=_OpCounters(active=0, credits=[]), pending={}, state=None)")
+            "SetValueState(state=False, flipped=-inf, adds=_OpCounters(active=0, credits=[]), "
+            "removes=_OpCounters(active=0, credits=[]))")
 
     def test_fresh_states_share_nothing(self):
         a, b = SetValueState(), SetValueState()
         a.adds.credits.append(1)
-        a.pending[0] = True
-        assert b.adds.credits == [] and b.pending == {}
+        a.removes.credits.append(2)
+        assert b.adds.credits == [] and b.removes.credits == []
 
 
 # Every public name the package exports, no more; the oracle, the

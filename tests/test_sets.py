@@ -94,31 +94,27 @@ class TestMultiset:
 class TestEnsureState:
     def test_noop_when_state_matches(self):
         st = SetValueState()
-        st.state = True
-        st.pending = {7: False}
-        assert ensure_state(st, True)
-        assert st.pending == {7: False}
+        st.state, st.flipped = True, 2
+        assert ensure_state(st, True, 5)
+        assert st.flipped == 2 and st.adds.credits == []
 
-    def test_unknown_to_true_needs_an_active_add(self):
+    def test_absent_to_true_needs_an_active_add(self):
         st = SetValueState()
-        assert not ensure_state(st, True)  # linearized 1 > active 0
+        assert not ensure_state(st, True, 0)  # credits 0, active 0
 
     def test_false_to_true_consumes_the_add(self):
         st = SetValueState()
-        st.state = False
         st.adds.active = 1
-        st.pending = {3: True}
-        assert ensure_state(st, True)
-        assert st.state is True
-        assert st.pending == {}
-        assert st.adds.linearized == 1
+        assert ensure_state(st, True, 4)
+        assert (st.state, st.flipped) == (True, 4)
+        assert len(st.adds.credits) == 1
 
-    def test_unknown_to_false_is_free(self):
+    def test_absence_is_free(self):
         # The set starts empty, so absence needs no credit.
         st = SetValueState()
-        assert ensure_state(st, False)
-        assert st.state is False
-        assert st.removes.linearized == 0
+        assert ensure_state(st, False, 3)
+        assert st.state is False and st.flipped == float("-inf")
+        assert len(st.removes.credits) == 0
 
 
 class TestSetLinearizable:
@@ -181,27 +177,22 @@ class TestSetLinearizable:
             h = gen_random("set", n, 23_000 + seed)
             counter = WorkCounter()
             set_linearizable(h, counter=counter)
-            assert counter.count <= 4 * 2 * n
+            assert counter.count <= 2 * n  # one unit per event
 
-    def test_pending_bounded_by_contains_count(self, monkeypatch):
-        peak = 0
-
-        class Pending(dict):
-            # Pending queries only grow here, so the peak follows an insert.
-            def __setitem__(self, key, value):
-                nonlocal peak
-                super().__setitem__(key, value)
-                peak = max(peak, sum(len(st.pending) for st in states))
-
-        states = _record_states(monkeypatch, Pending)
-        for seed in range(200):
-            h = gen_random("set", 2 + seed % 12, 24_000 + seed)
-            n_contains = sum(1 for o in normalize_failing_ops(h).ops
-                             if o.event.kind == "contains")
-            states.clear()
-            peak = 0
-            set_linearizable(h)
-            assert peak <= n_contains, seed
+    def test_negative_timestamps(self):
+        # A value's state has not changed before any time, however early:
+        # contains(5) true over [-5, -3] has no add to justify it.
+        h = set_history([("contains", 5, -5, -3, True)])
+        assert not brute_force_linearizable(h).linearizable
+        assert not set_linearizable(h).linearizable
+        events = [(-5, True, "contains", 5, None, 0, -5), (-3, False, "contains", 5, True, 0, -5)]
+        assert not set_linearizable_events(events).linearizable
+        for seed in range(1_500):
+            h = gen_random("set", 1 + seed % 9, 27_000 + seed, values=1 + seed % 3)
+            h = History("set", tuple(op._replace(call=op.call - 50, ret=op.ret - 50)
+                                     for op in h.ops))
+            assert (set_linearizable(h).linearizable
+                    == brute_force_linearizable(h, max_ops=12).linearizable), seed
 
     def test_state_never_flips_to_itself(self, monkeypatch):
         states = _record_states(monkeypatch)
@@ -211,10 +202,9 @@ class TestSetLinearizable:
         assert flips and all(old is not new for old, new in flips)
 
 
-def _record_states(monkeypatch, pending=dict):
-    """Make the set monitor build its per-value states with `pending` of
-    the given type, logging every change of `state` as an (old, new) flip;
-    gives the list the states built are appended to."""
+def _record_states(monkeypatch):
+    """Make the set monitor log every change of a per-value `state` as an
+    (old, new) flip; gives the list the states built are appended to."""
     states = []
 
     class Recording(sets.SetValueState):
@@ -223,7 +213,6 @@ def _record_states(monkeypatch, pending=dict):
         def __init__(self):
             self.flips = []
             super().__init__()
-            self.pending = pending()
             states.append(self)
 
         def __setattr__(self, name, value):
