@@ -4,9 +4,11 @@ A history is a finite set of timed operations recorded from a concurrent
 execution.  Every timestamp in a history is globally unique, so the
 real-time precedence order between operations is unambiguous.  Parsed
 histories hold six parallel columns, one row per operation in call order,
-and build `Operation`s only if asked.  The parser reads its input once
-and holds, besides the columns, only the operations whose call or return
-it has not read yet.  Operation-format files are read in blocks, each
+and build `Operation`s only if asked.  The columns hold one object per
+distinct value: a value read again is the object the parse read first.
+The parser reads its input once and holds, besides the columns and that
+table of values, only the operations whose call or return it has not
+read yet.  Operation-format files are read in blocks, each
 line split once: a block of plain records is checked and converted a
 column at a time, and any other block goes through the line loop, the one
 reader of symbolic or signed values and of faults.  Event files and event streams share one
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, compress, count, islice, repeat
 from operator import attrgetter, eq, le, lt
 
@@ -248,13 +250,16 @@ def _value(token: str, symbols: dict[str, int] | None) -> int | str:
 
 def _in_call_order(cols: list, symbols: dict[str, int]) -> Columns:
     """The parsed columns, rows in input order, as Columns in call order.
-    Symbolic values become max literal + 1 + their first-seen index."""
+    Symbolic values become max literal + 1 + their first-seen index, one
+    int per symbol."""
     call, value = cols[0], cols[3]
     if symbols:
         base = max([-1] + [v for v in value if type(v) is int]) + 1
+        for token, index in symbols.items():
+            symbols[token] = base + index
         for row, v in enumerate(value):
             if type(v) is str:
-                value[row] = base + symbols[v]
+                value[row] = symbols[v]
     if not all(map(le, call, islice(call, 1, None))):
         order = sorted(range(len(call)), key=call.__getitem__)
         for i, col in enumerate(cols):
@@ -411,6 +416,7 @@ def _parse_ops_format(adt: str, lines: Iterator[str], first: int) -> Columns:
     the block is not plain; a block not tried is split a line at a time, as
     rows held at once cost the cyclic collector passes over them."""
     symbols: dict[str, int] = {}
+    same = {}.setdefault  # the one object of each value read
     cols: list = [[], [], [], [], []]
     block: list[str] = []
     no = first  # the number of the block's first line
@@ -420,16 +426,16 @@ def _parse_ops_format(adt: str, lines: Iterator[str], first: int) -> Columns:
             block.extend(islice(lines, _BLOCK))
         except UnicodeDecodeError as exc:
             # A fault in the lines read before the byte's chunk comes first.
-            _ops_lines(adt, _tokens(block), no, cols, symbols)
+            _ops_lines(adt, _tokens(block), no, cols, symbols, same)
             raise _not_utf8(exc, no - 1 + len(block)) from None
         rows = _tokens(block)
         if bulk:
             rows = list(rows)
-            bulk = _ops_block(adt, rows, cols)
+            bulk = _ops_block(adt, rows, cols, same)
         if not bulk:
             # A block after one with symbolic or signed values likely holds
             # some too, so it goes straight to the line loop.
-            bulk = not _ops_lines(adt, rows, no, cols, symbols)
+            bulk = not _ops_lines(adt, rows, no, cols, symbols, same)
         if len(block) < _BLOCK:
             return _in_call_order(cols + [range(len(cols[0]))], symbols)  # ids: record order
         no += _BLOCK
@@ -444,10 +450,11 @@ def _tokens(lines: list[str]) -> Iterator[list[str]]:
     return map(str.split, lines)
 
 
-def _ops_block(adt: str, rows: list[list[str]], cols: list) -> bool:
+def _ops_block(adt: str, rows: list[list[str]], cols: list, same: Callable) -> bool:
     """Append the records of a block of plain lines, given as their tokens,
     to cols, column by column, and give True; give False, with cols and rows
-    untouched, if any line is not plain.
+    untouched, if any line is not plain.  Each value is same(v, v), the
+    setdefault of the parse's table of values.
 
     A plain line holds no record, or one legal record with ASCII-digit
     values and timestamps.  Split tokens are never empty, so a numeric
@@ -484,6 +491,7 @@ def _ops_block(adt: str, rows: list[list[str]], cols: list) -> bool:
         return False
     if not all(map(lt, calls, rets)):
         return False
+    values = list(map(same, values, values))
     if results:
         outcomes = list(map(dict.get, map(_OUTCOMES.__getitem__, kinds), results[0]))
         if None in outcomes or (adt == "multiset" and False in outcomes):
@@ -498,11 +506,11 @@ def _ops_block(adt: str, rows: list[list[str]], cols: list) -> bool:
 
 
 def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
-               symbols: dict[str, int]) -> bool:
+               symbols: dict[str, int], same: Callable) -> bool:
     """The line loop: append the records of rows, the tokens of lines
     numbered from first, to cols, and tell whether a value was symbolic or
     signed.  It is the one reader of such values, and it names the first
-    fault."""
+    fault.  Each value is same(v, v), as in _ops_block."""
     legal = _KINDS_BY_ADT[adt]
     calls, rets, kinds, values, outcomes = cols
     odd = False
@@ -531,6 +539,7 @@ def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
                 else:
                     value = _value(value, symbols)
                     odd = True
+                value = same(value, value)
             call = int(call) if call.isdigit() and call.isascii() else _parse_ts(call, no)
             ret = int(ret) if ret.isdigit() and ret.isascii() else _parse_ts(ret, no)
             if n == 5:
@@ -709,6 +718,7 @@ def _parse_events_format(adt: str, lines: Iterable[str], first: int) -> Columns:
     a file in timestamp order are in call order already.  The id column is
     a `range` while every id is its row number."""
     symbols: dict[str, int] = {}
+    same = {}.setdefault  # the one object of each value read
     rows: dict[int, int] = {}  # the row of each operation with one record read
     calls, rets, kinds, values, outcomes = cols = [[], [], [], [], []]
     ids = None
@@ -728,7 +738,7 @@ def _parse_events_format(adt: str, lines: Iterable[str], first: int) -> Columns:
         else:  # rows opened while ids was None are their ids' rows
             row = op_id if ids is None else rows.pop(op_id, op_id)
             calls[row], rets[row] = call, ts
-            kinds[row], values[row], outcomes[row] = kind, value, outcome
+            kinds[row], values[row], outcomes[row] = kind, same(value, value), outcome
     return _in_call_order(cols + [range(len(calls)) if ids is None else ids], symbols)
 
 

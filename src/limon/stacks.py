@@ -129,9 +129,10 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None) -> Ver
     the group at the D-segment the first sweep to reach one found: at the
     right end of the first P-segment, or at the left end of the last.  The
     part that sweep covered, never the larger, gets its own orders, sorted
-    afresh; the other part keeps the group's sorted orders and pointers,
-    and drops the dead entries a sweep stepped over once they outnumber
-    the values it stepped.  Both parts keep the marks.
+    afresh, unless it is one value, which is extreme and waits as a bare
+    row for its one round; the other part keeps the group's sorted orders
+    and pointers, and drops the dead entries a sweep stepped over once they
+    outnumber the values it stepped.  Both parts keep the marks.
 
     The optional counter accumulates every step taken, sorts included (as
     n log n), and the rounds, the extreme values peeled and the splits.
@@ -175,7 +176,14 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None) -> Ver
     groups = 1
     failed = None
     while pending:
-        gid, live, by_pr, i, end, by_qc, j, by_pc, a, by_qr, b = pending.pop()
+        top = pending.pop()
+        if type(top) is int:  # a lone row split off a group: extreme, so its round peels it
+            owner[top] = -1
+            rounds += 1
+            extremes += 1
+            work += 2
+            continue
+        gid, live, by_pr, i, end, by_qc, j, by_pc, a, by_qr, b = top
         n_pc, n_qr = len(by_pc), len(by_qr)
         start = i + j + a + b
         while True:
@@ -254,9 +262,8 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None) -> Ver
                 # right part, which keeps the group's orders.
                 small = [x for x in by_pr[i:k] if owner[x] == gid]
                 work += k - i
-                left = group(groups, small)
                 j = compact(by_qc, j, y, n_right, gid)
-                right = (gid, live - n_left, by_pr, k, end, by_qc, j, by_pc, a, by_qr, b)
+                rest = (gid, live - n_left, by_pr, k, end, by_qc, j, by_pc, a, by_qr, b)
             else:
                 # The last P-segment is the right part: the rows pushed after
                 # qc[by_qc[y]], which starts the left part.
@@ -264,13 +271,12 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None) -> Ver
                 small = [x for x in by_pr[cut:end] if owner[x] == gid]
                 work += end - cut + (end - k).bit_length()
                 i = compact(by_pr, i, k, n_left, gid)
-                left = (gid, live - n_right, by_pr, i, cut, by_qc, y, by_pc, a, by_qr, b)
-                right = group(groups, small)
+                rest = (gid, live - n_right, by_pr, i, cut, by_qc, y, by_pc, a, by_qr, b)
             for x in small:
                 owner[x] = groups
+            part = small[0] if len(small) == 1 else group(groups, small)
             groups += 1
-            pending.append(left)
-            pending.append(right)
+            pending.extend((part, rest) if forward else (rest, part))
             break
         work += i + j + a + b - start
     if counter is not None:

@@ -788,7 +788,7 @@ def line_loop_parse(adt: str, lines: list[str]):
     from 2, as parse_history finishes them; the columns, or the ParseError."""
     cols, symbols = [[], [], [], [], []], {}
     try:
-        history._ops_lines(adt, history._tokens(lines), 2, cols, symbols)
+        history._ops_lines(adt, history._tokens(lines), 2, cols, symbols, {}.setdefault)
     except ParseError as exc:
         return exc
     return history._in_call_order(cols + [range(len(cols[0]))], symbols)
@@ -860,9 +860,9 @@ class TestOpsBlocks:
         tried = []
         bulk = history._ops_block
 
-        def spy(adt, rows, cols):
+        def spy(adt, rows, cols, same):
             tried.append(len(cols[0]))
-            return bulk(adt, rows, cols)
+            return bulk(adt, rows, cols, same)
         expected = line_loop_parse("stack", lines)
         monkeypatch.setattr(history, "_ops_block", spy)
         looped = self.spy_line_loop(monkeypatch)
@@ -897,7 +897,50 @@ class TestOpsBlocks:
 
 class TestParsedHistorySize:
     """A parsed history keeps its operations as columns, with no object per
-    operation besides the timestamps, values and ids the file names."""
+    operation besides the timestamps and ids the file names, and one object
+    per distinct value."""
+
+    @staticmethod
+    def assert_one_object_per_value(h: History) -> None:
+        values = [v for v in h.columns.value if v is not None]
+        assert len(set(map(id, values))) == len(set(values)), (len(values), len(set(values)))
+
+    def test_block_path_shares_values(self, monkeypatch):
+        # Values above 256, which CPython does not cache, each named by two
+        # pushes and two pops, in blocks that the bulk path takes.
+        lines = ["adt stack"]
+        for i in range(history._BLOCK - 1):  # two blocks, the second not full
+            v, t = 1000 + i % 300, 8 * i
+            lines += [f"push {v} {t} {t + 1}", f"pop {v} {t + 2} {t + 3}"]
+        looped = TestOpsBlocks.spy_line_loop(monkeypatch)
+        h = parse_history("\n".join(lines))
+        assert looped == []
+        self.assert_one_object_per_value(h)
+        assert len(set(h.columns.value)) == 300
+
+    def test_line_loop_shares_values(self):
+        # A symbolic and a signed value send every block to the line loop;
+        # "0300" names 300, as "007" names 7.
+        lines = ["adt stack"]
+        for i in range(history._BLOCK):
+            t = 8 * i
+            v = ("x", "-300", "300", "0300", "1000", "007", "7", "+400")[i % 8]
+            lines += [f"push {v} {t} {t + 1}", f"pop {v} {t + 2} {t + 3}"]
+        h = parse_history("\n".join(lines))
+        self.assert_one_object_per_value(h)
+        assert sorted(set(h.columns.value)) == [-300, 7, 300, 400, 1000, 1001]
+
+    def test_event_file_shares_values(self):
+        # Each pop names its value on its return only.
+        lines = ["adt stack"]
+        for i in range(500):
+            op, t, v = 2 * i, 4 * i, 1000 + i % 7
+            lines += [f"call {op} push {v} {t}", f"ret {op} {t + 1}",
+                      f"call {op + 1} pop {t + 2}", f"ret {op + 1} {t + 3} {v}"]
+        h = parse_history("\n".join(lines))
+        self.assert_one_object_per_value(h)
+        value = h.columns.value
+        assert value[0] == value[1] == 1000 and value[0] is value[1]
 
     @pytest.mark.parametrize("fmt, bound", [("ops", 140), ("events", 175)])
     def test_bytes_kept_per_operation(self, fmt, bound, tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from collections import Counter
 
@@ -347,6 +349,36 @@ class TestStackLinearizable:
             assert verdict.witness == {"kind": "no-separation",
                                        "values": list(range(1, n + 1))}
             assert _tally(counter) == _reference_tally(gen_small_model_family(n)) == (1, 0, 0), n
+
+    @pytest.mark.parametrize("h, tally", [
+        (split_chain(200), (599, 400, 199)),
+        (buried_peels(200), (601, 401, 200)),
+        (gen_linearizable(GenConfig(adt="stack", ops=2000, threads=4, seed=1)), (1047, 788, 311)),
+    ])
+    def test_lone_split_off_values_keep_the_tallies(self, h, tally):
+        # A part of one value split off a group waits as a bare row, which
+        # counts as the round that peels it, not as a group of its own.
+        counter = WorkCounter()
+        assert stack_linearizable(h, counter=counter).linearizable
+        assert _tally(counter) == tally
+
+    def test_mutated_verdicts_pinned(self):
+        # The verdicts and witnesses on 1,200 mutated histories and their
+        # copies with values folded onto a few names, 1,483 of the 2,400
+        # unlinearizable (1,076 no-separation), as the monitor gave them
+        # while it still made a group of each lone split-off value.
+        out = []
+        for seed in range(400):
+            lin = gen_linearizable(GenConfig(adt="stack", ops=20 + seed % 200, threads=2 + seed % 6,
+                                             seed=seed, stretch=1.0 + seed % 3))
+            for m in range(3):
+                mutated = mutate(lin, 1000 * seed + m)
+                for h in (mutated, fold_values(mutated, 3 + m)):
+                    verdict = stack_linearizable(h)
+                    out.append([verdict.linearizable, verdict.witness])
+        assert sum(not linearizable for linearizable, _ in out) == 1483
+        digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+        assert digest == "420db4933572d01cd269d0e4b6a6d93ab9a983b68881eb4f60d647055a5dbc77"
 
     def test_nested_work_is_quasilinear(self):
         # Machine-independent: the counted work may grow at most 2.5x per
