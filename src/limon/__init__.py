@@ -8,10 +8,12 @@ maximum of right ends) and for set and multiset histories (their returns
 are sorted), in O(n) for set and multiset streams.  Also file formats,
 preprocessing, an exact oracle, corpus generators and an execution recorder.
 
-Importing the package loads the file formats and the four monitors, all
-that `limon check` runs.  The oracle, the generators and the recorder
-(modules `oracle`, `generators`, `impls`) load on first use of one of their
-names, as in `limon.gen_random` or `from limon import sequential_check`.
+Importing the package loads the data model and the operation-format
+reader (module `history`) and nothing else of the package.  Every other
+module loads on first use of one of its names, as in `limon.gen_random`
+or `from limon import sequential_check`: `check_history` loads the monitor
+of the history's data type (`stacks`, `queues` or `sets`), and
+`parse_history` the event-format reader (`events`) only for an event file.
 """
 
 from .history import (
@@ -24,31 +26,24 @@ from .history import (
     ParseError,
     Verdict,
     WorkCounter,
-    parse_event_stream,
     parse_history,
     serialize_history,
-)
-from .stacks import stack_linearizable
-from .queues import ContainmentIndex, queue_linearizable
-from .sets import (
-    SetValueState,
-    ensure_state,
-    history_events,
-    multiset_linearizable,
-    multiset_linearizable_events,
-    normalize_failing_ops,
-    set_linearizable,
-    set_linearizable_events,
 )
 
 # Names resolved on first use, by the module that defines them.
 _LAZY_MODULES = {
+    "stacks": ("stack_linearizable",),
+    "queues": ("ContainmentIndex", "queue_linearizable"),
+    "sets": ("SetValueState", "ensure_state", "history_events", "multiset_linearizable",
+             "multiset_linearizable_events", "normalize_failing_ops", "set_linearizable",
+             "set_linearizable_events"),
     "oracle": ("brute_force_linearizable", "sequential_check"),
     "generators": ("GenConfig", "gen_linearizable", "gen_linearizable_with_witness",
                    "gen_random", "gen_small_model_family", "mutate", "record_execution"),
     "impls": (),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in (module, *names)}
+_LAZY["parse_event_stream"] = "events"  # the module itself is not one of the package's names
 
 
 def __getattr__(name: str):
@@ -68,17 +63,10 @@ def __dir__() -> list[str]:
     return sorted(globals().keys() | _LAZY.keys())
 
 
-_MONITORS = {
-    "stack": stack_linearizable,
-    "queue": queue_linearizable,
-    "set": set_linearizable,
-    "multiset": multiset_linearizable,
-}
-
-
 def check_history(h: History, *, counter: WorkCounter | None = None) -> Verdict:
     """Run the monitor matching the history's data type."""
-    return _MONITORS[h.adt](h, counter=counter)
+    name = f"{h.adt}_linearizable"
+    return (globals().get(name) or __getattr__(name))(h, counter=counter)
 
 
 __all__ = sorted([name for name in globals() if not name.startswith("_")] + list(_LAZY))

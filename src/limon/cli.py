@@ -19,11 +19,9 @@ from .history import (
     HistoryError,
     ParseError,
     WorkCounter,
-    parse_event_stream,
     parse_history,
     serialize_history,
 )
-from .sets import multiset_linearizable_events, set_linearizable_events
 
 EXIT_LINEARIZABLE = 0
 EXIT_UNLINEARIZABLE = 1
@@ -63,6 +61,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         with _open_input(args.file) as fh:
             if args.stream:
+                from .events import parse_event_stream
+                from .sets import multiset_linearizable_events, set_linearizable_events
                 adt, events = parse_event_stream(fh, args.adt)
                 if adt not in ("set", "multiset"):
                     raise ParseError("streaming mode monitors set/multiset event streams")

@@ -11,11 +11,9 @@ table of values, only the operations whose call or return it has not
 read yet.  Operation-format files are read in blocks, each
 line split once: a block of plain records is checked and converted a
 column at a time, and any other block goes through the line loop, the one
-reader of symbolic or signed values and of faults.  Event files and event streams share one
-record loop, `_events`: it checks each record, pairs it by id with the
-half of its operation already read and yields it as a `StreamEvent`, which
-the set and multiset monitors read from a stream and the file parser turns
-into columns.
+reader of symbolic or signed values and of faults.  Event files and event
+streams are read by module `events`, which `parse_history` loads only when
+a file's first record is a `call` or `ret`.
 `value_table` preprocesses a stack or queue history for its monitor in one
 pass, holding besides its rows only the pushes and pops still unpaired.
 """
@@ -113,7 +111,7 @@ Operation = namedtuple("Operation", "id event call ret")
 
 
 # One call or return event of a set or multiset history, the shape that
-# the event-record loop (_events, behind parse_event_stream) and
+# the event-record loop (events._events, behind parse_event_stream) and
 # sets.history_events yield and the set and multiset monitors read:
 # (timestamp, is_call, kind, value, outcome, id, call).
 # `call` is the operation's call timestamp.  A streamed call has outcome
@@ -225,7 +223,6 @@ class WorkCounter:
 
 _UPDATES = {"ok": True, "fail": False}  # result word -> outcome, for add and remove
 _OUTCOMES = {ADD: _UPDATES, REMOVE: _UPDATES, CONTAINS: {"true": True, "false": False}}  # by kind
-_RESULT_WORDS = frozenset(("ok", "fail", "true", "false", "empty"))
 _BLOCK = 1024  # lines per block of an operation-format file; larger blocks cost memory
 
 
@@ -370,9 +367,11 @@ def parse_history(source: str | bytes | Iterable[str], *,
     lines = iter(_lines(source))
     adt, no = _read_header(lines, adt_override)
     first, no = _first_line(lines, no)
-    events = first is not None and first.split()[0] in ("call", "ret")
-    cols = (_parse_events_format if events else _parse_ops_format)(
-        adt, lines if first is None else chain((first,), lines), no)
+    if first is not None and first.split()[0] in ("call", "ret"):
+        from .events import _parse_events_format as parse
+    else:
+        parse = _parse_ops_format
+    cols = parse(adt, lines if first is None else chain((first,), lines), no)
 
     # The record parsers refuse every other structural fault: calls not
     # before their returns, reused ids and kinds illegal for the adt.
@@ -565,204 +564,6 @@ def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
     return odd
 
 
-def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] | None,
-            stream: bool) -> Iterator[StreamEvent]:
-    """Check event-format records one at a time, pair them by id and yield a
-    StreamEvent per record, for the file and the stream parser alike.
-
-    A record's shape, from its first token and width, is read once; its
-    faults are found in the order width, id, kind and value, timestamp,
-    pairing.  A call's kind is checked at the call's line.  A call read
-    first yields its call event, outcome None.  The record that completes
-    an operation, its return or, in a file, a call read after its return,
-    is checked against the other half and yields the operation's return
-    event, with the call's timestamp as `call`.  A return read first yields
-    (ts, False, None, value, None, id, None).  A return's result token,
-    unless a result word, is read as a pop's value.  Symbolic values are
-    numbered in symbols (see _value).  A second call or return of an id is
-    refused; the ids seen are the run [low, high) from the first one plus a
-    set of the others, so ids that count up cost constant memory and one
-    comparison each.  With stream set, timestamps must increase, a return
-    must follow its call, failing adds and removes are refused and every
-    call must return.
-    """
-    legal = _KINDS_BY_ADT[adt]
-    pending: dict[int, tuple] = {}  # by id, (line, kind, value, ts, result) of a half read
-    low = high = 0
-    seen: set[int] = set()
-    last_ts = -1
-    no = first - 1
-    try:
-        for no, line in enumerate(lines, first):
-            if "#" in line:
-                line = line[:line.find("#")]
-            toks = line.split()
-            if not toks:
-                continue
-            ascii_line = line.isascii()  # then so is every token (see Parsing above)
-            head, n = toks[0], len(toks)
-            if head == "call":
-                if n == 5:
-                    _, op_id, kind, value, ts = toks
-                elif n == 4:
-                    _, op_id, kind, ts = toks
-                    value = None
-                else:
-                    raise ParseError("expected: call <id> <kind> [<value>] <ts>", no)
-                op_id = (int(op_id) if (ascii_line or op_id.isascii()) and "_" not in op_id
-                         else _parse_int(op_id, "operation id", no))
-                kind = _KIND_ALIASES.get(kind)
-                if kind is None:
-                    raise ParseError(f"unknown event kind {_shown(toks[2])}", no)
-                if value is not None:
-                    if kind == POP_EMPTY:
-                        raise ParseError("popempty call takes no value", no)
-                    value = int(value) if ascii_line and value.isdigit() else _value(value, symbols)
-                elif kind != POP and kind != POP_EMPTY:
-                    raise ParseError(f"{kind} call needs a value", no)
-            elif head != "ret":
-                raise ParseError(f"expected call/ret record, got {_shown(head)}", no)
-            else:
-                if n == 4:
-                    _, op_id, ts, result = toks
-                elif n == 3:
-                    _, op_id, ts = toks
-                    result = None
-                else:
-                    raise ParseError("expected: ret <id> <ts> [<result>]", no)
-                op_id = (int(op_id) if (ascii_line or op_id.isascii()) and "_" not in op_id
-                         else _parse_int(op_id, "operation id", no))
-                ret_value = None if result is None or result in _RESULT_WORDS else (
-                    int(result) if ascii_line and result.isdigit() else _value(result, symbols))
-            ts = int(ts) if (ascii_line or ts.isascii()) and "_" not in ts else _parse_ts(ts, no)
-            if ts < 0:
-                raise ValueError  # a negative timestamp
-            partner = pending.pop(op_id, None)
-            if partner is None and op_id == high:  # a fresh id: the drain keeps high out of seen
-                high += 1
-                while seen and high in seen:
-                    seen.remove(high)
-                    high += 1
-            elif partner is None and low == high:  # the first id
-                low, high = op_id, op_id + 1
-            elif partner is None and not (low <= op_id < high or op_id in seen):
-                seen.add(op_id)
-            elif partner is None or (partner[1] is None) is (head == "ret"):
-                raise ParseError(f"duplicate {'call' if head == 'call' else 'return'} for id {op_id}", no)
-            if stream and ts <= last_ts:
-                raise ParseError(f"stream timestamps must increase ({ts})", no)
-            last_ts = ts
-            if head == "call":
-                if kind not in legal:
-                    _check_kind(adt, kind, None, no)
-                if partner is None:
-                    pending[op_id] = (no, kind, value, ts, None)
-                    yield ts, True, kind, value, None, op_id, ts
-                    continue
-                cno, call_ts = no, ts
-                rno, _, ret_value, ret_ts, result = partner
-            elif partner is None:
-                if stream:
-                    raise ParseError(f"return without call for id {op_id}", no)
-                pending[op_id] = (no, None, ret_value, ts, result)
-                yield ts, False, None, ret_value, None, op_id, None
-                continue
-            else:
-                cno, kind, value, call_ts, _ = partner
-                rno, ret_ts = no, ts
-            # The operation is complete: check its call against its return.
-            outcome = _OUTCOMES.get(kind)  # add, remove or contains: its result words
-            if outcome is not None:
-                outcome = outcome.get(result)
-                if outcome is None:
-                    if result is None:
-                        raise ParseError(f"{kind} return needs a result", rno)
-                    _bad_outcome(kind, result, rno)
-            elif kind == POP and value is None:
-                if result == "empty":
-                    kind = POP_EMPTY
-                elif ret_value is None:
-                    raise ParseError(f"pop id {op_id} carries no value (call or ret)", rno)
-                value = ret_value
-            elif result is not None and (kind != POP or ret_value != value):
-                raise ParseError(f"return {_shown(result)} contradicts its {kind} call "
-                                 f"(id {op_id})", rno)
-            if kind not in legal or (outcome is False and adt == "multiset"):
-                _check_kind(adt, kind, outcome, cno)
-            if call_ts >= ret_ts:
-                raise ParseError(f"call {call_ts} not before return {ret_ts} (id {op_id})", rno)
-            if stream and outcome is False and kind != CONTAINS:
-                raise ParseError("failing operations need offline checking (normalization)", no)
-            yield ret_ts, False, kind, value, outcome, op_id, call_ts
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, no) from None
-    except ParseError:
-        raise
-    except ValueError:  # int() refused an id, value or timestamp, or read a negative one
-        _parse_int(toks[1], "operation id", no)
-        if (n == 5 or n == 4 and head == "ret") and _is_int(toks[3]):
-            _parse_int(toks[3], "value", no)
-        _parse_ts(toks[-1] if head == "call" else toks[2], no)
-        raise
-    if pending:
-        if stream:
-            first_open = next(iter(pending.values()))[0]
-            raise ParseError(f"stream ended with {len(pending)} unreturned calls", first_open)
-        which = min(pending)
-        side = "return" if pending[which][1] is not None else "call"
-        raise ParseError(f"operation id {which} has no matching {side}", pending[which][0])
-
-
-def _parse_events_format(adt: str, lines: Iterable[str], first: int) -> Columns:
-    """A row per operation in the order of its first record, so the rows of
-    a file in timestamp order are in call order already.  The id column is
-    a `range` while every id is its row number."""
-    symbols: dict[str, int] = {}
-    same = {}.setdefault  # the one object of each value read
-    rows: dict[int, int] = {}  # the row of each operation with one record read
-    calls, rets, kinds, values, outcomes = cols = [[], [], [], [], []]
-    ids = None
-    for ts, is_call, kind, value, outcome, op_id, call in _events(adt, lines, first, symbols, False):
-        if is_call or kind is None:  # the operation's first record opens its row
-            row = len(calls)
-            if ids is None and op_id != row:
-                ids = list(range(row))
-            if ids is not None:
-                ids.append(op_id)
-                rows[op_id] = row
-            calls.append(None)
-            rets.append(None)
-            kinds.append(None)
-            values.append(None)
-            outcomes.append(None)
-        else:  # rows opened while ids was None are their ids' rows
-            row = op_id if ids is None else rows.pop(op_id, op_id)
-            calls[row], rets[row] = call, ts
-            kinds[row], values[row], outcomes[row] = kind, same(value, value), outcome
-    return _in_call_order(cols + [range(len(calls)) if ids is None else ids], symbols)
-
-
-def parse_event_stream(source: str | bytes | Iterable[str], adt_override: str | None = None
-                       ) -> tuple[str, Iterator[StreamEvent]]:
-    """Read the header of an event-format stream; give its adt and its events.
-
-    The source is the whole text or its lines, as for parse_history.
-
-    The events come lazily, one StreamEvent per record, from the record
-    loop that event files go through (_events), so a record is checked, and
-    a fault named at its line, as in a file.  A stream is also refused when
-    its timestamps do not increase, a return comes before its call, an add
-    or remove fails (that needs the offline normalization) or a call has
-    not returned at the end.  A call carries no outcome and its own
-    timestamp as `call`; its return carries the operation's kind, value and
-    outcome and its call's timestamp.  Symbolic value tokens stay strings,
-    because a stream cannot know its largest integer literal ahead of time.
-    """
-    lines = iter(_lines(source))
-    adt, no = _read_header(lines, adt_override)
-    return adt, _events(adt, lines, no + 1, None, True)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -826,6 +627,11 @@ def serialize_history(h: History, fmt: str = "ops") -> str:
 # ---------------------------------------------------------------------------
 # Preprocessing
 # ---------------------------------------------------------------------------
+
+def _sort_cost(n: int) -> int:
+    """The work charged for sorting n items."""
+    return n * max(1, n.bit_length())
+
 
 def _max_timestamp(h: History) -> int:
     return max(h.columns.ret, default=0)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import islice
 
-from .history import History, HistoryError, ValueTable, Verdict, WorkCounter, value_table
+from .history import History, HistoryError, ValueTable, Verdict, WorkCounter, _sort_cost, value_table
 
 
 def _sweep_p(rows: list[int], push_ret: list[int], pop_call: list[int],
@@ -58,10 +58,6 @@ def _gaps_d(lo: int, hi: int, p: list[tuple[int, int]],
     if counter is not None:
         counter.add(len(p) + 1)
     return out
-
-
-def _sort_cost(n: int) -> int:
-    return n * max(1, n.bit_length())
 
 
 def _prepare(h: History, counter: WorkCounter | None

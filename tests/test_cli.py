@@ -30,6 +30,7 @@ from limon import (
     set_linearizable_events,
 )
 import limon.cli
+import limon.sets
 from limon.cli import build_parser, main
 
 from helpers import limon_env, nested_stack
@@ -391,14 +392,14 @@ class TestCyclicCollector:
     ])
     def test_stream_state_is_restored(self, monkeypatch, text, code):
         name = f"{text.split()[1]}_linearizable_events"
-        check = getattr(limon.cli, name)
+        check = getattr(limon.sets, name)  # cmd_check imports it from there for --stream
         read_with_collector = []
 
         def runner(events):
             read_with_collector.append(gc.isenabled())
             return check(events)
 
-        monkeypatch.setattr(limon.cli, name, runner)
+        monkeypatch.setattr(limon.sets, name, runner)
         assert gc.isenabled()
         feed_stdin(monkeypatch, text)
         assert main(["check", "-", "--stream"]) == code

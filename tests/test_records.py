@@ -6,6 +6,7 @@ independently of how the types are declared.  `Interval` and
 `AttributedValue` are the reference steps' records, in tests/helpers.py.
 """
 
+import json
 import subprocess
 import sys
 
@@ -212,6 +213,57 @@ def test_check_path_import_footprint():
     out = subprocess.run([sys.executable, "-c", code], env=limon_env(), capture_output=True,
                          text=True, check=True).stdout.splitlines()
     at_import, after_use = (line.split() for line in out)
-    assert "limon.cli" in at_import
+    # The readers and monitors that only some inputs need load with them.
+    assert [m for m in at_import if m.startswith("limon")] == ["limon", "limon.cli",
+                                                                "limon.history"]
     assert [m for m in NOT_ON_CHECK_PATH if m in at_import] == []
-    assert {"limon.generators", "limon.impls", "limon.oracle"} <= set(after_use)
+    assert {"limon.generators", "limon.impls", "limon.oracle", "limon.queues", "limon.sets",
+            "limon.stacks"} <= set(after_use)
+
+
+@pytest.mark.parametrize("text, argv, loaded", [
+    ("adt stack\npush 1 0 1\npop 1 2 3\n", ["FILE"], ["limon.stacks"]),
+    ("adt queue\nenq 1 0 1\ndeq 1 2 3\n", ["FILE"], ["limon.queues"]),
+    ("adt set\nadd 1 0 1 ok\ncontains 1 2 3 true\n", ["FILE"], ["limon.sets"]),
+    ("adt queue\ncall 0 enq 1 0\nret 0 1\ncall 1 deq 2\nret 1 3 1\n", ["FILE"],
+     ["limon.events", "limon.queues"]),
+    ("adt set\ncall 0 add 1 0\nret 0 1 ok\n", ["-", "--stream"], ["limon.events", "limon.sets"]),
+], ids=["stack", "queue", "set", "event-queue", "set-stream"])
+def test_check_loads_the_reader_and_monitor_its_input_needs(tmp_path, text, argv, loaded):
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    argv = ["check", *(str(path) if arg == "FILE" else arg for arg in argv)]
+    code = ("import sys; import limon.cli; before = set(sys.modules); "
+            f"code = limon.cli.main({argv!r}); "
+            "print(code, *sorted(m for m in set(sys.modules) - before if m.startswith('limon')))")
+    out = subprocess.run([sys.executable, "-c", code], env=limon_env(), input=text,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == ["linearizable", " ".join(["0", *loaded])]
+
+
+LIBRARY_USE = """
+import json
+import limon
+shown, exported = [name for name in dir(limon) if not name.startswith("_")], limon.__all__
+from limon.generators import GenConfig, gen_linearizable, gen_random
+same = []
+for adt in limon.ADTS:
+    for h in gen_linearizable(GenConfig(adt=adt, ops=200, seed=3)), gen_random(adt, 12, 7):
+        verdict = limon.check_history(h)  # before the monitor's own name is used
+        same.append(verdict == getattr(limon, adt + "_linearizable")(h))
+from limon import ContainmentIndex, parse_event_stream, stack_linearizable
+resolved = [ContainmentIndex is limon.queues.ContainmentIndex,
+            parse_event_stream is limon.events.parse_event_stream,
+            stack_linearizable is limon.stacks.stack_linearizable,
+            limon.sets.history_events is limon.history_events]
+print(json.dumps([shown, exported, same, resolved]))
+"""
+
+
+def test_library_use_resolves_monitors_on_first_use():
+    out = subprocess.run([sys.executable, "-c", LIBRARY_USE], env=limon_env(),
+                         capture_output=True, text=True, check=True).stdout
+    shown, exported, same, resolved = json.loads(out)
+    assert shown == sorted(EXPORTED) and exported == sorted(EXPORTED)
+    assert same == [True] * 8
+    assert resolved == [True] * 4
