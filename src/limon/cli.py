@@ -63,13 +63,13 @@ def cmd_check(args: argparse.Namespace) -> int:
             if args.stream:
                 from .events import parse_event_stream
                 from .sets import multiset_linearizable_events, set_linearizable_events
-                adt, events = parse_event_stream(fh, args.adt)
+                adt, events = parse_event_stream(fh)
                 if adt not in ("set", "multiset"):
                     raise ParseError("streaming mode monitors set/multiset event streams")
                 runner = set_linearizable_events if adt == "set" else multiset_linearizable_events
                 verdict = runner(events)
             else:
-                verdict = check_history(parse_history(fh, adt_override=args.adt))
+                verdict = check_history(parse_history(fh))
     finally:
         if enabled:
             gc.enable()
@@ -79,7 +79,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import brute_force_linearizable
     with _open_input(args.file) as fh:
-        h = parse_history(fh, adt_override=args.adt)
+        h = parse_history(fh)
     return _emit_verdict(brute_force_linearizable(h, max_ops=args.max_ops), args.verbose)
 
 
@@ -161,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide linearizability of a history file")
     p_check.add_argument("file", help="history file, or - for standard input")
-    p_check.add_argument("--adt", choices=ADTS, help="override the declared data type")
     p_check.add_argument("--verbose", action="store_true",
                          help="print the verdict and witness as one JSON object")
     p_check.add_argument("--stream", action="store_true",
@@ -171,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exact brute-force ground truth (small inputs)")
     p_oracle.add_argument("file")
-    p_oracle.add_argument("--adt", choices=ADTS)
     p_oracle.add_argument("--max-ops", type=_at_least(0), default=10,
                           help="refuse histories larger than this (default 10)")
     p_oracle.add_argument("--verbose", action="store_true")

@@ -201,8 +201,7 @@ def _parse_events_format(adt: str, lines: Iterable[str], first: int) -> Columns:
     return _in_call_order(cols + [range(len(calls)) if ids is None else ids], symbols)
 
 
-def parse_event_stream(source: str | bytes | Iterable[str], adt_override: str | None = None
-                       ) -> tuple[str, Iterator[StreamEvent]]:
+def parse_event_stream(source: str | bytes | Iterable[str]) -> tuple[str, Iterator[StreamEvent]]:
     """Read the header of an event-format stream; give its adt and its events.
 
     The source is the whole text or its lines, as for parse_history.
@@ -218,5 +217,5 @@ def parse_event_stream(source: str | bytes | Iterable[str], adt_override: str | 
     because a stream cannot know its largest integer literal ahead of time.
     """
     lines = iter(_lines(source))
-    adt, no = _read_header(lines, adt_override)
+    adt, no = _read_header(lines)
     return adt, _events(adt, lines, no + 1, None, True)

@@ -64,40 +64,6 @@ class BoundExceeded(HistoryError):
     """Input too large for the exponential oracle."""
 
 
-class _Record:
-    """Fields are _fields, else the __slots__; equality and repr go by them."""
-
-    __slots__ = ()
-
-    def _field_values(self) -> tuple:
-        names = getattr(self, "_fields", self.__slots__)
-        return tuple(getattr(self, name) for name in names)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._field_values() == other._field_values()
-
-    def __repr__(self) -> str:
-        names = getattr(self, "_fields", self.__slots__)
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
-        return f"{type(self).__name__}({fields})"
-
-
-class _FrozenRecord(_Record):
-    """A _Record whose fields are set once, by __init__."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._field_values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-
 Event = namedtuple("Event", "kind value outcome", defaults=(None, None))
 Event.__doc__ = """An untimed operation payload.
 
@@ -129,13 +95,13 @@ Columns.__doc__ = """A history's operations as six parallel columns, in call ord
     """
 
 
-class History(_FrozenRecord):
+class History:
     """An ADT-tagged set of operations, kept sorted by call timestamp, as
     Operations (`ops`) and as parallel columns (`columns`); either view is
-    built from the other on first use."""
+    built from the other on first use.  A history is immutable; it
+    compares, hashes and prints by `(adt, ops)`, whichever view it holds."""
 
     __slots__ = ("adt", "_ops", "_cols", "_checked")  # _checked: see _check_structure
-    _fields = ("adt", "ops")
 
     def __init__(self, adt: str, ops: Iterable[Operation]) -> None:
         if adt not in ADTS:
@@ -144,6 +110,22 @@ class History(_FrozenRecord):
         object.__setattr__(self, "_ops", tuple(sorted(ops, key=attrgetter("call"))))
         object.__setattr__(self, "_cols", None)
         object.__setattr__(self, "_checked", False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.adt == other.adt and self.ops == other.ops
+
+    def __hash__(self) -> int:
+        return hash((self.adt, self.ops))
+
+    def __repr__(self) -> str:
+        return f"History(adt={self.adt!r}, ops={self.ops!r})"
 
     @classmethod
     def _from_columns(cls, adt: str, cols: Columns) -> History:
@@ -181,14 +163,11 @@ class History(_FrozenRecord):
         return iter(self.ops)
 
 
-class Verdict(_FrozenRecord):
-    """Monitor answer; witness is a JSON-ready diagnostic when unlinearizable."""
+class Verdict(namedtuple("Verdict", "linearizable witness", defaults=(None,))):
+    """Monitor answer; witness is a JSON-ready diagnostic when unlinearizable.
+    A verdict is true exactly when the history is linearizable."""
 
-    __slots__ = ("linearizable", "witness")
-
-    def __init__(self, linearizable: bool, witness: dict | None = None) -> None:
-        object.__setattr__(self, "linearizable", linearizable)
-        object.__setattr__(self, "witness", witness)
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.linearizable
@@ -321,8 +300,8 @@ def _first_line(lines: Iterator[str], no: int) -> tuple[str | None, int]:
     return None, no
 
 
-def _read_header(lines: Iterator[str], adt_override: str | None) -> tuple[str, int]:
-    """The effective adt, and the line number of the header."""
+def _read_header(lines: Iterator[str]) -> tuple[str, int]:
+    """The adt the header declares, and the line number of the header."""
     header, no = _first_line(lines, 0)
     if header is None:
         raise ParseError("empty input: missing adt header")
@@ -330,9 +309,7 @@ def _read_header(lines: Iterator[str], adt_override: str | None) -> tuple[str, i
     if len(parts) != 2 or parts[0] != "adt" or parts[1] not in ADTS:
         raise ParseError(f"bad header {_shown(header)}; "
                          "expected 'adt <stack|queue|set|multiset>'", no)
-    if adt_override is not None and adt_override not in ADTS:
-        raise ParseError(f"unknown adt override {adt_override!r}")
-    return adt_override or parts[1], no
+    return parts[1], no
 
 
 def _lines(source: str | bytes | Iterable[str]) -> Iterable[str]:
@@ -352,8 +329,7 @@ def _lines(source: str | bytes | Iterable[str]) -> Iterable[str]:
     return source
 
 
-def parse_history(source: str | bytes | Iterable[str], *,
-                  adt_override: str | None = None) -> History:
+def parse_history(source: str | bytes | Iterable[str]) -> History:
     """Parse a history in the operation or event file format.
 
     The source is the whole text, or its lines, such as an open text file
@@ -361,11 +337,10 @@ def parse_history(source: str | bytes | Iterable[str], *,
     The first non-comment line must be ``adt <stack|queue|set|multiset>``.
     The first record names the format: a ``call`` or ``ret`` record starts
     an event-format file, any other record an operation-format file.
-    An adt_override replaces the declared data type (the header is still
-    required); record legality is checked against the effective type.
+    Record legality is checked against the declared data type.
     """
     lines = iter(_lines(source))
-    adt, no = _read_header(lines, adt_override)
+    adt, no = _read_header(lines)
     first, no = _first_line(lines, no)
     if first is not None and first.split()[0] in ("call", "ret"):
         from .events import _parse_events_format as parse

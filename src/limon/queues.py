@@ -25,8 +25,8 @@ from .history import History, HistoryError, Verdict, WorkCounter, _sort_cost, va
 class ContainmentIndex:
     """The intervals [left[x], right[x]] of the rows x, sorted by left end,
     each position holding the farthest right end reached so far.  left and
-    right are columns, or any mappings from the rows to the ends; left ends
-    are distinct, as a history's timestamps are."""
+    right are columns, indexed by row; left ends are distinct, as a
+    history's timestamps are."""
 
     __slots__ = ("lefts", "reach", "_left")
 
@@ -53,9 +53,7 @@ class ContainmentIndex:
         i = bisect_right(self.lefts, left)
         if not i or self.reach[i - 1] < right:
             return None
-        start = self.lefts[bisect_left(self.reach, self.reach[i - 1], 0, i)]
-        ends = self._left.items() if hasattr(self._left, "items") else enumerate(self._left)
-        return next(x for x, end in ends if end == start)
+        return self._left.index(self.lefts[bisect_left(self.reach, self.reach[i - 1], 0, i)])
 
 
 def queue_linearizable(h: History, *, counter: WorkCounter | None = None) -> Verdict:

@@ -3,11 +3,11 @@
 Both checkers are online: they consume the call/return events of a
 history in timestamp order and decide in a single pass.  An event is a
 flat tuple, `history.StreamEvent`, as `parse_event_stream` yields it from
-a stream and `history_events` from a history's columns, block by block:
-neither builds a record per event, nor the whole list of events.  For
-multisets (add/remove only) the whole criterion is a per-value count: a
-prefix in which returned removes outnumber called adds is exactly a
-violation.
+a stream and `history_events` from a history's columns, by merging the
+calls, in call order, with the returns, sorted once: neither builds a
+record per event, nor the whole list of events.  For multisets
+(add/remove only) the whole criterion is a per-value count: a prefix in
+which returned removes outnumber called adds is exactly a violation.
 
 The set checker keeps, per value, its membership (the set starts empty),
 the time of its last change, and credits: calls bank "active" adds and
@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, repeat
-from operator import itemgetter
+from collections.abc import Iterable, Iterator
 
 from .history import (
     ADD,
@@ -40,11 +38,10 @@ from .history import (
     Verdict,
     WorkCounter,
     _check_structure,
-    _Record,
 )
 
 
-class _OpCounters(_Record):
+class _OpCounters:
     """Operations of one kind on one value that have been called but have
     not returned, and the times at which some of them were linearized."""
 
@@ -64,7 +61,7 @@ class _OpCounters(_Record):
         return True
 
 
-class SetValueState(_Record):
+class SetValueState:
     """Per-value checker state: membership, the time it last changed, and
     the add/remove credits."""
 
@@ -77,9 +74,6 @@ class SetValueState(_Record):
         self.removes = _OpCounters()
 
 
-_BLOCK = 4096  # operations per block of history_events: rare resumes, small blocks
-
-
 def history_events(h: History) -> Iterator[StreamEvent]:
     """The call/return events of a history in timestamp order, lazily; both
     events of an operation carry its outcome.  In a set history a failing
@@ -87,40 +81,31 @@ def history_events(h: History) -> Iterator[StreamEvent]:
     normalize_failing_ops rewrites it.  Raises HistoryError unless every
     call precedes its return and all timestamps and ids are distinct."""
     _check_structure(h)
-    return chain.from_iterable(_event_blocks(h.columns, h.adt == "set"))
+    return _merged_events(h.columns, h.adt == "set")
 
 
-def _event_blocks(cols: Columns, is_set: bool) -> Iterator[list[StreamEvent]]:
-    """Sorted blocks of events: the calls of the next _BLOCK operations and
-    the returns not yet given before the next call, which all later events
-    follow.  The rows in return order are kept as machine integers."""
-    n, ret_of = len(cols.call), cols.ret.__getitem__
-    by_ret = array("l", sorted(range(n), key=ret_of))
-    stops = [bisect_left(by_ret, call, key=ret_of) for call in cols.call[_BLOCK::_BLOCK]]
-    stops.append(n)
-    for start, done, stop in zip(range(0, n, _BLOCK), [0, *stops], stops):
-        rows = by_ret[done:stop]
-        # itemgetter of a single row gives the item itself, not a tuple.
-        gather = itemgetter(*rows) if len(rows) > 1 else lambda col: [col[r] for r in rows]
-        out: list[StreamEvent] = []
-        for is_call, part in ((True, [col[start:start + _BLOCK] for col in cols]),
-                              (False, [gather(col) for col in cols])):
-            call, ret, kind, value, outcome, op_id = part
-            if is_set and False in outcome:
-                kind, outcome = _as_queries(kind, outcome)
-            out += zip(call if is_call else ret, repeat(is_call), kind, value, outcome, op_id, call)
-        out.sort(key=itemgetter(0))  # by timestamp alone: values may mix int and str
-        yield out
+_NO_CALL = (float("inf"), None, None, None, None)  # after the last call: later than any return
 
 
-def _as_queries(kinds: Sequence[str], outcomes: Sequence[bool | None]) -> tuple[list, list]:
-    """The kinds and outcomes with each failing add or remove made the
-    membership query it implies."""
-    kinds, outcomes = list(kinds), list(outcomes)
-    for i, outcome in enumerate(outcomes):
-        if outcome is False and (kinds[i] == ADD or kinds[i] == REMOVE):
-            kinds[i], outcomes[i] = CONTAINS, kinds[i] == ADD
-    return kinds, outcomes
+def _merged_events(cols: Columns, is_set: bool) -> Iterator[StreamEvent]:
+    """The calls, in row order, merged with the returns, whose rows are
+    sorted once and kept as machine integers.  Every call precedes the
+    last return, and timestamps are distinct."""
+    call, ret, kind, value, outcome, op_id = cols
+    by_ret = array("l", sorted(range(len(call)), key=ret.__getitem__))
+    calls = zip(call, kind, value, outcome, op_id)
+    c, k, v, o, i = next(calls, _NO_CALL)
+    for r in by_ret:
+        ts = ret[r]
+        while c < ts:
+            if o is False and is_set and (k == ADD or k == REMOVE):
+                k, o = CONTAINS, k == ADD
+            yield c, True, k, v, o, i, c
+            c, k, v, o, i = next(calls, _NO_CALL)
+        rk, ro = kind[r], outcome[r]
+        if ro is False and is_set and (rk == ADD or rk == REMOVE):
+            rk, ro = CONTAINS, rk == ADD
+        yield ts, False, rk, value[r], ro, op_id[r], call[r]
 
 
 def normalize_failing_ops(h: History) -> History:
@@ -131,7 +116,10 @@ def normalize_failing_ops(h: History) -> History:
     if h.adt != "set":
         raise HistoryError("failing-operation normalization applies to sets")
     cols = h.columns
-    kind, outcome = _as_queries(cols.kind, cols.outcome)
+    kind, outcome = list(cols.kind), list(cols.outcome)
+    for i, o in enumerate(outcome):
+        if o is False and (kind[i] == ADD or kind[i] == REMOVE):
+            kind[i], outcome[i] = CONTAINS, kind[i] == ADD
     return History._from_columns("set", cols._replace(kind=kind, outcome=outcome))
 
 

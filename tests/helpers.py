@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from pathlib import Path
 
-from limon import Event, History, HistoryError, Operation, Verdict
+from limon import ContainmentIndex, Event, History, HistoryError, Operation, Verdict
 from limon.history import (
     ADD,
     CONTAINS,
@@ -287,6 +287,16 @@ def check_pop_empty(h: History, d_segs: list[Interval]) -> History | Verdict:
 def scan_container(entries: list[tuple[Interval, int]], q: Interval) -> set[int]:
     """Linear-scan reference for interval containment queries."""
     return {v for iv, v in entries if iv.contains(q)}
+
+
+def indexed_container(h: History, left: int, right: int):
+    """The value whose I-segment a ContainmentIndex over the I-segments of
+    h's values reports as containing [left, right], or None."""
+    values = [a for a in op_to_val(h).values() if a.i_segment is not None]
+    index = ContainmentIndex([a.push_ret for a in values], [a.pop_call for a in values],
+                             range(len(values)))
+    row = index.container(left, right)
+    return None if row is None else values[row].value
 
 
 def reference_stack_linearizable(h: History, observer=None) -> Verdict:

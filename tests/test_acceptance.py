@@ -31,6 +31,7 @@ from helpers import (
     complete_history,
     d_segments,
     extreme_values,
+    indexed_container,
     op_to_val,
     p_segments,
     partition,
@@ -85,13 +86,8 @@ def test_criterion_2_queue_walkthroughs():
     h_ok = value_history("queue", QUEUE_OK_ROWS)
     h_bad = value_history("queue", QUEUE_BAD_ROWS)
 
-    def index(h):
-        values = [a for a in op_to_val(h).values() if a.i_segment is not None]
-        return ContainmentIndex({a.value: a.push_ret for a in values},
-                                {a.value: a.pop_call for a in values}, [a.value for a in values])
-
-    probe_ok = index(h_ok).container(4, 16) is None
-    probe_bad = index(h_bad).container(14, 22) == 3
+    probe_ok = indexed_container(h_ok, 4, 16) is None
+    probe_bad = indexed_container(h_bad, 14, 22) == 3
     v_ok = queue_linearizable(h_ok)
     v_bad = queue_linearizable(h_bad)
     pair = (not v_bad.linearizable and v_bad.witness["kind"] == "critical-pair"

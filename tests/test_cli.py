@@ -86,13 +86,6 @@ class TestCheck:
         assert payload["linearizable"] is False
         assert payload["witness"]["kind"] == "no-separation"
 
-    def test_adt_override(self, tmp_path):
-        # The same operations are a FIFO violation but fine for a stack.
-        text = "adt queue\nenq 1 0 1\nenq 2 2 3\ndeq 2 4 5\ndeq 1 6 7\n"
-        path = write(tmp_path, "q.txt", text)
-        assert main(["check", path]) == 1
-        assert main(["check", path, "--adt", "stack"]) == 0
-
 
 class TestOracle:
     def test_verdicts(self, tmp_path):
@@ -634,6 +627,7 @@ class TestExitCodeContract:
         ["oracle", "h.txt", "--max-ops", "-1"],
         ["bench", "--max-n", "-5"],
         ["gen", "--kind", "small-model", "--n", "1"],
+        ["check", "h.txt", "--adt", "stack"],
     ])
     def test_bad_size_argument_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

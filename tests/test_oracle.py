@@ -67,7 +67,7 @@ class TestBruteForce:
         assert not brute_force_linearizable(
             parse_history(text.format("stack"))).linearizable
         assert brute_force_linearizable(
-            parse_history(text.format("queue"), adt_override="queue")).linearizable
+            parse_history(text.format("queue"))).linearizable
 
     def test_empty(self):
         assert brute_force_linearizable(History("stack", ())).linearizable

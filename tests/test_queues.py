@@ -24,6 +24,7 @@ from helpers import (
     complete_history,
     differentiate,
     find_critical_pair_naive,
+    indexed_container,
     op_to_val,
     scan_container,
     value_history,
@@ -38,15 +39,10 @@ def queue_bad():
     return value_history("queue", QUEUE_BAD_ROWS)
 
 
-def index_for(h):
-    values = [a for a in op_to_val(h).values() if a.i_segment is not None]
-    return ContainmentIndex({a.value: a.push_ret for a in values},
-                            {a.value: a.pop_call for a in values}, [a.value for a in values])
-
-
 def index_of(entries):
-    return ContainmentIndex({v: iv.left for iv, v in entries}, {v: iv.right for iv, v in entries},
-                            [v for _, v in entries])
+    """The index of entries (interval, k), the k-th entry being row k."""
+    return ContainmentIndex([iv.left for iv, _ in entries], [iv.right for iv, _ in entries],
+                            range(len(entries)))
 
 
 def random_entries(rng, n, lo, hi):
@@ -56,10 +52,10 @@ def random_entries(rng, n, lo, hi):
 
 class TestSearch:
     def test_sample_non_containment(self):
-        assert index_for(queue_ok()).container(4, 16) is None
+        assert indexed_container(queue_ok(), 4, 16) is None
 
     def test_sample_containment(self):
-        assert index_for(queue_bad()).container(14, 22) == 3
+        assert indexed_container(queue_bad(), 14, 22) == 3
 
     def test_empty_tree(self):
         assert ContainmentIndex([], [], []).container(0, 1) is None

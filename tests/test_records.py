@@ -145,18 +145,13 @@ class TestVerdict:
         with pytest.raises(AttributeError):
             v.linearizable = False
 
+    def test_is_the_pair_of_its_fields(self):
+        assert Verdict(True) == (True, None)
+        linearizable, witness = Verdict(False, {"kind": "x"})
+        assert linearizable is False and witness == {"kind": "x"}
+
 
 class TestSetValueState:
-    def test_is_a_mutable_record(self):
-        st = SetValueState()
-        assert st == SetValueState()
-        st.adds.active += 1
-        st.state = True
-        assert st != SetValueState()
-        assert repr(SetValueState()) == (
-            "SetValueState(state=False, flipped=-inf, adds=_OpCounters(active=0, credits=[]), "
-            "removes=_OpCounters(active=0, credits=[]))")
-
     def test_fresh_states_share_nothing(self):
         a, b = SetValueState(), SetValueState()
         a.adds.credits.append(1)

@@ -302,27 +302,24 @@ def symbolic(h: History) -> History:
 
 
 class TestHistoryEvents:
-    """history_events yields, block by block, the list the reference sorts at once."""
+    """history_events yields, one event at a time, the list the reference sorts at once."""
 
     @staticmethod
     def assert_matches(h: History) -> None:
         assert list(history_events(h)) == reference_history_events(h)
 
-    def test_random_and_generated_histories(self, monkeypatch):
-        # Small blocks make short histories cross many block boundaries.
+    def test_random_and_generated_histories(self):
         failing = 0
-        for block in (sets._BLOCK, 1, 3, 16):
-            monkeypatch.setattr(sets, "_BLOCK", block)
-            for seed in range(250):
-                for adt in ("set", "multiset"):
-                    h = gen_random(adt, seed % 40, 40_000 + seed, values=1 + seed % 5)
-                    self.assert_matches(h)
-                    self.assert_matches(symbolic(h))
-                    failing += sum(o.event.outcome is False and o.event.kind != "contains"
-                                   for o in h.ops)
-                    self.assert_matches(gen_linearizable(GenConfig(
-                        adt=adt, ops=seed % 60, values=1 + seed % 7, threads=1 + seed % 6,
-                        seed=seed, stretch=1.0 + seed % 4)))
+        for seed in range(1000):
+            for adt in ("set", "multiset"):
+                h = gen_random(adt, seed % 40, 40_000 + seed, values=1 + seed % 5)
+                self.assert_matches(h)
+                self.assert_matches(symbolic(h))
+                failing += sum(o.event.outcome is False and o.event.kind != "contains"
+                               for o in h.ops)
+                self.assert_matches(gen_linearizable(GenConfig(
+                    adt=adt, ops=seed % 60, values=1 + seed % 7, threads=1 + seed % 6,
+                    seed=seed, stretch=1.0 + seed % 4)))
         assert failing > 1000
 
     def test_empty_and_single_operation(self):
@@ -332,12 +329,21 @@ class TestHistoryEvents:
                                            (9, False, "contains", "x", False, 7, 3)]
         self.assert_matches(History("multiset", (Operation(0, Event("add", 1, True), 0, 1),)))
 
-    @pytest.mark.parametrize("ops", [sets._BLOCK - 1, sets._BLOCK, sets._BLOCK + 1])
-    def test_one_block_and_one_more_operation(self, ops):
-        for adt in ("set", "multiset"):
-            for seed in range(3):
-                self.assert_matches(gen_linearizable(GenConfig(
-                    adt=adt, ops=ops, values=50, threads=8, seed=seed, stretch=4.0)))
+    @pytest.mark.parametrize("adt", ["set", "multiset"])
+    def test_long_generated_histories(self, adt):
+        for seed in range(3):
+            self.assert_matches(gen_linearizable(GenConfig(
+                adt=adt, ops=5000, values=50, threads=8, seed=seed, stretch=4.0)))
+
+    def test_refuses_faults_before_the_first_event(self):
+        # The merge relies on every call preceding its return and on
+        # distinct timestamps, so they are checked when the events are asked
+        # for, not as they are read.
+        for ops in ([Operation(0, Event("add", 1, True), 6, 2)],
+                    [Operation(0, Event("add", 1, True), 0, 5),
+                     Operation(1, Event("remove", 1, True), 5, 6)]):
+            with pytest.raises(HistoryError):
+                history_events(History("set", ops))
 
     @staticmethod
     def all_overlapping(adt: str, n: int, seed: int) -> History:
@@ -350,21 +356,19 @@ class TestHistoryEvents:
                                rng.random() < 0.7 if adt == "set" else True), i, rets[i])
             for i in range(n)))
 
-    def test_all_overlapping_histories(self, monkeypatch):
-        # No return comes before the last call, so every block's returns
-        # carry over to the last block.
-        for block in (1, 3, 16, sets._BLOCK):
-            monkeypatch.setattr(sets, "_BLOCK", block)
-            for adt in ("set", "multiset"):
+    def test_all_overlapping_histories(self):
+        # No return comes before the last call.
+        for adt in ("set", "multiset"):
+            for n in (1, 2, 3, 16, 4096):
                 for seed in range(3):
-                    h = self.all_overlapping(adt, 3 * block + seed, seed)
+                    h = self.all_overlapping(adt, n + seed, seed)
                     self.assert_matches(h)
                     assert len(list(history_events(h))) == 2 * len(h)
 
-    def test_operations_spanning_many_blocks(self):
+    def test_operation_spanning_thousands(self):
         # One long add under thousands of short operations, and a long
         # failing remove called in the middle of them.
-        n = 5 * sets._BLOCK
+        n = 20_000
         rows = [("add", 0, 0, 4 * n + 5, True), ("remove", 1, 2 * n + 3, 4 * n + 3, False)]
         rows += [("add" if i % 2 else "remove", 2 + i % 9, 4 * i + 1, 4 * i + 2, True)
                  for i in range(n)]
