@@ -91,7 +91,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         h = gen_random(args.adt, args.ops, args.seed, values=args.values)
     else:
         cfg = GenConfig(adt=args.adt, ops=args.ops, values=args.values,
-                        threads=args.threads, seed=args.seed, stretch=args.stretch)
+                        seed=args.seed, stretch=args.stretch)
         h = gen_linearizable(cfg)
     _write_output(args.out, serialize_history(h, fmt=args.format))
     return EXIT_LINEARIZABLE
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("linearizable", "random", "small-model"))
     p_gen.add_argument("--ops", type=_at_least(0), default=100)
     p_gen.add_argument("--values", type=_at_least(1), default=8)
-    p_gen.add_argument("--threads", type=_at_least(1), default=4)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--stretch", type=_at_least(0.0, float), default=1.0)
     p_gen.add_argument("--n", type=_at_least(2), default=5,

@@ -98,10 +98,12 @@ Columns.__doc__ = """A history's operations as six parallel columns, in call ord
 class History:
     """An ADT-tagged set of operations, kept sorted by call timestamp, as
     Operations (`ops`) and as parallel columns (`columns`); either view is
-    built from the other on first use.  A history is immutable; it
-    compares, hashes and prints by `(adt, ops)`, whichever view it holds."""
+    built from the other on first use.  Columns hold a well-formed history
+    (see `columns`), so their readers check nothing.  A history is
+    immutable; it compares, hashes and prints by `(adt, ops)`, whichever
+    view it holds, and pickles as its columns."""
 
-    __slots__ = ("adt", "_ops", "_cols", "_checked")  # _checked: see _check_structure
+    __slots__ = ("adt", "_ops", "_cols")
 
     def __init__(self, adt: str, ops: Iterable[Operation]) -> None:
         if adt not in ADTS:
@@ -109,7 +111,6 @@ class History:
         object.__setattr__(self, "adt", adt)
         object.__setattr__(self, "_ops", tuple(sorted(ops, key=attrgetter("call"))))
         object.__setattr__(self, "_cols", None)
-        object.__setattr__(self, "_checked", False)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -126,6 +127,9 @@ class History:
 
     def __repr__(self) -> str:
         return f"History(adt={self.adt!r}, ops={self.ops!r})"
+
+    def __reduce__(self):
+        return History._from_columns, (self.adt, self.columns)
 
     @classmethod
     def _from_columns(cls, adt: str, cols: Columns) -> History:
@@ -144,15 +148,28 @@ class History:
 
     @property
     def columns(self) -> Columns:
+        """The columns, which refuse with HistoryError, as the parser does, a
+        call not before its return, a kind the data type lacks, a failing
+        multiset operation, a shared timestamp or a reused id."""
         if self._cols is None:
+            adt, legal = self.adt, _KINDS_BY_ADT[self.adt]
             cols = Columns([], [], [], [], [], [])
             for op_id, (kind, value, outcome), call, ret in self._ops:
+                if call >= ret:
+                    raise HistoryError(f"operation {op_id}: call {call} not before return {ret}")
+                if kind not in legal or outcome is False:
+                    _check_kind(adt, kind, outcome, None)
                 cols.call.append(call)
                 cols.ret.append(ret)
                 cols.kind.append(kind)
                 cols.value.append(value)
                 cols.outcome.append(outcome)
                 cols.id.append(op_id)
+            shared = _duplicate_stamp(cols)
+            if shared is not None:
+                raise HistoryError(f"timestamps are not distinct: {shared} is shared")
+            if len(set(cols.id)) < len(cols.id):
+                raise HistoryError("operation ids are not distinct")
             object.__setattr__(self, "_cols", cols)
         return self._cols
 
@@ -350,36 +367,18 @@ def parse_history(source: str | bytes | Iterable[str]) -> History:
 
     # The record parsers refuse every other structural fault: calls not
     # before their returns, reused ids and kinds illegal for the adt.
-    h = History._from_columns(adt, cols)
-    shared = _duplicate_stamp(h)
+    shared = _duplicate_stamp(cols)
     if shared is not None:
         raise ParseError(f"invalid history: duplicate-timestamp ({shared})")
-    object.__setattr__(h, "_checked", True)
-    return h
+    return History._from_columns(adt, cols)
 
 
-def _duplicate_stamp(h: History) -> int | None:
-    """The least timestamp that two calls or returns of h share, or None.
+def _duplicate_stamp(cols: Columns) -> int | None:
+    """The least timestamp that two calls or returns share, or None.
     Sorting takes a fifth of the memory of a set of the timestamps."""
-    stamps = h.columns.call + h.columns.ret
+    stamps = cols.call + cols.ret
     stamps.sort()
     return next(compress(stamps, map(eq, stamps, islice(stamps, 1, None))), None)
-
-
-def _check_structure(h: History) -> None:
-    """Raise HistoryError unless every call precedes its return and all
-    timestamps and ids are distinct, as the monitors assume timestamps to
-    be and the parser makes ids (a reused id cannot be written in the
-    event format); parsed histories pass."""
-    if not h._checked:
-        cols = h.columns
-        for call, ret, op_id in zip(cols.call, cols.ret, cols.id):
-            if call >= ret:
-                raise HistoryError(f"operation {op_id}: call {call} not before return {ret}")
-        if _duplicate_stamp(h) is not None:
-            raise HistoryError("timestamps are not distinct")
-        if len(set(cols.id)) < len(cols.id):
-            raise HistoryError("operation ids are not distinct")
 
 
 def _parse_ops_format(adt: str, lines: Iterator[str], first: int) -> Columns:
@@ -631,12 +630,11 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
     other and follow the history: the i-th spans [M+i, M+k+i], with M the
     greatest timestamp.  Gives the rows, or the verdict for the least value
     popped more often than pushed, else for the first row popped before it
-    was pushed.  Raises HistoryError as _check_structure does.  Charges
+    was pushed.  Raises HistoryError as `History.columns` does.  Charges
     one unit per operation.
     """
     if h.adt not in ("stack", "queue"):
         raise HistoryError("value tables are defined for stack and queue histories")
-    _check_structure(h)
     value, push_call, push_ret, pop_call, pop_ret, pop_empties = [], [], [], [], [], []
     # value -> [head, ...]: a FIFO, read from index head, of the value's
     # unpaired pushes (rows) or of its early pops ((call, return)), never
@@ -653,11 +651,9 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
             pop_ret.append(None)
         elif kind == POP:
             mine = (call, ret)
-        elif kind == POP_EMPTY and h.adt == "stack":
+        else:  # a stack's pop-empty: the columns hold no other kind
             pop_empties.append((call, ret))
             continue
-        else:
-            raise HistoryError(f"event kind {kind!r} illegal for adt {h.adt!r}")
         fifo = waiting.get(v)
         if fifo is None:
             waiting[v] = [1, mine]

@@ -77,11 +77,9 @@ def _bump(state: frozenset, value: int, delta: int) -> frozenset:
 
 
 def _initial_state(adt: str):
-    if adt in ("stack", "queue"):
-        return ()
-    if adt == "set":
-        return frozenset()
-    return frozenset()  # multiset: frozen (value, count) pairs
+    """An empty stack or queue (a tuple), set or multiset (a frozenset, of
+    (value, count) pairs for a multiset)."""
+    return () if adt in ("stack", "queue") else frozenset()
 
 
 def sequential_check(trace: Sequence[Event], adt: str) -> bool:
@@ -100,16 +98,18 @@ def brute_force_linearizable(h: History, max_ops: int = 10) -> Verdict:
     An operation may fire once every operation that precedes it in real
     time has fired; firing must be legal for the sequential data type.
     The memo key is (set of completed operations, canonical state), which
-    keeps histories of a dozen operations tractable.
+    keeps histories of a dozen operations tractable.  It reads the columns,
+    so it refuses with HistoryError what the monitors refuse.
     """
-    n = len(h.ops)
+    n = len(h)
     if n > max_ops:
         raise BoundExceeded(f"{n} operations exceed the oracle bound {max_ops}")
-    ops = h.ops
+    cols = h.columns
+    events = list(map(Event, cols.kind, cols.value, cols.outcome))
     preds = [0] * n
-    for i, a in enumerate(ops):
-        for j, b in enumerate(ops):
-            if b.ret < a.call:
+    for i, call in enumerate(cols.call):
+        for j, ret in enumerate(cols.ret):
+            if ret < call:
                 preds[i] |= 1 << j
     full = (1 << n) - 1
     dead: set = set()
@@ -124,7 +124,7 @@ def brute_force_linearizable(h: History, max_ops: int = 10) -> Verdict:
             bit = 1 << i
             if done & bit or (preds[i] & ~done):
                 continue
-            nxt = _fire(state, ops[i].event, h.adt)
+            nxt = _fire(state, events[i], h.adt)
             if nxt is _ILLEGAL:
                 continue
             if search(done | bit, nxt):

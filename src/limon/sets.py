@@ -31,13 +31,11 @@ from .history import (
     ADD,
     CONTAINS,
     REMOVE,
-    Columns,
     History,
     HistoryError,
     StreamEvent,
     Verdict,
     WorkCounter,
-    _check_structure,
 )
 
 
@@ -74,24 +72,18 @@ class SetValueState:
         self.removes = _OpCounters()
 
 
-def history_events(h: History) -> Iterator[StreamEvent]:
-    """The call/return events of a history in timestamp order, lazily; both
-    events of an operation carry its outcome.  In a set history a failing
-    add or remove becomes the membership query it implies, as
-    normalize_failing_ops rewrites it.  Raises HistoryError unless every
-    call precedes its return and all timestamps and ids are distinct."""
-    _check_structure(h)
-    return _merged_events(h.columns, h.adt == "set")
-
-
 _NO_CALL = (float("inf"), None, None, None, None)  # after the last call: later than any return
 
 
-def _merged_events(cols: Columns, is_set: bool) -> Iterator[StreamEvent]:
-    """The calls, in row order, merged with the returns, whose rows are
-    sorted once and kept as machine integers.  Every call precedes the
-    last return, and timestamps are distinct."""
-    call, ret, kind, value, outcome, op_id = cols
+def history_events(h: History) -> Iterator[StreamEvent]:
+    """The call/return events of a history in timestamp order, lazily: the
+    calls, in row order, merged with the returns, whose rows are sorted
+    once and kept as machine integers.  Both events of an operation carry
+    its outcome.  In a set history a failing add or remove becomes the
+    membership query it implies, as normalize_failing_ops rewrites it.
+    The first event raises HistoryError as `History.columns` does."""
+    call, ret, kind, value, outcome, op_id = h.columns
+    is_set = h.adt == "set"
     by_ret = array("l", sorted(range(len(call)), key=ret.__getitem__))
     calls = zip(call, kind, value, outcome, op_id)
     c, k, v, o, i = next(calls, _NO_CALL)

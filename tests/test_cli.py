@@ -614,7 +614,7 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("argv", [
         ["gen", "--ops", "-1"],
         ["gen", "--kind", "random", "--adt", "set", "--values", "0"],
-        ["gen", "--threads", "-2"],
+        ["gen", "--threads", "4"],
         ["record", "--ops", "-5"],
         ["record", "--threads", "0"],
         ["bench", "--step", "0"],

@@ -6,6 +6,7 @@ from limon import (
     BoundExceeded,
     Event,
     History,
+    HistoryError,
     Operation,
     brute_force_linearizable,
     check_history,
@@ -76,6 +77,22 @@ class TestBruteForce:
         h = parse_history(H1_TEXT)
         with pytest.raises(BoundExceeded):
             brute_force_linearizable(h, max_ops=3)
+
+    @pytest.mark.parametrize("adt, rows", [
+        # The pop is called at its push's return: timestamp 5 is shared.
+        ("queue", [("push", 1, 0, 5), ("pop", 1, 5, 6)]),
+        # The push returns before its call.
+        ("stack", [("push", 1, 2, 0), ("pop", 1, 3, 4)]),
+    ])
+    def test_refuses_what_the_monitors_refuse(self, adt, rows):
+        # The search once read the operations unchecked and answered
+        # linearizable for the queue and unlinearizable for the stack.
+        h = History(adt, tuple(Operation(i, Event(kind, v), call, ret)
+                               for i, (kind, v, call, ret) in enumerate(rows)))
+        with pytest.raises(HistoryError):
+            check_history(h)
+        with pytest.raises(HistoryError):
+            brute_force_linearizable(h)
 
     def test_against_permutation_enumerator(self):
         for adt in ("stack", "queue", "set", "multiset"):

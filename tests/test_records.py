@@ -6,7 +6,9 @@ independently of how the types are declared.  `Interval` and
 `AttributedValue` are the reference steps' records, in tests/helpers.py.
 """
 
+import copy
 import json
+import pickle
 import subprocess
 import sys
 
@@ -20,6 +22,8 @@ from limon import (
     Operation,
     SetValueState,
     Verdict,
+    check_history,
+    gen_random,
     parse_history,
 )
 from limon.history import ValueTable, value_table
@@ -125,6 +129,21 @@ class TestHistory:
             for name in ("adt", "ops", "columns", "_ops", "_cols"):
                 with pytest.raises(AttributeError):
                     setattr(h, name, ())
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: parse_history("adt stack\npush 1 5 6\npush 2 0 1\npop 1 7 8\n"),
+        lambda: History("set", (Operation(0, Event("add", 3, True), 0, 2),
+                                Operation(1, Event("contains", 3, False), 1, 4))),
+        lambda: gen_random("queue", 8, 3),
+    ], ids=["parsed", "library", "generated"])
+    def test_pickles_and_copies(self, make):
+        # A history can be sent to a multiprocessing worker.
+        h = make()
+        for twin in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
+            assert twin == h and twin.adt == h.adt and twin.ops == h.ops
+            assert twin.columns == h.columns
+            assert check_history(twin) == check_history(h)
 
 
 class TestVerdict:

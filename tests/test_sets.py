@@ -337,13 +337,14 @@ class TestHistoryEvents:
 
     def test_refuses_faults_before_the_first_event(self):
         # The merge relies on every call preceding its return and on
-        # distinct timestamps, so they are checked when the events are asked
-        # for, not as they are read.
+        # distinct timestamps.  The columns it reads are checked when they
+        # are built, which for a library history is at the first event.
         for ops in ([Operation(0, Event("add", 1, True), 6, 2)],
                     [Operation(0, Event("add", 1, True), 0, 5),
                      Operation(1, Event("remove", 1, True), 5, 6)]):
+            events = history_events(History("set", ops))
             with pytest.raises(HistoryError):
-                history_events(History("set", ops))
+                next(events)
 
     @staticmethod
     def all_overlapping(adt: str, n: int, seed: int) -> History:
