@@ -21,8 +21,7 @@ from .history import (_KIND_ALIASES, _KINDS_BY_ADT, _OUTCOMES, CONTAINS, POP, PO
 _RESULT_WORDS = frozenset(("ok", "fail", "true", "false", "empty"))
 
 
-def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] | None,
-            stream: bool) -> Iterator[StreamEvent]:
+def _events(adt: str, lines: Iterable[str], first: int, stream: bool) -> Iterator[StreamEvent]:
     """Check event-format records one at a time, pair them by id and yield a
     StreamEvent per record, for the file and the stream parser alike.
 
@@ -34,8 +33,8 @@ def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] 
     is checked against the other half and yields the operation's return
     event, with the call's timestamp as `call`.  A return read first yields
     (ts, False, None, value, None, id, None).  A return's result token,
-    unless a result word, is read as a pop's value.  Symbolic values are
-    numbered in symbols (see _value).  A second call or return of an id is
+    unless a result word, is read as a pop's value.  A value token is kept
+    as written (see _value).  A second call or return of an id is
     refused; the ids seen are the run [low, high) from the first one plus a
     set of the others, so ids that count up cost constant memory and one
     comparison each.  With stream set, timestamps must increase, a return
@@ -76,7 +75,7 @@ def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] 
                 if value is not None:
                     if kind == POP_EMPTY:
                         raise ParseError("popempty call takes no value", no)
-                    value = int(value) if ascii_line and value.isdigit() else _value(value, symbols)
+                    value = int(value) if ascii_line and value.isdigit() else _value(value)
                 elif kind != POP and kind != POP_EMPTY:
                     raise ParseError(f"{kind} call needs a value", no)
             elif head != "ret":
@@ -92,7 +91,7 @@ def _events(adt: str, lines: Iterable[str], first: int, symbols: dict[str, int] 
                 op_id = (int(op_id) if (ascii_line or op_id.isascii()) and "_" not in op_id
                          else _parse_int(op_id, "operation id", no))
                 ret_value = None if result is None or result in _RESULT_WORDS else (
-                    int(result) if ascii_line and result.isdigit() else _value(result, symbols))
+                    int(result) if ascii_line and result.isdigit() else _value(result))
             ts = int(ts) if (ascii_line or ts.isascii()) and "_" not in ts else _parse_ts(ts, no)
             if ts < 0:
                 raise ValueError  # a negative timestamp
@@ -176,12 +175,11 @@ def _parse_events_format(adt: str, lines: Iterable[str], first: int) -> Columns:
     """A row per operation in the order of its first record, so the rows of
     a file in timestamp order are in call order already.  The id column is
     a `range` while every id is its row number."""
-    symbols: dict[str, int] = {}
     same = {}.setdefault  # the one object of each value read
     rows: dict[int, int] = {}  # the row of each operation with one record read
     calls, rets, kinds, values, outcomes = cols = [[], [], [], [], []]
     ids = None
-    for ts, is_call, kind, value, outcome, op_id, call in _events(adt, lines, first, symbols, False):
+    for ts, is_call, kind, value, outcome, op_id, call in _events(adt, lines, first, False):
         if is_call or kind is None:  # the operation's first record opens its row
             row = len(calls)
             if ids is None and op_id != row:
@@ -198,7 +196,7 @@ def _parse_events_format(adt: str, lines: Iterable[str], first: int) -> Columns:
             row = op_id if ids is None else rows.pop(op_id, op_id)
             calls[row], rets[row] = call, ts
             kinds[row], values[row], outcomes[row] = kind, same(value, value), outcome
-    return _in_call_order(cols + [range(len(calls)) if ids is None else ids], symbols)
+    return _in_call_order(cols + [range(len(calls)) if ids is None else ids])
 
 
 def parse_event_stream(source: str | bytes | Iterable[str]) -> tuple[str, Iterator[StreamEvent]]:
@@ -213,9 +211,9 @@ def parse_event_stream(source: str | bytes | Iterable[str]) -> tuple[str, Iterat
     or remove fails (that needs the offline normalization) or a call has
     not returned at the end.  A call carries no outcome and its own
     timestamp as `call`; its return carries the operation's kind, value and
-    outcome and its call's timestamp.  Symbolic value tokens stay strings,
-    because a stream cannot know its largest integer literal ahead of time.
+    outcome and its call's timestamp.  Values are read as in a file, and a
+    stream keeps no table of them.
     """
     lines = iter(_lines(source))
     adt, no = _read_header(lines)
-    return adt, _events(adt, lines, no + 1, None, True)
+    return adt, _events(adt, lines, no + 1, True)

@@ -4,8 +4,9 @@ A history is a finite set of timed operations recorded from a concurrent
 execution.  Every timestamp in a history is globally unique, so the
 real-time precedence order between operations is unambiguous.  Parsed
 histories hold six parallel columns, one row per operation in call order,
-and build `Operation`s only if asked.  The columns hold one object per
-distinct value: a value read again is the object the parse read first.
+and build `Operation`s only if asked.  The columns hold each value as
+written (see `_value`), one object per distinct value: a value read again
+is the object the parse read first.
 The parser reads its input once and holds, besides the columns and that
 table of values, only the operations whose call or return it has not
 read yet.  Operation-format files are read in blocks, each
@@ -230,29 +231,15 @@ def _is_int(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def _value(token: str, symbols: dict[str, int] | None) -> int | str:
-    """A value token that is not plain ASCII digits: a signed literal, or a
-    symbolic token, which keeps its first-seen index in symbols (a stream,
-    which keeps the token itself, passes None)."""
-    if _is_int(token):
-        return int(token)
-    if symbols is not None:
-        symbols.setdefault(token, len(symbols))
-    return token
+def _value(token: str) -> int | str:
+    """A value token as written: the int of an ASCII integer literal, signed
+    or not, and any other token itself."""
+    return int(token) if _is_int(token) else token
 
 
-def _in_call_order(cols: list, symbols: dict[str, int]) -> Columns:
-    """The parsed columns, rows in input order, as Columns in call order.
-    Symbolic values become max literal + 1 + their first-seen index, one
-    int per symbol."""
-    call, value = cols[0], cols[3]
-    if symbols:
-        base = max([-1] + [v for v in value if type(v) is int]) + 1
-        for token, index in symbols.items():
-            symbols[token] = base + index
-        for row, v in enumerate(value):
-            if type(v) is str:
-                value[row] = symbols[v]
+def _in_call_order(cols: list) -> Columns:
+    """The parsed columns, rows in input order, as Columns in call order."""
+    call = cols[0]
     if not all(map(le, call, islice(call, 1, None))):
         order = sorted(range(len(call)), key=call.__getitem__)
         for i, col in enumerate(cols):
@@ -388,7 +375,6 @@ def _parse_ops_format(adt: str, lines: Iterator[str], first: int) -> Columns:
     tried in bulk is split into a list of rows, which the line loop reads if
     the block is not plain; a block not tried is split a line at a time, as
     rows held at once cost the cyclic collector passes over them."""
-    symbols: dict[str, int] = {}
     same = {}.setdefault  # the one object of each value read
     cols: list = [[], [], [], [], []]
     block: list[str] = []
@@ -399,7 +385,7 @@ def _parse_ops_format(adt: str, lines: Iterator[str], first: int) -> Columns:
             block.extend(islice(lines, _BLOCK))
         except UnicodeDecodeError as exc:
             # A fault in the lines read before the byte's chunk comes first.
-            _ops_lines(adt, _tokens(block), no, cols, symbols, same)
+            _ops_lines(adt, _tokens(block), no, cols, same)
             raise _not_utf8(exc, no - 1 + len(block)) from None
         rows = _tokens(block)
         if bulk:
@@ -408,9 +394,9 @@ def _parse_ops_format(adt: str, lines: Iterator[str], first: int) -> Columns:
         if not bulk:
             # A block after one with symbolic or signed values likely holds
             # some too, so it goes straight to the line loop.
-            bulk = not _ops_lines(adt, rows, no, cols, symbols, same)
+            bulk = not _ops_lines(adt, rows, no, cols, same)
         if len(block) < _BLOCK:
-            return _in_call_order(cols + [range(len(cols[0]))], symbols)  # ids: record order
+            return _in_call_order(cols + [range(len(cols[0]))])  # ids: record order
         no += _BLOCK
         block.clear()
 
@@ -479,7 +465,7 @@ def _ops_block(adt: str, rows: list[list[str]], cols: list, same: Callable) -> b
 
 
 def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
-               symbols: dict[str, int], same: Callable) -> bool:
+               same: Callable) -> bool:
     """The line loop: append the records of rows, the tokens of lines
     numbered from first, to cols, and tell whether a value was symbolic or
     signed.  It is the one reader of such values, and it names the first
@@ -510,7 +496,7 @@ def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
                 if value.isdigit() and value.isascii():
                     value = int(value)
                 else:
-                    value = _value(value, symbols)
+                    value = _value(value)
                     odd = True
                 value = same(value, value)
             call = int(call) if call.isdigit() and call.isascii() else _parse_ts(call, no)
@@ -607,6 +593,15 @@ def _sort_cost(n: int) -> int:
     return n * max(1, n.bit_length())
 
 
+def _in_order(values: list) -> list:
+    """The values of a witness, sorted as they compare, or else (an int and a
+    str) the ints by number, then the others by str: only the fallback pays for a key."""
+    try:
+        return sorted(values)
+    except TypeError:
+        return sorted(values, key=lambda v: (0, v) if type(v) is int else (1, str(v)))
+
+
 def _max_timestamp(h: History) -> int:
     return max(h.columns.ret, default=0)
 
@@ -672,7 +667,7 @@ def value_table(h: History, counter: WorkCounter | None = None) -> ValueTable | 
 
     unmatched = [v for v, fifo in waiting.items() if type(fifo[-1]) is tuple]
     if unmatched:
-        return Verdict(False, {"kind": "unmatched-pop", "value": min(unmatched)})
+        return Verdict(False, {"kind": "unmatched-pop", "value": _in_order(unmatched)[0]})
     missing = [x for x in range(len(value)) if pop_call[x] is None]
     m, k = _max_timestamp(h), len(missing)
     for i, x in enumerate(missing, start=1):

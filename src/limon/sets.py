@@ -140,8 +140,6 @@ def set_linearizable_events(events: Iterable[StreamEvent],
     """Run the online set checker over an ordered event stream."""
     states: dict[int, SetValueState] = {}
     for ts, is_call, kind, value, outcome, op_id, call in events:
-        if kind not in (ADD, REMOVE, CONTAINS):
-            raise HistoryError(f"event kind {kind!r} illegal for sets")
         if counter is not None:
             counter.add(1)
         st = states.get(value)
@@ -152,6 +150,8 @@ def set_linearizable_events(events: Iterable[StreamEvent],
                 st.adds.active += 1
             elif kind == REMOVE:
                 st.removes.active += 1
+            elif kind != CONTAINS:
+                raise HistoryError(f"event kind {kind!r} illegal for sets")
         elif kind == CONTAINS:
             # Unless the state changed inside its window, a query's answer
             # must be the state, which it has been since the call.
@@ -161,10 +161,15 @@ def set_linearizable_events(events: Iterable[StreamEvent],
                 if not ensure_state(st, outcome, ts):
                     return _fail(value, ts, "ensure-state-failure")
         else:
+            if kind == ADD:
+                ops, q = st.adds, True
+            elif kind == REMOVE:
+                ops, q = st.removes, False
+            else:
+                raise HistoryError(f"event kind {kind!r} illegal for sets")
             if outcome is False:
                 raise HistoryError(f"failing {kind} reached the set checker; "
                                    "normalize_failing_ops first")
-            ops, q = (st.adds, True) if kind == ADD else (st.removes, False)
             if not ops.claim(call):
                 if not ensure_state(st, not q, ts):
                     return _fail(value, ts, "ensure-state-failure")
@@ -178,8 +183,6 @@ def multiset_linearizable_events(events: Iterable[StreamEvent],
     """Run the online multiset checker over an ordered event stream."""
     counts: dict[int, list[int]] = {}
     for ts, is_call, kind, value, outcome, _, _ in events:
-        if kind not in (ADD, REMOVE):
-            raise HistoryError(f"event kind {kind!r} illegal for multisets")
         if outcome is False:
             raise HistoryError("failing operations are not defined for multisets")
         if counter is not None:
@@ -187,9 +190,12 @@ def multiset_linearizable_events(events: Iterable[StreamEvent],
         c = counts.get(value)
         if c is None:
             c = counts[value] = [0, 0]
-        if kind == ADD and is_call:
-            c[0] += 1
-        elif kind == REMOVE and not is_call:
+        if kind == ADD:
+            if is_call:
+                c[0] += 1
+        elif kind != REMOVE:
+            raise HistoryError(f"event kind {kind!r} illegal for multisets")
+        elif not is_call:
             c[1] += 1
             if c[1] > c[0]:
                 return Verdict(False, {"kind": "set-violation", "value": value,

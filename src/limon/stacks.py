@@ -18,7 +18,7 @@ smaller part only, and sorts that part afresh.  A value is in the smaller
 part of at most log2 n splits (Hopcroft's smaller-half argument), so the
 searches cost O(n log n) in all, and the sorts O(n log^2 n) comparisons
 at worst.  Pop-empties are placed in one pass over the top-level
-D-segments, in call order.
+P-segments, in call order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import islice
 
-from .history import History, HistoryError, ValueTable, Verdict, WorkCounter, _sort_cost, value_table
+from .history import (History, HistoryError, ValueTable, Verdict, WorkCounter, _in_order, _sort_cost,
+                      value_table)
 
 
 def _sweep_p(rows: list[int], push_ret: list[int], pop_call: list[int],
@@ -44,19 +45,6 @@ def _sweep_p(rows: list[int], push_ret: list[int], pop_call: list[int],
     out.append((left, right))
     if counter is not None:
         counter.add(len(rows))
-    return out
-
-
-def _gaps_d(lo: int, hi: int, p: list[tuple[int, int]],
-            counter: WorkCounter | None) -> list[tuple[int, int]]:
-    if not p:
-        return [(lo, hi)]
-    out = [(lo, p[0][0])]
-    for i in range(1, len(p)):
-        out.append((p[i - 1][1], p[i][0]))
-    out.append((p[-1][1], hi))
-    if counter is not None:
-        counter.add(len(p) + 1)
     return out
 
 
@@ -80,22 +68,19 @@ def _prepare(h: History, counter: WorkCounter | None
         counter.add(_sort_cost(len(rows)))
 
     # Pop-empty placement is a one-time check against the top-level
-    # D-segments, spanning the entire history (pop-empty intervals may
-    # stick out past the first push or the last pop).  Both are sorted, so
-    # one pointer finds, for each pop-empty in call order, the first
-    # D-segment ending at or after its call (the last ends after every
-    # call); the pop-empty is placeable iff that one starts by its return.
+    # P-segments: a pop-empty cannot be placed exactly when it lies strictly
+    # inside one.  They are disjoint and sorted, so one pointer finds, for
+    # each pop-empty in call order, the last P-segment starting before its
+    # call, the only one that can hold it.
     if t.pop_empties:
-        lo = min([t.push_call[x] for x in rows] + [a for a, _ in t.pop_empties])
-        hi = max([t.pop_ret[x] for x in rows] + [b for _, b in t.pop_empties])
-        d = _gaps_d(lo, hi, _sweep_p(rows, pr, qc, counter) if rows else [], counter)
+        p = _sweep_p(rows, pr, qc, counter) if rows else []
         if counter is not None:
-            counter.add(len(t.pop_empties) + len(d))
+            counter.add(len(t.pop_empties) + len(p))
         k = 0
         for left, right in t.pop_empties:
-            while d[k][1] < left:
+            while k < len(p) and p[k][0] < left:
                 k += 1
-            if d[k][0] > right:
+            if k and p[k - 1][1] > right:
                 return Verdict(False, {"kind": "pop-empty", "interval": (left, right)})
     return t, rows
 
@@ -281,5 +266,5 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None) -> Ver
         counter.extremes += extremes
         counter.splits += groups - 1
     if failed is not None:
-        return Verdict(False, {"kind": "no-separation", "values": sorted(failed)})
+        return Verdict(False, {"kind": "no-separation", "values": _in_order(failed)})
     return Verdict(True)

@@ -17,14 +17,23 @@ from limon.history import (
     POP_EMPTY,
     PUSH,
     REMOVE,
+    _in_order,
     _max_timestamp,
 )
 from limon.oracle import sequential_check
-from limon.stacks import _gaps_d, _prepare, _sweep_p
+from limon.stacks import _prepare, _sweep_p
 
 # The reference steps name row x of the monitor's value table _FRESH_BASE + x,
 # and differentiate numbers its fresh values from _FRESH_BASE.
 _FRESH_BASE = 10
+
+
+def _gaps_d(lo: int, hi: int, p: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The D-segments of the span [lo, hi] around the sorted P-segments p:
+    the gaps between them and the two ends."""
+    if not p:
+        return [(lo, hi)]
+    return [(lo, p[0][0])] + [(a[1], b[0]) for a, b in zip(p, p[1:])] + [(p[-1][1], hi)]
 
 
 class Interval(namedtuple("Interval", "left right")):
@@ -317,7 +326,7 @@ def reference_stack_linearizable(h: History, observer=None) -> Verdict:
         p = p_segments(vs)
         d = [Interval(a, b) for a, b in _gaps_d(min(v.push_call for v in vs),
                                                 max(v.pop_ret for v in vs),
-                                                [s.as_pair() for s in p], None)]
+                                                [s.as_pair() for s in p])]
         ex = extreme_values(vs, d)
         if observer is not None:
             observer(tuple(vs), p, d, ex)
@@ -325,7 +334,7 @@ def reference_stack_linearizable(h: History, observer=None) -> Verdict:
             pending.append([v for v in vs if v.value not in ex])
         elif len(d) <= 2:
             return Verdict(False, {"kind": "no-separation", "values":
-                                   sorted(t.value[v.value - _FRESH_BASE] for v in vs)})
+                                   _in_order([t.value[v.value - _FRESH_BASE] for v in vs])})
         else:
             cut = d[1].left
             pending.append([v for v in vs if v.push_ret <= cut])
@@ -537,7 +546,7 @@ def d_segments(h: History, p_segs: list[Interval]) -> list[Interval]:
         raise HistoryError("empty history has no span")
     lo, hi = min(op.call for op in h.ops), max(op.ret for op in h.ops)
     p = [seg.as_pair() for seg in sorted(p_segs, key=lambda s: s.left)]
-    return [Interval(a, b) for a, b in _gaps_d(lo, hi, p, None)]
+    return [Interval(a, b) for a, b in _gaps_d(lo, hi, p)]
 
 
 def extreme_values(vals: Iterable[AttributedValue] | dict[int, AttributedValue],

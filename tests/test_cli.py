@@ -174,6 +174,19 @@ class TestStream:
         assert main(["check", "-", "--stream", "--verbose"]) == 1
         assert json.loads(capsys.readouterr().out)["witness"]["value"] == "x"
 
+    @pytest.mark.parametrize("text", [
+        "adt set\ncall 0 add x 1\nret 0 2 ok\ncall 1 contains x 3\nret 1 4 false\n",
+        "adt multiset\ncall 0 add 1 1\nret 0 2 ok\ncall 1 remove x 3\nret 1 4 ok\n",
+    ])
+    def test_file_and_stream_name_a_symbolic_witness_alike(self, text, tmp_path, capsys,
+                                                          monkeypatch):
+        assert main(["check", write(tmp_path, "h.txt", text), "--verbose"]) == 1
+        as_file = capsys.readouterr().out
+        feed_stdin(monkeypatch, text)
+        assert main(["check", "-", "--stream", "--verbose"]) == 1
+        assert capsys.readouterr().out == as_file
+        assert json.loads(as_file)["witness"]["value"] == "x"
+
     def test_stream_unreturned_call_names_its_line(self, capsys, monkeypatch):
         text = "adt set\ncall 0 add 1 1\ncall 1 add 2 2\nret 0 3 ok\n"
         feed_stdin(monkeypatch, text)

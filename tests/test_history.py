@@ -19,14 +19,17 @@ from limon import (
     check_history,
     gen_linearizable,
     gen_random,
+    multiset_linearizable_events,
+    normalize_failing_ops,
     parse_event_stream,
     parse_history,
     queue_linearizable,
     serialize_history,
+    set_linearizable_events,
     stack_linearizable,
 )
 from limon import history
-from limon.history import _duplicate_stamp, value_table
+from limon.history import _duplicate_stamp, _in_order, value_table
 
 from helpers import (
     EMPTY,
@@ -83,10 +86,8 @@ class TestParse:
 
     def test_value_interning(self):
         h = parse_history("adt stack\npush apple 0 1\npush 7 2 3\npop apple 4 5\n")
-        values = {o.event.value for o in h.ops}
-        assert 7 in values and len(values) == 2
-        apple = next(o.event.value for o in h.ops if o.event.kind == "pop")
-        assert apple > 7  # interned above the largest literal
+        assert [o.event.value for o in h.ops] == ["apple", 7, "apple"]
+        assert h.columns.value[0] is h.columns.value[2]  # one object per value
 
     def test_set_format(self):
         h = parse_history("adt set\nadd 5 0 2 ok\nremove 5 3 4 fail\ncontains 5 6 8 true\n")
@@ -468,6 +469,60 @@ class TestParsedRecords:
             assert seen["popempty"] > 200, seen
 
 
+class TestValuesAsWritten:
+    """A value token reads as written, the int of an integer literal and any
+    other token itself, in a file and in a stream alike."""
+
+    @pytest.mark.parametrize("adt", ["set", "multiset"])
+    def test_files_and_streams_read_symbolic_values_alike(self, adt):
+        runner = set_linearizable_events if adt == "set" else multiset_linearizable_events
+        seen = Counter()
+        for seed in range(300):
+            h = (gen_random(adt, 2 + seed % 14, 60_000 + seed, values=1 + seed % 4)
+                 if seed % 3 else
+                 gen_linearizable(GenConfig(adt=adt, ops=2 + seed % 20, values=1 + seed % 4,
+                                            threads=1 + seed % 3, seed=60_000 + seed)))
+            if adt == "set":  # a stream refuses failing adds and removes
+                h = normalize_failing_ops(h)
+            text = serialize_history(h, fmt="events")
+            symbolic = symbolize(text)
+            as_file = check_history(parse_history(symbolic))
+            _, events = parse_event_stream(symbolic)
+            assert runner(events) == as_file, symbolic
+            witness = as_file.witness
+            if witness is not None and type(witness["value"]) is str:
+                seen["symbolic witness"] += 1
+                witness = dict(witness, value=int(witness["value"][1:]))  # x3 names 3
+            assert (as_file.linearizable, witness) == check_history(parse_history(text)), text
+            seen[as_file.linearizable] += 1
+        assert min(seen[True], seen[False], seen["symbolic witness"]) >= 30, seen
+
+    @pytest.mark.parametrize("text", [
+        "adt stack\npush a 0 1\npush 1 2 3\npop a 4 5\npop 1 6 7\n",
+        "adt stack\ncall 0 push a 0\nret 0 1\ncall 1 push 1 2\nret 1 3\n"
+        "call 2 pop 4\nret 2 5 a\ncall 3 pop 6\nret 3 7 1\n",
+    ])
+    def test_a_witness_names_the_input_values(self, text):
+        h = parse_history(text)
+        witness = {"kind": "no-separation", "values": [1, "a"]}
+        assert check_history(h) == Verdict(False, witness)
+        assert check_history(History("stack", h.ops)) == Verdict(False, witness)
+
+    def test_an_unmatched_pop_of_two_value_types(self):
+        h = History("stack", (Operation(0, Event("pop", "a"), 0, 1),
+                              Operation(1, Event("pop", 1), 2, 3)))
+        assert check_history(h) == Verdict(False, {"kind": "unmatched-pop", "value": 1})
+
+    @pytest.mark.parametrize("values, ordered", [
+        ([3, "b", 1, "a", -2], [-2, 1, 3, "a", "b"]),
+        ([2.5, 1, -3], [-3, 1, 2.5]),
+        (["b", "a"], ["a", "b"]),
+        ([(2, "x"), 1], [1, (2, "x")]),
+    ])
+    def test_witness_order(self, values, ordered):
+        assert _in_order(values) == ordered
+
+
 def parse_error(text: str) -> ParseError:
     with pytest.raises(ParseError) as info:
         parse_history(text)
@@ -503,17 +558,16 @@ class TestParseEdgeCases:
         h = parse_history("adt stack\npush +4 0 1\npop 4 2 3\n")
         assert [op.event.value for op in h.ops] == [4, 4]
 
-    def test_symbols_follow_the_largest_literal_in_first_seen_order(self):
+    def test_symbolic_values_are_kept_as_written(self):
         h = parse_history("adt stack\npush b 0 1\npush 7 2 3\npush a 4 5\n"
                           "pop b 6 7\npush -2 8 9\n")
-        assert [op.event.value for op in h.ops] == [8, 7, 9, 8, -2]
-        # Event format: a pop's value on its return counts where it is seen.
+        assert [op.event.value for op in h.ops] == ["b", 7, "a", "b", -2]
+        # Event format: a pop's value on its return too.
         h = parse_history("adt stack\ncall 0 push x 0\nret 0 1\ncall 1 pop 2\n"
                           "ret 1 3 y\ncall 2 push 5 4\nret 2 5\ncall 3 push y 6\nret 3 7\n")
-        assert [op.event.value for op in h.ops] == [6, 7, 5, 7]
-        # Only negative literals: symbols start at 0.
-        h = parse_history("adt queue\nenq -5 0 1\nenq z 2 3\n")
-        assert [op.event.value for op in h.ops] == [-5, 0]
+        assert [op.event.value for op in h.ops] == ["x", "y", 5, "y"]
+        h = parse_history("adt queue\nenq -5 0 1\nenq z 2 3\nenq 05 4 5\n")
+        assert [op.event.value for op in h.ops] == [-5, "z", 5]
 
     def test_comments_crlf_and_blank_lines(self):
         text = "# top\r\nadt stack\r\n\r\npush 1 0 2 # mid-line\r\n   \r\npop 1 3 4\r\n"
@@ -786,12 +840,12 @@ def plain_records(adt: str, n: int) -> list[str]:
 def line_loop_parse(adt: str, lines: list[str]):
     """The line loop alone over the tokens of the record lines, numbered
     from 2, as parse_history finishes them; the columns, or the ParseError."""
-    cols, symbols = [[], [], [], [], []], {}
+    cols = [[], [], [], [], []]
     try:
-        history._ops_lines(adt, history._tokens(lines), 2, cols, symbols, {}.setdefault)
+        history._ops_lines(adt, history._tokens(lines), 2, cols, {}.setdefault)
     except ParseError as exc:
         return exc
-    return history._in_call_order(cols + [range(len(cols[0]))], symbols)
+    return history._in_call_order(cols + [range(len(cols[0]))])
 
 
 class TestOpsBlocks:
@@ -928,7 +982,7 @@ class TestParsedHistorySize:
             lines += [f"push {v} {t} {t + 1}", f"pop {v} {t + 2} {t + 3}"]
         h = parse_history("\n".join(lines))
         self.assert_one_object_per_value(h)
-        assert sorted(set(h.columns.value)) == [-300, 7, 300, 400, 1000, 1001]
+        assert set(h.columns.value) == {"x", -300, 7, 300, 400, 1000}
 
     def test_event_file_shares_values(self):
         # Each pop names its value on its return only.

@@ -23,7 +23,7 @@ from limon import (
 )
 from limon import sets
 from limon.cli import main
-from limon.sets import set_linearizable_events
+from limon.sets import multiset_linearizable_events, set_linearizable_events
 
 from helpers import reference_history_events
 
@@ -84,6 +84,18 @@ class TestMultiset:
         h = History("multiset", (Operation(0, Event("contains", 1, True), 0, 1),))
         with pytest.raises(HistoryError):
             multiset_linearizable(h)
+
+    @pytest.mark.parametrize("checker, kinds", [
+        (set_linearizable_events, ("push", "pop", None)),
+        (multiset_linearizable_events, ("push", "contains", None)),
+    ])
+    def test_event_iterables_of_illegal_kinds_are_refused(self, checker, kinds):
+        # Each kind on a call and on a return, also after a legal event.
+        for kind in kinds:
+            for is_call in (True, False):
+                events = [(1, True, "add", 5, None, 0, 1), (2, is_call, kind, 5, True, 1, 2)]
+                with pytest.raises(HistoryError, match=f"event kind {kind!r} illegal"):
+                    checker(events)
 
     def test_rejects_failing_ops(self):
         h = History("multiset", (Operation(0, Event("add", 1, False), 0, 1),))
