@@ -16,6 +16,7 @@ from . import check_history
 from .history import (
     ADTS,
     BoundExceeded,
+    History,
     HistoryError,
     ParseError,
     WorkCounter,
@@ -111,6 +112,7 @@ def run_bench(adt: str, sizes: list[int], seed: int, threads: int) -> list[dict]
     per-thread-count normalization used in scalability plots.
     """
     from .generators import GenConfig, gen_linearizable
+    check_history(History(adt, ()))  # loads the monitor before the first timing
     rows = []
     base_wall = None
     for n in sizes:

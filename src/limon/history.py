@@ -10,9 +10,9 @@ is the object the parse read first.
 The parser reads its input once and holds, besides the columns and that
 table of values, only the operations whose call or return it has not
 read yet.  Operation-format files are read in blocks, each
-line split once: a block of plain records is checked and converted a
-column at a time, and any other block goes through the line loop, the one
-reader of symbolic or signed values and of faults.  Event files and event
+line split once: a block of plain records, whatever their values, is
+checked and converted a column at a time, and any other block goes
+through the line loop, the one reader of faults.  Event files and event
 streams are read by module `events`, which `parse_history` loads only when
 a file's first record is a `call` or `ret`.
 `value_table` preprocesses a stack or queue history for its monitor in one
@@ -151,7 +151,9 @@ class History:
     def columns(self) -> Columns:
         """The columns, which refuse with HistoryError, as the parser does, a
         call not before its return, a kind the data type lacks, a failing
-        multiset operation, a shared timestamp or a reused id."""
+        multiset operation, an add, remove or contains whose outcome is not
+        True or False, an outcome on another kind, a missing value, a value
+        on a pop-empty, a shared timestamp or a reused id."""
         if self._cols is None:
             adt, legal = self.adt, _KINDS_BY_ADT[self.adt]
             cols = Columns([], [], [], [], [], [])
@@ -160,6 +162,10 @@ class History:
                     raise HistoryError(f"operation {op_id}: call {call} not before return {ret}")
                 if kind not in legal or outcome is False:
                     _check_kind(adt, kind, outcome, None)
+                if (type(outcome) is bool) is not (kind in _OUTCOMES):
+                    raise HistoryError(f"operation {op_id}: {kind} outcome {outcome!r}")
+                if (value is None) is not (kind == POP_EMPTY):
+                    raise HistoryError(f"operation {op_id}: {kind} value {value!r}")
                 cols.call.append(call)
                 cols.ret.append(ret)
                 cols.kind.append(kind)
@@ -369,17 +375,13 @@ def _duplicate_stamp(cols: Columns) -> int | None:
 
 
 def _parse_ops_format(adt: str, lines: Iterator[str], first: int) -> Columns:
-    """Read the lines a block at a time: a block of plain records goes into
-    the columns in bulk, any other block through the line loop, as if the
-    line loop had read the whole input.  Each line is split once.  A block
-    tried in bulk is split into a list of rows, which the line loop reads if
-    the block is not plain; a block not tried is split a line at a time, as
-    rows held at once cost the cyclic collector passes over them."""
+    """Read the lines a block at a time, each line split once: a block of
+    plain records goes into the columns in bulk, any other block through
+    the line loop, as if the line loop had read the whole input."""
     same = {}.setdefault  # the one object of each value read
     cols: list = [[], [], [], [], []]
     block: list[str] = []
     no = first  # the number of the block's first line
-    bulk = True  # whether to try the next block in bulk
     while True:
         try:
             block.extend(islice(lines, _BLOCK))
@@ -388,36 +390,32 @@ def _parse_ops_format(adt: str, lines: Iterator[str], first: int) -> Columns:
             _ops_lines(adt, _tokens(block), no, cols, same)
             raise _not_utf8(exc, no - 1 + len(block)) from None
         rows = _tokens(block)
-        if bulk:
-            rows = list(rows)
-            bulk = _ops_block(adt, rows, cols, same)
-        if not bulk:
-            # A block after one with symbolic or signed values likely holds
-            # some too, so it goes straight to the line loop.
-            bulk = not _ops_lines(adt, rows, no, cols, same)
+        if not _ops_block(adt, rows, cols, same):
+            _ops_lines(adt, rows, no, cols, same)
         if len(block) < _BLOCK:
             return _in_call_order(cols + [range(len(cols[0]))])  # ids: record order
         no += _BLOCK
         block.clear()
 
 
-def _tokens(lines: list[str]) -> Iterator[list[str]]:
-    """Each line's tokens, without its comment, split as they are read."""
+def _tokens(lines: list[str]) -> list[list[str]]:
+    """Each line's tokens, without its comment."""
     if "#" in "".join(lines):
-        return (line[:line.find("#")].split() if "#" in line else line.split()
-                for line in lines)
-    return map(str.split, lines)
+        return [line[:line.find("#")].split() if "#" in line else line.split()
+                for line in lines]
+    return list(map(str.split, lines))
 
 
 def _ops_block(adt: str, rows: list[list[str]], cols: list, same: Callable) -> bool:
     """Append the records of a block of plain lines, given as their tokens,
     to cols, column by column, and give True; give False, with cols and rows
     untouched, if any line is not plain.  Each value is same(v, v), the
-    setdefault of the parse's table of values.
+    setdefault of the parse's table of values, of the token as _value reads
+    it.
 
     A plain line holds no record, or one legal record with ASCII-digit
-    values and timestamps.  Split tokens are never empty, so a numeric
-    column is all ASCII digits if its concatenation is."""
+    timestamps.  Split tokens are never empty, so a column is all ASCII
+    digits if its concatenation is."""
     widths = set(map(len, rows))
     if 0 in widths:  # blank and comment lines hold no record
         rows = list(filter(None, rows))
@@ -433,10 +431,9 @@ def _ops_block(adt: str, rows: list[list[str]], cols: list, same: Callable) -> b
             op, call, ret = rows[r]
             rows[r] = [op, "0", call, ret]
     ops, values, calls, rets, *results = zip(*rows)
-    for col in values, calls, rets:  # values first: a symbol or sign ends it soonest
-        digits = "".join(col)
-        if not (digits.isascii() and digits.isdigit()):
-            return False
+    digits = "".join(calls + rets)
+    if not (digits.isascii() and digits.isdigit()):
+        return False
     kinds = list(map(_KIND_ALIASES.get, ops))
     kind_set = set(kinds)
     if not kind_set.issubset(_KINDS_BY_ADT[adt]):
@@ -444,8 +441,10 @@ def _ops_block(adt: str, rows: list[list[str]], cols: list, same: Callable) -> b
     if (empties or POP_EMPTY in kind_set) and empties != list(
             compress(count(), map(eq, kinds, repeat(POP_EMPTY)))):
         return False
+    digits = "".join(values)
     try:
-        calls, rets, values = list(map(int, calls)), list(map(int, rets)), list(map(int, values))
+        calls, rets = list(map(int, calls)), list(map(int, rets))
+        values = list(map(int if digits.isascii() and digits.isdigit() else _value, values))
     except ValueError:  # too many digits: the line loop names the token
         return False
     if not all(map(lt, calls, rets)):
@@ -465,14 +464,12 @@ def _ops_block(adt: str, rows: list[list[str]], cols: list, same: Callable) -> b
 
 
 def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
-               same: Callable) -> bool:
+               same: Callable) -> None:
     """The line loop: append the records of rows, the tokens of lines
-    numbered from first, to cols, and tell whether a value was symbolic or
-    signed.  It is the one reader of such values, and it names the first
-    fault.  Each value is same(v, v), as in _ops_block."""
+    numbered from first, to cols, or name the first fault.  Each value is
+    same(v, v), as in _ops_block."""
     legal = _KINDS_BY_ADT[adt]
     calls, rets, kinds, values, outcomes = cols
-    odd = False
     try:
         for no, toks in enumerate(rows, first):
             if not toks:
@@ -492,12 +489,7 @@ def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
                         raise ParseError(f"expected: {toks[0]} <value> <call> <ret>", no)
                 elif n != 5:
                     raise ParseError(f"expected: {toks[0]} <value> <call> <ret> <result>", no)
-                value, call, ret = toks[1], toks[2], toks[3]
-                if value.isdigit() and value.isascii():
-                    value = int(value)
-                else:
-                    value = _value(value)
-                    odd = True
+                value, call, ret = _value(toks[1]), toks[2], toks[3]
                 value = same(value, value)
             call = int(call) if call.isdigit() and call.isascii() else _parse_ts(call, no)
             ret = int(ret) if ret.isdigit() and ret.isascii() else _parse_ts(ret, no)
@@ -521,23 +513,16 @@ def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
             if _is_int(token):
                 _parse_int(token, what, no)
         raise
-    return odd
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _surface_kind(adt: str, kind: str) -> str:
-    if adt == "queue":
-        return {"push": "enq", "pop": "deq"}.get(kind, kind)
-    return kind
-
-
-def _outcome_token(kind: str, outcome: bool) -> str:
-    if kind == CONTAINS:
-        return "true" if outcome else "false"
-    return "ok" if outcome else "fail"
+_QUEUE_WORDS = {PUSH: "enq", POP: "deq"}  # a queue file's kind words
+# Each kind's result token, by outcome, as the parser reads it.
+_RESULT_TOKENS = {kind: {outcome: f" {word}" for word, outcome in words.items()}
+                  for kind, words in _OUTCOMES.items()}
 
 
 def serialize_history(h: History, fmt: str = "ops") -> str:
@@ -546,41 +531,25 @@ def serialize_history(h: History, fmt: str = "ops") -> str:
     The operation format is positional: ids are re-derived from record
     order on parse, so round-trips are exact for call-ordered ids (all
     histories this toolkit produces).  The event format preserves ids
-    verbatim.
+    verbatim.  The history must be one that `History.columns` accepts.
     """
-    lines = [f"adt {h.adt}"]
-    if fmt == "ops":
-        for op in h.ops:
-            kind = _surface_kind(h.adt, op.event.kind)
-            if op.event.kind == POP_EMPTY:
-                lines.append(f"popempty {op.call} {op.ret}")
-            elif op.event.outcome is None:
-                lines.append(f"{kind} {op.event.value} {op.call} {op.ret}")
-            else:
-                token = _outcome_token(op.event.kind, op.event.outcome)
-                lines.append(f"{kind} {op.event.value} {op.call} {op.ret} {token}")
-    elif fmt == "events":
-        endpoints: list[tuple[int, str]] = []
-        for op in h.ops:
-            ev = op.event
-            kind = _surface_kind(h.adt, ev.kind)
-            if ev.kind == POP_EMPTY:
-                endpoints.append((op.call, f"call {op.id} popempty {op.call}"))
-                endpoints.append((op.ret, f"ret {op.id} {op.ret}"))
-            elif ev.kind == POP:
-                endpoints.append((op.call, f"call {op.id} {kind} {op.call}"))
-                endpoints.append((op.ret, f"ret {op.id} {op.ret} {ev.value}"))
-            elif ev.kind == PUSH:
-                endpoints.append((op.call, f"call {op.id} {kind} {ev.value} {op.call}"))
-                endpoints.append((op.ret, f"ret {op.id} {op.ret}"))
-            else:
-                token = _outcome_token(ev.kind, ev.outcome)
-                endpoints.append((op.call, f"call {op.id} {kind} {ev.value} {op.call}"))
-                endpoints.append((op.ret, f"ret {op.id} {op.ret} {token}"))
-        endpoints.sort(key=lambda e: e[0])
-        lines.extend(line for _, line in endpoints)
-    else:
+    if fmt not in ("ops", "events"):
         raise HistoryError(f"unknown format {fmt!r}")
+    words = _QUEUE_WORDS if h.adt == "queue" else {}
+    lines = [f"adt {h.adt}"]
+    endpoints: list[tuple[int, str]] = []
+    for op_id, (kind, value, outcome), call, ret in h.ops:
+        word = words.get(kind, kind)
+        shown = "" if kind == POP_EMPTY else f" {value}"
+        result = "" if outcome is None else _RESULT_TOKENS[kind][outcome]
+        if fmt == "ops":
+            lines.append(f"{word}{shown} {call} {ret}{result}")
+        else:  # a pop's value comes with its return
+            at_call, at_ret = ("", shown) if kind == POP else (shown, "")
+            endpoints.append((call, f"call {op_id} {word}{at_call} {call}"))
+            endpoints.append((ret, f"ret {op_id} {ret}{at_ret}{result}"))
+    endpoints.sort(key=lambda e: e[0])
+    lines.extend(line for _, line in endpoints)
     return "\n".join(lines) + "\n"
 
 

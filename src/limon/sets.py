@@ -18,7 +18,8 @@ of its kind only if it was called before that credit was consumed;
 otherwise it linearizes at its return.  A membership query is checked at
 its return alone: it linearizes where its answer holds, which is anywhere
 in its window if the value's state changed after its call, and otherwise
-only where the state has been since its call.
+only where the state has been since its call.  A failing add is the query
+that the value is present, a failing remove that it is absent.
 """
 
 from __future__ import annotations
@@ -79,32 +80,24 @@ def history_events(h: History) -> Iterator[StreamEvent]:
     """The call/return events of a history in timestamp order, lazily: the
     calls, in row order, merged with the returns, whose rows are sorted
     once and kept as machine integers.  Both events of an operation carry
-    its outcome.  In a set history a failing add or remove becomes the
-    membership query it implies, as normalize_failing_ops rewrites it.
-    The first event raises HistoryError as `History.columns` does."""
+    its outcome.  The first event raises HistoryError as `History.columns` does."""
     call, ret, kind, value, outcome, op_id = h.columns
-    is_set = h.adt == "set"
     by_ret = array("l", sorted(range(len(call)), key=ret.__getitem__))
     calls = zip(call, kind, value, outcome, op_id)
     c, k, v, o, i = next(calls, _NO_CALL)
     for r in by_ret:
         ts = ret[r]
         while c < ts:
-            if o is False and is_set and (k == ADD or k == REMOVE):
-                k, o = CONTAINS, k == ADD
             yield c, True, k, v, o, i, c
             c, k, v, o, i = next(calls, _NO_CALL)
-        rk, ro = kind[r], outcome[r]
-        if ro is False and is_set and (rk == ADD or rk == REMOVE):
-            rk, ro = CONTAINS, rk == ADD
-        yield ts, False, rk, value[r], ro, op_id[r], call[r]
+        yield ts, False, kind[r], value[r], outcome[r], op_id[r], call[r]
 
 
 def normalize_failing_ops(h: History) -> History:
     """Replace failing adds/removes by the membership query they imply, as
-    history_events does: a failing add means the element was already
-    present, contains(v, true); a failing remove that it was absent,
-    contains(v, false)."""
+    set_linearizable_events reads them: a failing add means the element was
+    already present, contains(v, true); a failing remove that it was
+    absent, contains(v, false).  The verdict does not change."""
     if h.adt != "set":
         raise HistoryError("failing-operation normalization applies to sets")
     cols = h.columns
@@ -137,44 +130,50 @@ def _fail(value: int, ts: int, reason: str) -> Verdict:
 
 def set_linearizable_events(events: Iterable[StreamEvent],
                             counter: WorkCounter | None = None) -> Verdict:
-    """Run the online set checker over an ordered event stream."""
+    """Run the online set checker over an ordered event stream.  A failing
+    add or remove is the membership query it implies (see
+    normalize_failing_ops), so its call banks nothing; that call must carry
+    the outcome False, as in history_events, or its return raises
+    HistoryError."""
     states: dict[int, SetValueState] = {}
+    failing: set[int] = set()  # ids of failing adds and removes called, not returned
     for ts, is_call, kind, value, outcome, op_id, call in events:
         if counter is not None:
             counter.add(1)
         st = states.get(value)
         if st is None:
             st = states[value] = SetValueState()
-        if is_call:  # a query's call leaves nothing to do
-            if kind == ADD:
-                st.adds.active += 1
-            elif kind == REMOVE:
-                st.removes.active += 1
-            elif kind != CONTAINS:
-                raise HistoryError(f"event kind {kind!r} illegal for sets")
-        elif kind == CONTAINS:
-            # Unless the state changed inside its window, a query's answer
-            # must be the state, which it has been since the call.
-            if st.flipped < call and outcome is not st.state:
-                if outcome is None:
-                    raise HistoryError(f"contains id {op_id} returned no answer")
-                if not ensure_state(st, outcome, ts):
-                    return _fail(value, ts, "ensure-state-failure")
-        else:
-            if kind == ADD:
-                ops, q = st.adds, True
-            elif kind == REMOVE:
-                ops, q = st.removes, False
-            else:
-                raise HistoryError(f"event kind {kind!r} illegal for sets")
-            if outcome is False:
-                raise HistoryError(f"failing {kind} reached the set checker; "
-                                   "normalize_failing_ops first")
-            if not ops.claim(call):
-                if not ensure_state(st, not q, ts):
-                    return _fail(value, ts, "ensure-state-failure")
-                st.state, st.flipped = q, ts
-            ops.active -= 1
+        if kind == ADD or kind == REMOVE:
+            if outcome is not False:
+                ops = st.adds if kind == ADD else st.removes
+                if is_call:
+                    ops.active += 1
+                    continue
+                if not ops.claim(call):
+                    q = kind == ADD
+                    if not ensure_state(st, not q, ts):
+                        return _fail(value, ts, "ensure-state-failure")
+                    st.state, st.flipped = q, ts
+                ops.active -= 1
+                continue
+            # A failing add found the value present, a failing remove absent.
+            # Its call must say that it fails, or it would have banked a credit.
+            if is_call:
+                failing.add(op_id)
+                continue
+            if op_id not in failing:
+                raise HistoryError(f"failing {kind} id {op_id} was called without its outcome")
+            failing.remove(op_id)
+            outcome = kind == ADD
+        elif kind != CONTAINS:
+            raise HistoryError(f"event kind {kind!r} illegal for sets")
+        # A query is checked at its return: unless the state changed inside
+        # its window, its answer must be the state it has had since the call.
+        if not is_call and st.flipped < call and outcome is not st.state:
+            if outcome is None:
+                raise HistoryError(f"contains id {op_id} returned no answer")
+            if not ensure_state(st, outcome, ts):
+                return _fail(value, ts, "ensure-state-failure")
     return Verdict(True)
 
 
@@ -204,8 +203,7 @@ def multiset_linearizable_events(events: Iterable[StreamEvent],
 
 
 def set_linearizable(h: History, *, counter: WorkCounter | None = None) -> Verdict:
-    """Decide whether a set history (add/remove/contains) is linearizable;
-    history_events rewrites its failing adds and removes."""
+    """Decide whether a set history (add/remove/contains) is linearizable."""
     if h.adt != "set":
         raise HistoryError(f"set monitor got adt {h.adt!r}")
     return set_linearizable_events(history_events(h), counter)

@@ -10,16 +10,7 @@ from itertools import permutations, product
 from pathlib import Path
 
 from limon import ContainmentIndex, Event, History, HistoryError, Operation, Verdict
-from limon.history import (
-    ADD,
-    CONTAINS,
-    POP,
-    POP_EMPTY,
-    PUSH,
-    REMOVE,
-    _in_order,
-    _max_timestamp,
-)
+from limon.history import POP, POP_EMPTY, PUSH, _in_order, _max_timestamp
 from limon.oracle import sequential_check
 from limon.stacks import _prepare, _sweep_p
 
@@ -660,11 +651,9 @@ def saturation_baseline(h: History) -> Verdict:
 
 def reference_history_events(h: History) -> list:
     """The call/return events of a set or multiset history as one list,
-    sorted stably by timestamp, rewritten as sets.history_events gives them."""
+    sorted stably by timestamp."""
     out = []
     for call, ret, kind, value, outcome, op_id in zip(*h.columns):
-        if outcome is False and h.adt == "set" and kind in (ADD, REMOVE):
-            kind, outcome = CONTAINS, kind == ADD
         out.append((call, True, kind, value, outcome, op_id, call))
         out.append((ret, False, kind, value, outcome, op_id, call))
     out.sort(key=lambda event: event[0])

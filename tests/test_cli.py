@@ -131,6 +131,24 @@ class TestBench:
         first = lines[1].split(",")
         assert first[0] == "100" and float(first[4]) == 1.0
 
+    def test_monitor_loads_before_the_first_timing(self):
+        # In a fresh interpreter, check_history loads the monitor on its
+        # first call, which must not fall inside the smallest size's timer.
+        code = """if True:
+            import sys, time, types
+            import limon.cli
+            loaded = []
+            def perf_counter():
+                loaded.append("limon.stacks" in sys.modules)
+                return time.perf_counter()
+            limon.cli.time = types.SimpleNamespace(perf_counter=perf_counter)
+            limon.cli.run_bench("stack", [100, 200], 0, 2)
+            print(*loaded)
+            """
+        out = subprocess.run([sys.executable, "-c", code], env=limon_env(),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["True"] * 4
+
 
 class TestStream:
     def test_set_stream(self, capsys, monkeypatch):

@@ -158,6 +158,37 @@ class TestValidate:
             parse_history(serialize_history(h, fmt="events"))
         assert not check_history(parse_history(serialize_history(h))).linearizable
 
+    def test_set_outcome_not_a_bool(self):
+        # The set checker compares an answer with the state by identity, so
+        # it read the answer 1 as "absent": a confident wrong verdict.
+        h = History("set", (Operation(0, Event("add", 5, True), 0, 1),
+                            Operation(1, Event("contains", 5, 1), 2, 3)))
+        assert check_history(parse_history(serialize_history(h))).linearizable
+        with pytest.raises(HistoryError, match="operation 1: contains outcome 1$"):
+            check_history(h)
+
+    def test_set_outcome_missing(self):
+        # Checked as a success, but written to an event file as a failure.
+        h = History("set", (Operation(0, Event("add", 5), 0, 1),))
+        with pytest.raises(HistoryError, match="operation 0: add outcome None"):
+            check_history(h)
+
+    @pytest.mark.parametrize("adt", ["stack", "queue"])
+    def test_outcome_on_a_push(self, adt):
+        h = History(adt, (Operation(0, Event("push", 5, True), 0, 1),
+                          Operation(1, Event("pop", 5), 2, 3)))
+        with pytest.raises(HistoryError, match="operation 0: push outcome True"):
+            check_history(h)
+
+    @pytest.mark.parametrize("event, message", [
+        (Event("push"), "operation 0: push value None"),
+        (Event("popempty", 3), "operation 0: popempty value 3"),
+    ], ids=["push", "popempty"])
+    def test_value_missing_or_on_a_pop_empty(self, event, message):
+        h = History("stack", (Operation(0, event, 0, 1),))
+        with pytest.raises(HistoryError, match=message):
+            check_history(h)
+
     def test_unmatched_pop(self):
         for adt in ("stack", "queue"):
             h = History(adt, (Operation(0, Event("pop", 9), 0, 1),))
@@ -851,26 +882,25 @@ def line_loop_parse(adt: str, lines: list[str]):
 class TestOpsBlocks:
     """An operation-format file is read in blocks of history._BLOCK lines.
     Each line is split once, its comment dropped.  A block of plain lines
-    (no record, or one without symbols, signed values or faults) is taken
-    in bulk; any other goes to the line loop, so the result is the line
-    loop's over the whole input.  A block after one with a symbolic or
-    signed value goes to the line loop without a bulk try."""
+    (no record, or one without faults or signed timestamps, whatever its
+    values) is taken in bulk; any other goes to the line loop, so the
+    result is the line loop's over the whole input."""
 
     @pytest.mark.parametrize("where", [0, history._BLOCK // 2, history._BLOCK - 1],
                              ids=["first", "middle", "last"])
     @pytest.mark.parametrize("adt, line, looped_blocks", [
-        # 0: a plain line; 1: a fault, named by the line loop; 2: a symbolic
-        # or signed value, after which the next block skips the bulk try.
+        # 0: a plain line, symbolic and signed values too; 1: a fault, named
+        # by the line loop.
         ("stack", "# a comment", 0),
         ("stack", "push 5 1000000 1000001 # a comment", 0),
         ("stack", "", 0),
         ("stack", " \t", 0),
         ("stack", "push\t5\t1000000\t1000001", 0),
-        ("stack", "push x 1000000 1000001", 2),
-        ("stack", "push -3 1000000 1000001", 2),
-        ("queue", "enq +3 1000000 1000001", 2),
+        ("stack", "push x 1000000 1000001", 0),
+        ("stack", "push -3 1000000 1000001", 0),
+        ("queue", "enq +3 1000000 1000001", 0),
         ("stack", "push 1 ² 1000001", 1),
-        ("stack", "push ٥ 1000000 1000001", 2),
+        ("stack", "push ٥ 1000000 1000001", 0),
         ("queue", "popempty 1000000 1000001", 1),
         ("stack", "push 1 1000000 1000001 ok", 1),
         ("stack", "popempty 1 1000000 1000001", 1),
@@ -904,13 +934,14 @@ class TestOpsBlocks:
         monkeypatch.setattr(history, "_ops_lines", spy)
         return looped
 
-    def test_symbolic_blocks_skip_the_bulk_try(self, monkeypatch):
-        # Blocks 0 and 1 hold symbolic values: block 0 fails the bulk try,
-        # block 1 skips it, block 2 is plain but follows a symbolic block,
-        # and blocks 3 and 4 are taken in bulk again.
+    def test_symbolic_blocks_are_taken_in_bulk(self, monkeypatch):
+        # Blocks 0, 1 and 4 hold values spelled v<i> or -<i>; every block is
+        # tried in bulk, and none goes to the line loop.
         lines = plain_records("stack", 5 * history._BLOCK - 1)
-        for i in (10, history._BLOCK + 10):  # record i is called at 2i and returns at 2i + 1
+        for i in (10, history._BLOCK + 10, 4 * history._BLOCK + 10):
+            # record i is called at 2i and returns at 2i + 1
             lines[i] = f"push v{i} {2 * i} {2 * i + 1}"
+            lines[i + 1] = f"pop -{i} {2 * i + 2} {2 * i + 3}"
         tried = []
         bulk = history._ops_block
 
@@ -922,8 +953,9 @@ class TestOpsBlocks:
         looped = self.spy_line_loop(monkeypatch)
         got = parse_history("\n".join(["adt stack", *lines]))
         assert list(map(list, got.columns)) == list(map(list, expected))
-        assert looped == [2, 2 + history._BLOCK, 2 + 2 * history._BLOCK]
-        assert tried == [0, 3 * history._BLOCK, 4 * history._BLOCK]
+        assert "v10" in got.columns.value and -10 in got.columns.value
+        assert looped == []
+        assert tried == [b * history._BLOCK for b in range(5)]
 
     @pytest.mark.parametrize("bad, fault, message", [
         (history._BLOCK + 2, None, "input is not UTF-8 (line {bad})"),
