@@ -11,6 +11,8 @@ import random
 import threading
 import time
 from dataclasses import dataclass
+from itertools import islice, repeat, starmap
+from operator import add, itemgetter, lt, sub
 
 from .history import (
     ADD,
@@ -19,10 +21,10 @@ from .history import (
     POP_EMPTY,
     PUSH,
     REMOVE,
+    Columns,
     Event,
     History,
     HistoryError,
-    Operation,
 )
 from . import impls
 
@@ -37,41 +39,43 @@ class GenConfig:
     stretch: float = 1.0
 
 
-def _rank_ops(raw: list[tuple[object, object, Event]], adt: str) -> History:
-    """Turn raw (call, ret, event) rows into a history with dense unique
-    integer timestamps, preserving endpoint order (calls win raw ties).
-    Stamps may be any mutually comparable values, such as floats or the
-    recorder's (ns, seq) pairs.  Operation ids are assigned in call order,
-    the canonical numbering."""
-    endpoints: list[tuple[object, int, int]] = []
-    for idx, (c, r, _) in enumerate(raw):
-        endpoints.append((c, 0, idx))
-        endpoints.append((r, 1, idx))
-    endpoints.sort()
-    calls: dict[int, int] = {}
-    rets: dict[int, int] = {}
-    for rank, (_, is_ret, idx) in enumerate(endpoints):
-        (rets if is_ret else calls)[idx] = rank
-    by_call = sorted(range(len(raw)), key=lambda idx: calls[idx])
-    ops = tuple(Operation(op_id, raw[idx][2], calls[idx], rets[idx])
-                for op_id, idx in enumerate(by_call))
-    return History(adt, ops)
+def _rank_ops(calls: list, rets: list, rows: list[tuple], adt: str) -> History:
+    """A history held as columns of rows[i], a (kind, value, outcome) triple,
+    called at calls[i] and returned at rets[i], the stamps ranked densely:
+    of tied stamps, calls rank first, then earlier rows.  Stamps may be any
+    mutually comparable values, such as floats or the recorder's (ns, seq)
+    pairs.  Ids number the rows in call order.  `History.columns` does not
+    check these columns, so a call not before its return is refused here."""
+    n = len(rows)
+    stamps = calls + rets
+    order = sorted(range(2 * n), key=stamps.__getitem__)  # stable: calls, then rows, win ties
+    rank = [0] * (2 * n)
+    for r, pos in enumerate(order):
+        rank[pos] = r
+    by_call = [pos for pos in order if pos < n]
+    call = list(map(rank.__getitem__, by_call))
+    ret = list(map(rank.__getitem__, map(n.__add__, by_call)))
+    if not all(map(lt, call, ret)):
+        raise HistoryError("a generated operation does not call before it returns")
+    ordered = list(map(rows.__getitem__, by_call))
+    kind, value, outcome = (list(map(itemgetter(j), ordered)) for j in range(3))
+    return History._from_columns(adt, Columns(call, ret, kind, value, outcome, range(n)))
 
 
-def _sequential_run(cfg: GenConfig, rng: random.Random) -> list[Event]:
-    """Produce a legal sequential trace of cfg.ops events for cfg.adt."""
-    events: list[Event] = []
+def _sequential_run(cfg: GenConfig, rng: random.Random) -> list[tuple]:
+    """A legal sequential trace of cfg.ops (kind, value, outcome) rows for cfg.adt."""
+    rows: list[tuple] = []
     if cfg.adt in ("stack", "queue"):
         state: list[int] = []
         fresh = 0
         for _ in range(cfg.ops):
             if state and rng.random() < 0.5:
                 v = state.pop() if cfg.adt == "stack" else state.pop(0)
-                events.append(Event(POP, v))
+                rows.append((POP, v, None))
             elif not state and cfg.adt == "stack" and rng.random() < 0.2:
-                events.append(Event(POP_EMPTY))
+                rows.append((POP_EMPTY, None, None))
             else:
-                events.append(Event(PUSH, fresh))
+                rows.append((PUSH, fresh, None))
                 state.append(fresh)
                 fresh += 1
     elif cfg.adt == "set":
@@ -81,13 +85,13 @@ def _sequential_run(cfg: GenConfig, rng: random.Random) -> list[Event]:
             v = rng.randrange(pool)
             kind = rng.choice((ADD, REMOVE, CONTAINS))
             if kind == ADD:
-                events.append(Event(ADD, v, v not in present))
+                rows.append((ADD, v, v not in present))
                 present.add(v)
             elif kind == REMOVE:
-                events.append(Event(REMOVE, v, v in present))
+                rows.append((REMOVE, v, v in present))
                 present.discard(v)
             else:
-                events.append(Event(CONTAINS, v, v in present))
+                rows.append((CONTAINS, v, v in present))
     elif cfg.adt == "multiset":
         counts: dict[int, int] = {}
         pool = max(cfg.values, 1)
@@ -95,32 +99,45 @@ def _sequential_run(cfg: GenConfig, rng: random.Random) -> list[Event]:
             v = rng.randrange(pool)
             if counts.get(v, 0) > 0 and rng.random() < 0.5:
                 counts[v] -= 1
-                events.append(Event(REMOVE, v, True))
+                rows.append((REMOVE, v, True))
             else:
                 counts[v] = counts.get(v, 0) + 1
-                events.append(Event(ADD, v, True))
+                rows.append((ADD, v, True))
     else:
         raise HistoryError(f"unknown adt {cfg.adt!r}")
-    return events
+    return rows
+
+
+def _stretched_run(cfg: GenConfig) -> tuple[History, list[tuple]]:
+    """The history of gen_linearizable and the sequential rows it stretches."""
+    rng = random.Random(cfg.seed)
+    rows = _sequential_run(cfg, rng)
+    n, scale = len(rows), 1000
+    draws = _below(rng, max(1, int(cfg.stretch * scale)), 2 * n)  # a stretch is 1 + its draw
+    calls = list(map(sub, range(scale - 1, n * scale, scale), draws[0::2]))
+    rets = list(map(add, range(scale + 1, n * scale + 2, scale), draws[1::2]))
+    return _rank_ops(calls, rets, rows, cfg.adt), rows
+
+
+def _below(rng: random.Random, spread: int, count: int) -> list[int]:
+    """count draws of rng.randint(1, spread) - 1, drawn as CPython 3.10-3.13
+    draws them (Random._randbelow_with_getrandbits): getrandbits of spread's
+    bit length, drawn again while not below spread."""
+    bits = map(rng.getrandbits, repeat(spread.bit_length()))
+    return list(islice(filter(spread.__gt__, bits), count))
 
 
 def gen_linearizable_with_witness(cfg: GenConfig) -> tuple[History, list[Event]]:
-    """Linearizable-by-construction history plus its witness trace."""
-    rng = random.Random(cfg.seed)
-    events = _sequential_run(cfg, rng)
-    scale = 1000
-    spread = max(1, int(cfg.stretch * scale))
-    raw = []
-    for i, ev in enumerate(events):
-        point = (i + 1) * scale
-        raw.append((point - rng.randint(1, spread), point + rng.randint(1, spread), ev))
-    return _rank_ops(raw, cfg.adt), events
+    """Linearizable-by-construction history, as gen_linearizable makes it,
+    plus its witness trace, the only `Event`s it builds."""
+    h, rows = _stretched_run(cfg)
+    return h, list(starmap(Event, rows))
 
 
 def gen_linearizable(cfg: GenConfig) -> History:
     """Simulate a legal sequential run, then stretch the operation intervals
     randomly around each linearization point.  Linearizable by construction."""
-    return gen_linearizable_with_witness(cfg)[0]
+    return _stretched_run(cfg)[0]
 
 
 def gen_random(adt: str, ops: int, seed: int, values: int = 3) -> History:
@@ -132,42 +149,39 @@ def gen_random(adt: str, ops: int, seed: int, values: int = 3) -> History:
     random from a small value pool.
     """
     rng = random.Random(seed)
-    events: list[Event] = []
+    rows: list[tuple] = []
     if adt in ("stack", "queue"):
         fresh = 0
-        while len(events) < ops:
+        while len(rows) < ops:
             r = rng.random()
             if adt == "stack" and r < 0.10:
-                events.append(Event(POP_EMPTY))
+                rows.append((POP_EMPTY, None, None))
                 continue
             fresh += 1
             if r < 0.25:
-                events.append(Event(PUSH, fresh))  # unmatched push
+                rows.append((PUSH, fresh, None))  # unmatched push
             elif r < 0.32:
-                events.append(Event(POP, fresh))  # pop of a never-pushed value
+                rows.append((POP, fresh, None))  # pop of a never-pushed value
             else:
-                events.append(Event(PUSH, fresh))
-                if len(events) < ops:
-                    events.append(Event(POP, fresh))
+                rows.append((PUSH, fresh, None))
+                if len(rows) < ops:
+                    rows.append((POP, fresh, None))
     elif adt == "set":
         for _ in range(ops):
             kind = rng.choice((ADD, REMOVE, CONTAINS))
-            events.append(Event(kind, rng.randrange(values), rng.random() < 0.5))
+            rows.append((kind, rng.randrange(values), rng.random() < 0.5))
     elif adt == "multiset":
         for _ in range(ops):
             kind = rng.choice((ADD, REMOVE))
-            events.append(Event(kind, rng.randrange(values), True))
+            rows.append((kind, rng.randrange(values), True))
     else:
         raise HistoryError(f"unknown adt {adt!r}")
-    events = events[:ops]
+    rows = rows[:ops]
 
-    slots = list(range(2 * len(events)))
+    slots = list(range(2 * len(rows)))
     rng.shuffle(slots)
-    raw = []
-    for i, ev in enumerate(events):
-        a, b = slots[2 * i], slots[2 * i + 1]
-        raw.append((min(a, b), max(a, b), ev))
-    return _rank_ops(raw, adt)
+    firsts, seconds = slots[0::2], slots[1::2]
+    return _rank_ops(list(map(min, firsts, seconds)), list(map(max, firsts, seconds)), rows, adt)
 
 
 def gen_small_model_family(n: int) -> History:
@@ -178,33 +192,28 @@ def gen_small_model_family(n: int) -> History:
     value i's I-segment overlaps exactly its neighbors, producing a single
     P-segment and no extreme value; the last value's pop arrives after all
     other pops have returned.  For n = 2 it degenerates to the sequential
-    LIFO violation push(1) push(2) pop(1) pop(2).
+    LIFO violation push(1) push(2) pop(1) pop(2); for n >= 3 value i's push
+    has id 2i-2 and its pop 2i-1.
     """
     if n < 2:
         raise HistoryError("family needs n >= 2")
-    ops: list[Operation] = []
-    if n == 2:
-        rows = [(PUSH, 1, 0, 1), (PUSH, 2, 2, 3), (POP, 1, 4, 5), (POP, 2, 6, 7)]
-        for i, (kind, v, c, r) in enumerate(rows):
-            ops.append(Operation(i, Event(kind, v), c, r))
-        return History("stack", tuple(ops))
+    # Rows (call, ret, kind, value, id), put in call order below.
+    rows = [(0, 1, PUSH, 1, 0), (2, 3, PUSH, 2, 1), (4, 5, POP, 1, 2), (6, 7, POP, 2, 3)]
+    if n > 2:
+        def push_ret(i: int) -> int:
+            return 1 if i == 1 else n + 2 * i - 3
 
-    def push_ret(i: int) -> int:
-        return 1 if i == 1 else n + 2 * i - 3
+        def pop_call(i: int) -> int:
+            return 4 * n - 2 if i == n else n + 2 * i
 
-    def pop_call(i: int) -> int:
-        return 4 * n - 2 if i == n else n + 2 * i
+        def pop_ret(i: int) -> int:
+            return 4 * n - 1 if i == n else 3 * n - 2 + i
 
-    def pop_ret(i: int) -> int:
-        return 4 * n - 1 if i == n else 3 * n - 2 + i
-
-    op_id = 0
-    for i in range(1, n + 1):
-        push_call = 0 if i == 1 else i
-        ops.append(Operation(op_id, Event(PUSH, i), push_call, push_ret(i)))
-        ops.append(Operation(op_id + 1, Event(POP, i), pop_call(i), pop_ret(i)))
-        op_id += 2
-    return History("stack", tuple(ops))
+        rows = sorted(row for i in range(1, n + 1) for row in (
+            (0 if i == 1 else i, push_ret(i), PUSH, i, 2 * i - 2),
+            (pop_call(i), pop_ret(i), POP, i, 2 * i - 1)))
+    call, ret, kind, value, ids = map(list, zip(*rows))
+    return History._from_columns("stack", Columns(call, ret, kind, value, [None] * 2 * n, ids))
 
 
 def mutate(h: History, seed: int) -> History:
@@ -216,32 +225,25 @@ def mutate(h: History, seed: int) -> History:
     decide.
     """
     rng = random.Random(seed)
-    rows: list[tuple[float, float, Event]] = [
-        (float(op.call), float(op.ret), op.event) for op in h.ops
-    ]
-    if not rows:
+    if not h.ops:
         return h
+    calls = [float(op.call) for op in h.ops]
+    rets = [float(op.ret) for op in h.ops]
+    rows: list[tuple] = [op.event for op in h.ops]
     choice = rng.randrange(4)
     if choice == 1 and h.adt in ("stack", "queue"):
-        pops = [i for i, (_, _, ev) in enumerate(rows) if ev.kind == POP]
+        pops = [i for i, (kind, _, _) in enumerate(rows) if kind == POP]
         if len(pops) >= 2:
             i, j = rng.sample(pops, 2)
-            ci, ri, ei = rows[i]
-            cj, rj, ej = rows[j]
-            rows[i] = (ci, ri, Event(POP, ej.value))
-            rows[j] = (cj, rj, Event(POP, ei.value))
+            rows[i], rows[j] = (POP, rows[j][1], None), (POP, rows[i][1], None)
     elif choice == 2 and len(rows) >= 2:
         i, j = rng.sample(range(len(rows)), 2)
-        ci, ri, ei = rows[i]
-        cj, rj, ej = rows[j]
-        if ci < rj and cj < ri:
-            rows[i] = (ci, rj, ei)
-            rows[j] = (cj, ri, ej)
+        if calls[i] < rets[j] and calls[j] < rets[i]:
+            rets[i], rets[j] = rets[j], rets[i]
     elif choice == 3:
         i = rng.randrange(len(rows))
-        c, _, ev = rows[i]
-        rows[i] = (c, c + 0.5, ev)
-    return _rank_ops(rows, h.adt)
+        rets[i] = calls[i] + 0.5
+    return _rank_ops(calls, rets, rows, h.adt)
 
 
 class _Stamper:
@@ -278,7 +280,7 @@ def record_execution(impl: str, cfg: GenConfig) -> History:
 
     stamper = _Stamper()
     threads = max(cfg.threads, 1)
-    buckets: list[list[tuple[tuple[int, int], tuple[int, int], Event]]] = [
+    buckets: list[list[tuple[tuple[int, int], tuple[int, int], tuple]]] = [
         [] for _ in range(threads)
     ]
 
@@ -294,16 +296,16 @@ def record_execution(impl: str, cfg: GenConfig) -> History:
                 c = stamper.stamp()
                 push_fn(value)
                 r = stamper.stamp()
-                out.append((c, r, Event(PUSH, value)))
+                out.append((c, r, (PUSH, value, None)))
             else:
                 c = stamper.stamp()
                 got = pop_fn()
                 r = stamper.stamp()
                 if got is impls.EMPTY:
                     if adt == "stack":
-                        out.append((c, r, Event(POP_EMPTY)))
+                        out.append((c, r, (POP_EMPTY, None, None)))
                 else:
-                    out.append((c, r, Event(POP, got)))
+                    out.append((c, r, (POP, got, None)))
 
     workers = [threading.Thread(target=worker, args=(tid,)) for tid in range(threads)]
     for w in workers:
@@ -311,4 +313,5 @@ def record_execution(impl: str, cfg: GenConfig) -> History:
     for w in workers:
         w.join()
 
-    return _rank_ops([rec for bucket in buckets for rec in bucket], adt)
+    records = [rec for bucket in buckets for rec in bucket]
+    return _rank_ops(*(list(map(itemgetter(j), records)) for j in range(3)), adt)

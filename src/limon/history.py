@@ -25,7 +25,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, compress, count, islice, repeat
-from operator import attrgetter, eq, le, lt
+from operator import attrgetter, eq, itemgetter, le, lt
 
 ADTS = ("stack", "queue", "set", "multiset")
 
@@ -97,12 +97,12 @@ Columns.__doc__ = """A history's operations as six parallel columns, in call ord
 
 
 class History:
-    """An ADT-tagged set of operations, kept sorted by call timestamp, as
-    Operations (`ops`) and as parallel columns (`columns`); either view is
-    built from the other on first use.  Columns hold a well-formed history
-    (see `columns`), so their readers check nothing.  A history is
-    immutable; it compares, hashes and prints by `(adt, ops)`, whichever
-    view it holds, and pickles as its columns."""
+    """An ADT-tagged set of operations sorted by call timestamp, as Operations
+    (`ops`) and as parallel columns (`columns`).  Parsed and generated ones
+    hold columns, `History(adt, ops)` its ops; the other view is built, and
+    columns checked (see `columns`), on first use, so their readers check
+    nothing.  A history is immutable; it compares, hashes and prints by
+    `(adt, ops)`, whichever view it holds, and pickles as its columns."""
 
     __slots__ = ("adt", "_ops", "_cols")
 
@@ -519,10 +519,11 @@ def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
 # Serialization
 # ---------------------------------------------------------------------------
 
-_QUEUE_WORDS = {PUSH: "enq", POP: "deq"}  # a queue file's kind words
-# Each kind's result token, by outcome, as the parser reads it.
-_RESULT_TOKENS = {kind: {outcome: f" {word}" for word, outcome in words.items()}
-                  for kind, words in _OUTCOMES.items()}
+# Each kind's word in a file and its result token by outcome, as the parser
+# reads them; a kind without outcomes has the one outcome None.
+_FORMS = {kind: (kind, {outcome: f" {word}" for word, outcome in _OUTCOMES[kind].items()}
+                 if kind in _OUTCOMES else {None: ""}) for kind in _KIND_ALIASES.values()}
+_QUEUE_FORMS = {**_FORMS, PUSH: ("enq", _FORMS[PUSH][1]), POP: ("deq", _FORMS[POP][1])}
 
 
 def serialize_history(h: History, fmt: str = "ops") -> str:
@@ -531,24 +532,50 @@ def serialize_history(h: History, fmt: str = "ops") -> str:
     The operation format is positional: ids are re-derived from record
     order on parse, so round-trips are exact for call-ordered ids (all
     histories this toolkit produces).  The event format preserves ids
-    verbatim.  The history must be one that `History.columns` accepts.
+    verbatim.  Rows are read from the columns if the history holds them,
+    else from its `ops`.  An unknown kind, or an outcome or value that
+    `History.columns` refuses, raises HistoryError; shared timestamps,
+    calls not before returns and kinds the data type lacks are written.
     """
     if fmt not in ("ops", "events"):
         raise HistoryError(f"unknown format {fmt!r}")
-    words = _QUEUE_WORDS if h.adt == "queue" else {}
+    forms = _QUEUE_FORMS if h.adt == "queue" else _FORMS
     lines = [f"adt {h.adt}"]
+    put = lines.append
     endpoints: list[tuple[int, str]] = []
-    for op_id, (kind, value, outcome), call, ret in h.ops:
-        word = words.get(kind, kind)
-        shown = "" if kind == POP_EMPTY else f" {value}"
-        result = "" if outcome is None else _RESULT_TOKENS[kind][outcome]
-        if fmt == "ops":
-            lines.append(f"{word}{shown} {call} {ret}{result}")
-        else:  # a pop's value comes with its return
+    cols = h._cols
+    rows = h._ops if cols is None else zip(
+        cols.id, zip(cols.kind, cols.value, cols.outcome), cols.call, cols.ret)
+    ops_format = fmt == "ops"
+    try:
+        for op_id, (kind, value, outcome), call, ret in rows:
+            word, results = forms[kind]
+            result = results[outcome]  # which finds 1 and 0 as True and False
+            if outcome is not None and type(outcome) is not bool:
+                raise KeyError
+            if value is None:
+                if kind != POP_EMPTY:
+                    raise KeyError
+                if ops_format:
+                    put(f"{word} {call} {ret}")
+                    continue
+                shown = ""
+            elif kind == POP_EMPTY:
+                raise KeyError
+            elif ops_format:
+                put(f"{word} {value} {call} {ret}{result}")
+                continue
+            else:
+                shown = f" {value}"
+            # A pop's value comes with its return.
             at_call, at_ret = ("", shown) if kind == POP else (shown, "")
             endpoints.append((call, f"call {op_id} {word}{at_call} {call}"))
             endpoints.append((ret, f"ret {op_id} {ret}{at_ret}{result}"))
-    endpoints.sort(key=lambda e: e[0])
+    except KeyError:  # an unknown kind, or an outcome or a value not the kind's
+        fault = (f"unknown kind {kind!r}" if kind not in forms else f"{kind} outcome {outcome!r}"
+                 if (type(outcome) is bool) != (kind in _OUTCOMES) else f"{kind} value {value!r}")
+        raise HistoryError(f"operation {op_id}: {fault}") from None
+    endpoints.sort(key=itemgetter(0))
     lines.extend(line for _, line in endpoints)
     return "\n".join(lines) + "\n"
 

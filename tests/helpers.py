@@ -19,6 +19,16 @@ from limon.stacks import _prepare, _sweep_p
 _FRESH_BASE = 10
 
 
+def refuse_records(monkeypatch) -> None:
+    """Make building an Operation or an Event raise AssertionError."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("record built")
+
+    for cls in (Operation, Event):
+        monkeypatch.setattr(cls, "__new__", refuse)
+        monkeypatch.setattr(cls, "_make", classmethod(refuse))
+
+
 def _gaps_d(lo: int, hi: int, p: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The D-segments of the span [lo, hi] around the sorted P-segments p:
     the gaps between them and the two ends."""

@@ -14,9 +14,7 @@ import pytest
 
 from limon import (
     ADTS,
-    Event,
     GenConfig,
-    Operation,
     ParseError,
     check_history,
     gen_linearizable,
@@ -33,7 +31,7 @@ import limon.cli
 import limon.sets
 from limon.cli import build_parser, main
 
-from helpers import limon_env, nested_stack
+from helpers import limon_env, nested_stack, refuse_records
 
 H1 = "adt stack\npush 0 0 2\npush 1 1 3\npop 1 4 6\npop 0 5 7\n"
 
@@ -51,16 +49,6 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
-
-
-def refuse_records(monkeypatch):
-    """Make building an Operation or an Event raise AssertionError."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("record built")
-
-    for cls in (Operation, Event):
-        monkeypatch.setattr(cls, "__new__", refuse)
-        monkeypatch.setattr(cls, "_make", classmethod(refuse))
 
 
 class TestCheck:

@@ -163,9 +163,9 @@ class TestValidate:
         # it read the answer 1 as "absent": a confident wrong verdict.
         h = History("set", (Operation(0, Event("add", 5, True), 0, 1),
                             Operation(1, Event("contains", 5, 1), 2, 3)))
-        assert check_history(parse_history(serialize_history(h))).linearizable
-        with pytest.raises(HistoryError, match="operation 1: contains outcome 1$"):
-            check_history(h)
+        for refuse in (check_history, serialize_history):
+            with pytest.raises(HistoryError, match="operation 1: contains outcome 1$"):
+                refuse(h)
 
     def test_set_outcome_missing(self):
         # Checked as a success, but written to an event file as a failure.
@@ -368,7 +368,8 @@ class TestValueTable:
 
     def test_a_check_sorts_the_timestamps_once(self, monkeypatch):
         # The parser's sort serves the monitor; a library history is sorted
-        # once, by its first check, which builds and keeps its columns.
+        # once, by its first check, which builds and keeps its columns; a
+        # generated history is born as columns, which no check sorts.
         sorts = []
         monkeypatch.setattr("limon.history._duplicate_stamp",
                             lambda cols: sorts.append(len(cols.call)) or _duplicate_stamp(cols))
@@ -378,7 +379,10 @@ class TestValueTable:
             assert sorts == [40]
             check_history(parsed)
             check_history(h)
-            check_history(h)
+            assert sorts == [40], adt
+            library = History(adt, h.ops)
+            check_history(library)
+            check_history(library)
             assert sorts == [40, 40], adt
             sorts.clear()
 
@@ -444,6 +448,44 @@ class TestRoundTrip:
                 back = parse_history(serialize_history(h, fmt))
                 assert back == h, (adt, fmt, seed)
                 assert all(type(op.event.value) in (int, type(None)) for op in back.ops)
+
+
+class TestSerializeRefuses:
+    """serialize_history refuses what no file can state, and writes what a
+    file states faithfully, whether the parser then takes it or not."""
+
+    @pytest.mark.parametrize("adt, event, message", [
+        ("stack", Event("push", 5, True), "push outcome True"),
+        ("queue", Event("pop", 5, False), "pop outcome False"),
+        ("set", Event("add", 5), "add outcome None"),
+        ("set", Event("contains", 5), "contains outcome None"),
+        ("set", Event("add", 5, 1), "add outcome 1"),
+        ("stack", Event("push", None), "push value None"),
+        ("stack", Event("popempty", 3), "popempty value 3"),
+        ("stack", Event("peek", 3), "unknown kind 'peek'"),
+    ], ids=["push-outcome", "pop-outcome", "add-none", "contains-none", "add-int",
+            "push-none", "popempty-value", "unknown-kind"])
+    @pytest.mark.parametrize("fmt", ["ops", "events"])
+    def test_a_row_no_file_states(self, adt, event, message, fmt):
+        h = History(adt, (Operation(0, Event("push", 1), 0, 1), Operation(4, event, 2, 3)))
+        with pytest.raises(HistoryError, match=f"^operation 4: {message}$"):
+            serialize_history(h, fmt)
+
+    def test_faults_a_file_states(self):
+        h = History("stack", (Operation(0, Event("push", 1), 0, 5),
+                              Operation(1, Event("add", 2, True), 5, 4),
+                              Operation(2, Event("popempty"), 6, 7)))
+        assert serialize_history(h) == "adt stack\npush 1 0 5\nadd 2 5 4 ok\npopempty 6 7\n"
+        assert serialize_history(h, "events") == (
+            "adt stack\ncall 0 push 1 0\nret 1 4 ok\nret 0 5\ncall 1 add 2 5\n"
+            "call 2 popempty 6\nret 2 7\n")
+
+    def test_either_view(self):
+        h = gen_linearizable(GenConfig(adt="queue", ops=30, seed=4))
+        library = History("queue", h.ops)
+        for fmt in ("ops", "events"):
+            assert serialize_history(h, fmt) == serialize_history(library, fmt)
+        assert library._cols is None  # its ops were written as they are
 
 
 def symbolize(text: str) -> str:
