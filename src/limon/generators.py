@@ -11,7 +11,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from itertools import islice, repeat, starmap
+from itertools import starmap
 from operator import add, itemgetter, lt, sub
 
 from .history import (
@@ -113,18 +113,11 @@ def _stretched_run(cfg: GenConfig) -> tuple[History, list[tuple]]:
     rng = random.Random(cfg.seed)
     rows = _sequential_run(cfg, rng)
     n, scale = len(rows), 1000
-    draws = _below(rng, max(1, int(cfg.stretch * scale)), 2 * n)  # a stretch is 1 + its draw
+    spread = max(1, int(cfg.stretch * scale))
+    draws = [rng.randrange(spread) for _ in range(2 * n)]  # a stretch is 1 + its draw
     calls = list(map(sub, range(scale - 1, n * scale, scale), draws[0::2]))
     rets = list(map(add, range(scale + 1, n * scale + 2, scale), draws[1::2]))
     return _rank_ops(calls, rets, rows, cfg.adt), rows
-
-
-def _below(rng: random.Random, spread: int, count: int) -> list[int]:
-    """count draws of rng.randint(1, spread) - 1, drawn as CPython 3.10-3.13
-    draws them (Random._randbelow_with_getrandbits): getrandbits of spread's
-    bit length, drawn again while not below spread."""
-    bits = map(rng.getrandbits, repeat(spread.bit_length()))
-    return list(islice(filter(spread.__gt__, bits), count))
 
 
 def gen_linearizable_with_witness(cfg: GenConfig) -> tuple[History, list[Event]]:
@@ -222,14 +215,16 @@ def mutate(h: History, seed: int) -> History:
     Choices: identity, swapping two pop values, swapping two returns, or
     shrinking one operation to a minimal interval.  The result keeps all
     structural invariants; its verdict is for the oracle or monitor to
-    decide.
+    decide.  It reads the checked columns, so a history that
+    `History.columns` refuses is refused here.
     """
     rng = random.Random(seed)
-    if not h.ops:
+    cols = h.columns
+    if not cols.call:
         return h
-    calls = [float(op.call) for op in h.ops]
-    rets = [float(op.ret) for op in h.ops]
-    rows: list[tuple] = [op.event for op in h.ops]
+    calls = list(map(float, cols.call))
+    rets = list(map(float, cols.ret))
+    rows: list[tuple] = list(zip(cols.kind, cols.value, cols.outcome))
     choice = rng.randrange(4)
     if choice == 1 and h.adt in ("stack", "queue"):
         pops = [i for i, (kind, _, _) in enumerate(rows) if kind == POP]

@@ -162,7 +162,7 @@ class History:
                     raise HistoryError(f"operation {op_id}: call {call} not before return {ret}")
                 if kind not in legal or outcome is False:
                     _check_kind(adt, kind, outcome, None)
-                if (type(outcome) is bool) is not (kind in _OUTCOMES):
+                if type(outcome) is not _OUTCOME_TYPE[kind]:
                     raise HistoryError(f"operation {op_id}: {kind} outcome {outcome!r}")
                 if (value is None) is not (kind == POP_EMPTY):
                     raise HistoryError(f"operation {op_id}: {kind} value {value!r}")
@@ -226,6 +226,7 @@ class WorkCounter:
 
 _UPDATES = {"ok": True, "fail": False}  # result word -> outcome, for add and remove
 _OUTCOMES = {ADD: _UPDATES, REMOVE: _UPDATES, CONTAINS: {"true": True, "false": False}}  # by kind
+_OUTCOME_TYPE = {kind: bool if kind in _OUTCOMES else type(None) for kind in _KIND_ALIASES.values()}
 _BLOCK = 1024  # lines per block of an operation-format file; larger blocks cost memory
 
 
@@ -519,11 +520,13 @@ def _ops_lines(adt: str, rows: Iterable[list[str]], first: int, cols: list,
 # Serialization
 # ---------------------------------------------------------------------------
 
-# Each kind's word in a file and its result token by outcome, as the parser
-# reads them; a kind without outcomes has the one outcome None.
+# Each kind's word in a file, its result token by outcome, as the parser
+# reads them, and its outcome's type; a kind without outcomes has the one
+# outcome None.
 _FORMS = {kind: (kind, {outcome: f" {word}" for word, outcome in _OUTCOMES[kind].items()}
-                 if kind in _OUTCOMES else {None: ""}) for kind in _KIND_ALIASES.values()}
-_QUEUE_FORMS = {**_FORMS, PUSH: ("enq", _FORMS[PUSH][1]), POP: ("deq", _FORMS[POP][1])}
+                 if kind in _OUTCOMES else {None: ""}, _OUTCOME_TYPE[kind])
+          for kind in _KIND_ALIASES.values()}
+_QUEUE_FORMS = {**_FORMS, PUSH: ("enq", *_FORMS[PUSH][1:]), POP: ("deq", *_FORMS[POP][1:])}
 
 
 def serialize_history(h: History, fmt: str = "ops") -> str:
@@ -547,34 +550,24 @@ def serialize_history(h: History, fmt: str = "ops") -> str:
     rows = h._ops if cols is None else zip(
         cols.id, zip(cols.kind, cols.value, cols.outcome), cols.call, cols.ret)
     ops_format = fmt == "ops"
-    try:
-        for op_id, (kind, value, outcome), call, ret in rows:
-            word, results = forms[kind]
-            result = results[outcome]  # which finds 1 and 0 as True and False
-            if outcome is not None and type(outcome) is not bool:
-                raise KeyError
-            if value is None:
-                if kind != POP_EMPTY:
-                    raise KeyError
-                if ops_format:
-                    put(f"{word} {call} {ret}")
-                    continue
-                shown = ""
-            elif kind == POP_EMPTY:
-                raise KeyError
-            elif ops_format:
-                put(f"{word} {value} {call} {ret}{result}")
-                continue
-            else:
-                shown = f" {value}"
-            # A pop's value comes with its return.
-            at_call, at_ret = ("", shown) if kind == POP else (shown, "")
-            endpoints.append((call, f"call {op_id} {word}{at_call} {call}"))
-            endpoints.append((ret, f"ret {op_id} {ret}{at_ret}{result}"))
-    except KeyError:  # an unknown kind, or an outcome or a value not the kind's
-        fault = (f"unknown kind {kind!r}" if kind not in forms else f"{kind} outcome {outcome!r}"
-                 if (type(outcome) is bool) != (kind in _OUTCOMES) else f"{kind} value {value!r}")
-        raise HistoryError(f"operation {op_id}: {fault}") from None
+    for op_id, (kind, value, outcome), call, ret in rows:
+        try:
+            word, results, outcome_type = forms[kind]
+        except KeyError:
+            raise HistoryError(f"operation {op_id}: unknown kind {kind!r}") from None
+        if type(outcome) is not outcome_type:
+            raise HistoryError(f"operation {op_id}: {kind} outcome {outcome!r}")
+        if (value is None) is not (kind == POP_EMPTY):
+            raise HistoryError(f"operation {op_id}: {kind} value {value!r}")
+        if ops_format:
+            put(f"{word} {call} {ret}" if value is None
+                else f"{word} {value} {call} {ret}{results[outcome]}")
+            continue
+        shown = "" if value is None else f" {value}"
+        # A pop's value comes with its return.
+        at_call, at_ret = ("", shown) if kind == POP else (shown, "")
+        endpoints.append((call, f"call {op_id} {word}{at_call} {call}"))
+        endpoints.append((ret, f"ret {op_id} {ret}{at_ret}{results[outcome]}"))
     endpoints.sort(key=itemgetter(0))
     lines.extend(line for _, line in endpoints)
     return "\n".join(lines) + "\n"

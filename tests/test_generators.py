@@ -5,9 +5,11 @@ import pytest
 
 from limon import (
     ADTS,
+    Event,
     GenConfig,
     History,
     HistoryError,
+    Operation,
     brute_force_linearizable,
     check_history,
     gen_linearizable,
@@ -21,7 +23,7 @@ from limon import (
     serialize_history,
     stack_linearizable,
 )
-from limon.generators import _below, _rank_ops, _sequential_run
+from limon.generators import _rank_ops, _sequential_run
 
 from helpers import project, refuse_records
 
@@ -117,6 +119,17 @@ class TestMutate:
             if len(m) <= 8:
                 assert (check_history(m).linearizable
                         == brute_force_linearizable(m, max_ops=12).linearizable), seed
+
+    @pytest.mark.parametrize("adt, first, event, message", [
+        ("set", Event("add", 5, True), Event("contains", 5, 1), "operation 1: contains outcome 1$"),
+        ("stack", Event("push", 5), Event("add", 5, True), "event kind 'add' illegal for adt 'stack'"),
+    ], ids=["int-outcome", "illegal-kind"])
+    def test_refuses_a_history_its_columns_refuse(self, adt, first, event, message):
+        # Ranked anew, such rows would be columns that no check reads again.
+        h = History(adt, (Operation(0, first, 0, 1), Operation(1, event, 2, 3)))
+        for seed in range(10):
+            with pytest.raises(HistoryError, match=message):
+                check_history(mutate(h, seed))
 
 
 class TestRecorder:
@@ -279,15 +292,8 @@ class TestColumnBuilt:
             assert hashlib.sha256(text.encode()).hexdigest() == want, fmt
 
     @pytest.mark.parametrize("spread", [1, 2, 3, 1000, 1024, 2000])
-    def test_stretches_are_randint_draws(self, spread):
-        # Powers of two are where the rejection of a draw starts and stops.
-        rng, want = random.Random(spread), random.Random(spread)
-        assert [1 + r for r in _below(rng, spread, 5000)] == [
-            want.randint(1, spread) for _ in range(5000)]
-        assert rng.getstate() == want.getstate()
-
-    @pytest.mark.parametrize("spread", [1, 3, 1024, 2000])
     def test_linearizable_stamps_are_randint_draws(self, spread):
+        # Powers of two are where the rejection of a draw starts and stops.
         cfg = GenConfig(adt="queue", ops=400, seed=spread, stretch=spread / 1000)
         assert int(cfg.stretch * 1000) == spread
         rng = random.Random(cfg.seed)
@@ -312,6 +318,7 @@ class TestColumnBuilt:
             for fmt in ("ops", "events"):
                 serialize_history(h, fmt)
                 serialize_history(gen_random(adt, 200, 3), fmt)
+                serialize_history(mutate(h, 3), fmt)
         serialize_history(gen_small_model_family(9), "events")
         with pytest.raises(AssertionError, match="record built"):  # the guard is live
             h.ops

@@ -173,11 +173,12 @@ class TestValidate:
         with pytest.raises(HistoryError, match="operation 0: add outcome None"):
             check_history(h)
 
+    @pytest.mark.parametrize("outcome", [True, 5])
     @pytest.mark.parametrize("adt", ["stack", "queue"])
-    def test_outcome_on_a_push(self, adt):
-        h = History(adt, (Operation(0, Event("push", 5, True), 0, 1),
+    def test_outcome_on_a_push(self, adt, outcome):
+        h = History(adt, (Operation(0, Event("push", 5, outcome), 0, 1),
                           Operation(1, Event("pop", 5), 2, 3)))
-        with pytest.raises(HistoryError, match="operation 0: push outcome True"):
+        with pytest.raises(HistoryError, match=f"^operation 0: push outcome {outcome}$"):
             check_history(h)
 
     @pytest.mark.parametrize("event, message", [
@@ -456,6 +457,7 @@ class TestSerializeRefuses:
 
     @pytest.mark.parametrize("adt, event, message", [
         ("stack", Event("push", 5, True), "push outcome True"),
+        ("stack", Event("push", 5, 5), "push outcome 5"),
         ("queue", Event("pop", 5, False), "pop outcome False"),
         ("set", Event("add", 5), "add outcome None"),
         ("set", Event("contains", 5), "contains outcome None"),
@@ -463,7 +465,7 @@ class TestSerializeRefuses:
         ("stack", Event("push", None), "push value None"),
         ("stack", Event("popempty", 3), "popempty value 3"),
         ("stack", Event("peek", 3), "unknown kind 'peek'"),
-    ], ids=["push-outcome", "pop-outcome", "add-none", "contains-none", "add-int",
+    ], ids=["push-outcome", "push-int", "pop-outcome", "add-none", "contains-none", "add-int",
             "push-none", "popempty-value", "unknown-kind"])
     @pytest.mark.parametrize("fmt", ["ops", "events"])
     def test_a_row_no_file_states(self, adt, event, message, fmt):
