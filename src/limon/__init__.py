@@ -2,9 +2,9 @@
 
 Decides whether a recorded concurrent history is linearizable with respect
 to its abstract data type: in O(n log n) for stacks (plus, at worst,
-O(n log^2 n) comparisons to sort the parts split off), for queues (a
-containment query over I-segments sorted by left end, with a running
-maximum of right ends) and for set and multiset histories (their returns
+O(n log^2 n) comparisons to sort the parts split off), for queues (one
+sweep of I-segments sorted by left end, with a running maximum of right
+ends, for every probe) and for set and multiset histories (their returns
 are sorted), in O(n) for set and multiset streams.  Also file formats,
 preprocessing, an exact oracle, corpus generators and an execution recorder.
 

@@ -222,8 +222,8 @@ def mutate(h: History, seed: int) -> History:
     cols = h.columns
     if not cols.call:
         return h
-    calls = list(map(float, cols.call))
-    rets = list(map(float, cols.ret))
+    calls = [2 * c for c in cols.call]  # doubled: a shrunk return, call + 1, is between stamps
+    rets = [2 * r for r in cols.ret]  # and ints: floats merge stamps above 2**53
     rows: list[tuple] = list(zip(cols.kind, cols.value, cols.outcome))
     choice = rng.randrange(4)
     if choice == 1 and h.adt in ("stack", "queue"):
@@ -237,7 +237,7 @@ def mutate(h: History, seed: int) -> History:
             rets[i], rets[j] = rets[j], rets[i]
     elif choice == 3:
         i = rng.randrange(len(rows))
-        rets[i] = calls[i] + 0.5
+        rets[i] = calls[i] + 1
     return _rank_ops(calls, rets, rows, h.adt)
 
 

@@ -536,9 +536,9 @@ def serialize_history(h: History, fmt: str = "ops") -> str:
     order on parse, so round-trips are exact for call-ordered ids (all
     histories this toolkit produces).  The event format preserves ids
     verbatim.  Rows are read from the columns if the history holds them,
-    else from its `ops`.  An unknown kind, or an outcome or value that
-    `History.columns` refuses, raises HistoryError; shared timestamps,
-    calls not before returns and kinds the data type lacks are written.
+    else from its `ops`.  A row no file can state (an unknown kind, a value or
+    outcome `History.columns` refuses, a non-int value whose str reads back
+    otherwise) raises HistoryError; other faults are written as they are.
     """
     if fmt not in ("ops", "events"):
         raise HistoryError(f"unknown format {fmt!r}")
@@ -559,6 +559,10 @@ def serialize_history(h: History, fmt: str = "ops") -> str:
             raise HistoryError(f"operation {op_id}: {kind} outcome {outcome!r}")
         if (value is None) is not (kind == POP_EMPTY):
             raise HistoryError(f"operation {op_id}: {kind} value {value!r}")
+        if type(value) is not int and value is not None:
+            token = str(value)
+            if token.split() != [token] or "#" in token or _value(token) != value:
+                raise HistoryError(f"operation {op_id}: {kind} value {value!r} would not read back")
         if ops_format:
             put(f"{word} {call} {ret}" if value is None
                 else f"{word} {value} {call} {ret}{results[outcome]}")

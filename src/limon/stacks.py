@@ -131,13 +131,13 @@ def stack_linearizable(h: History, *, counter: WorkCounter | None = None) -> Ver
 
     def group(gid: int, members: list[int]) -> tuple:
         # (id, live count, push-return order and its pointer and end,
-        # pop-call-descending order, push-call order of values not in A,
-        # pop-return-descending order of values not in B, with pointers)
+        # pop-call-descending order, push-call order (row order) of values
+        # not in A, pop-return-descending order of values not in B, with pointers)
         nonlocal work
         work += len(members) + 3 * _sort_cost(len(members))
         return (gid, len(members), members, 0, len(members),
                 sorted(members, key=qc.__getitem__, reverse=True), 0,
-                sorted([x for x in members if not in_a[x]], key=pc.__getitem__), 0,
+                sorted([x for x in members if not in_a[x]]), 0,
                 sorted([x for x in members if not in_b[x]], key=qr.__getitem__,
                        reverse=True), 0)
 

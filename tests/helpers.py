@@ -10,7 +10,7 @@ from itertools import permutations, product
 from pathlib import Path
 
 from limon import ContainmentIndex, Event, History, HistoryError, Operation, Verdict
-from limon.history import POP, POP_EMPTY, PUSH, _in_order, _max_timestamp
+from limon.history import POP, POP_EMPTY, PUSH, _in_order, _max_timestamp, value_table
 from limon.oracle import sequential_check
 from limon.stacks import _prepare, _sweep_p
 
@@ -305,8 +305,27 @@ def indexed_container(h: History, left: int, right: int):
     values = [a for a in op_to_val(h).values() if a.i_segment is not None]
     index = ContainmentIndex([a.push_ret for a in values], [a.pop_call for a in values],
                              range(len(values)))
-    row = index.container(left, right)
+    [row] = index.containers([(left, right)])
     return None if row is None else values[row].value
+
+
+def reference_queue_linearizable(h: History) -> Verdict:
+    """The critical-pair search by brute force: each value's T-segment, in
+    row order, against every I-segment (quadratic).  The witness's outer
+    value is the container reaching farthest, the first by left end of
+    those.  Preprocessing is shared with the monitor."""
+    t = value_table(h)
+    if isinstance(t, Verdict):
+        return t
+    pc, pr, qc, qr = t.push_call, t.push_ret, t.pop_call, t.pop_ret
+    rows = range(len(t.value))
+    for x in rows:
+        outer = [y for y in rows if pr[y] <= pc[x] and qr[x] <= qc[y]]
+        if outer:
+            y = min(outer, key=lambda z: (-qc[z], pr[z]))
+            return Verdict(False, {"kind": "critical-pair", "inner": t.value[x],
+                                   "outer": t.value[y]})
+    return Verdict(True)
 
 
 def reference_stack_linearizable(h: History, observer=None) -> Verdict:

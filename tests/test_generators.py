@@ -102,6 +102,17 @@ class TestMutate:
         assert swapped is not None
         assert not brute_force_linearizable(swapped).linearizable
 
+    def test_exact_stamps_above_float_precision(self):
+        # Seed 1 swaps the pop values.  Stamps offset by 10**17 must rank as
+        # those offset by 0 do, to a sequential, unlinearizable history.
+        text = "adt stack\npush 1 {} {}\npush 2 {} {}\npop 2 {} {}\npop 1 {} {}\n"
+        want = "adt stack\npush 1 0 1\npush 2 2 3\npop 1 4 5\npop 2 6 7\n"
+        for base in (0, 10**17):
+            h = parse_history(text.format(*range(base, base + 8)))
+            m = mutate(h, 1)
+            assert serialize_history(m) == want, base
+            assert not check_history(m).linearizable
+
     def test_identity_choice_stays_linearizable(self):
         base = gen_linearizable(GenConfig(adt="stack", ops=6, seed=9, stretch=1.0))
         for seed in range(60):

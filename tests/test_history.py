@@ -465,13 +465,32 @@ class TestSerializeRefuses:
         ("stack", Event("push", None), "push value None"),
         ("stack", Event("popempty", 3), "popempty value 3"),
         ("stack", Event("peek", 3), "unknown kind 'peek'"),
+        ("stack", Event("push", "5"), "push value '5' would not read back"),
+        ("set", Event("add", "a b", True), "add value 'a b' would not read back"),
+        ("set", Event("add", "", True), "add value '' would not read back"),
+        ("queue", Event("push", "a#b"), "push value 'a#b' would not read back"),
+        ("stack", Event("push", True), "push value True would not read back"),
+        ("stack", Event("push", 1.5), "push value 1.5 would not read back"),
     ], ids=["push-outcome", "push-int", "pop-outcome", "add-none", "contains-none", "add-int",
-            "push-none", "popempty-value", "unknown-kind"])
+            "push-none", "popempty-value", "unknown-kind", "str-of-int", "two-tokens",
+            "no-token", "comment", "bool", "float"])
     @pytest.mark.parametrize("fmt", ["ops", "events"])
     def test_a_row_no_file_states(self, adt, event, message, fmt):
         h = History(adt, (Operation(0, Event("push", 1), 0, 1), Operation(4, event, 2, 3)))
         with pytest.raises(HistoryError, match=f"^operation 4: {message}$"):
             serialize_history(h, fmt)
+
+    def test_values_that_read_back_alike(self):
+        # Linearizable as it stands; read back from its text, both values
+        # would be the int 5, popped in the wrong order.
+        h = History("stack", (Operation(0, Event("push", "5"), 0, 1),
+                              Operation(1, Event("push", 5), 2, 3),
+                              Operation(2, Event("pop", 5), 4, 5),
+                              Operation(3, Event("pop", "5"), 6, 7)))
+        assert check_history(h).linearizable
+        for fmt in ("ops", "events"):
+            with pytest.raises(HistoryError, match="^operation 0: push value '5' would not"):
+                serialize_history(h, fmt)
 
     def test_faults_a_file_states(self):
         h = History("stack", (Operation(0, Event("push", 1), 0, 5),

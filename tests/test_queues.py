@@ -6,12 +6,15 @@ import pytest
 from limon import (
     ContainmentIndex,
     Event,
+    GenConfig,
     History,
     HistoryError,
     Operation,
     WorkCounter,
     brute_force_linearizable,
+    gen_linearizable,
     gen_random,
+    mutate,
     parse_history,
     queue_linearizable,
 )
@@ -26,6 +29,7 @@ from helpers import (
     find_critical_pair_naive,
     indexed_container,
     op_to_val,
+    reference_queue_linearizable,
     scan_container,
     value_history,
 )
@@ -58,7 +62,14 @@ class TestSearch:
         assert indexed_container(queue_bad(), 14, 22) == 3
 
     def test_empty_tree(self):
-        assert ContainmentIndex([], [], []).container(0, 1) is None
+        assert list(ContainmentIndex([], [], []).containers([(0, 1)])) == [None]
+
+    def test_out_of_order_probe_refused(self):
+        found = ContainmentIndex([0, 10], [5, 20], range(2)).containers([(3, 4), (3, 4), (2, 4)])
+        assert next(found) == 0
+        assert next(found) == 0  # an equal left end is in order
+        with pytest.raises(HistoryError, match="probe at 2 follows a probe at 3"):
+            next(found)
 
     def test_matches_linear_scan(self):
         rng = random.Random(23)
@@ -79,8 +90,8 @@ class TestSearch:
                       for _ in range(n_probes)]
             iv, _ = entries[rng.randrange(len(entries))]
             probes.append(Interval(min(iv.left + 1, iv.right), iv.right))  # forced hit
-            for q in probes:
-                got = index.container(q.left, q.right)
+            probes.sort()
+            for q, got in zip(probes, index.containers(probes), strict=True):
                 expect = scan_container(entries, q)
                 if got is None:
                     assert not expect, (k, q)
@@ -135,6 +146,25 @@ class TestQueueLinearizable:
                 continue
             naive = find_critical_pair_naive(vals)
             assert verdict.linearizable == (naive is None), seed
+
+    def test_matches_reference_verdict_and_witness(self):
+        pairs = 0
+        for seed in range(3000):
+            n = 2 + seed % 40
+            h = (mutate(gen_linearizable(GenConfig(adt="queue", ops=n, seed=seed,
+                                                   stretch=1 + seed % 6)), seed)
+                 if seed % 2 else gen_random("queue", n, 16_000 + seed))
+            verdict = queue_linearizable(h)
+            assert verdict == reference_queue_linearizable(h), seed
+            pairs += bool(verdict.witness) and verdict.witness["kind"] == "critical-pair"
+        assert pairs >= 100, pairs
+
+    def test_witness_is_the_farthest_reaching_container(self):
+        # The I-segments of 1, [1, 20], and of 2, [3, 30], both contain 3's
+        # T-segment, [4, 7]; 2 starts later and reaches farther.
+        h = value_history("queue", [(1, 0, 1, 20, 21), (2, 2, 3, 30, 31), (3, 4, 5, 6, 7)])
+        assert queue_linearizable(h).witness == {"kind": "critical-pair", "inner": 3, "outer": 2}
+        assert reference_queue_linearizable(h) == queue_linearizable(h)
 
     def test_never_reports_self_containment(self):
         for seed in range(400):
